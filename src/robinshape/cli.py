@@ -23,7 +23,7 @@ import numpy as np
 from .model import IntegrandModel, exponent_threshold
 from .pdesolve import SolverConfig, SolverError, solve_inner
 from .radial import (RadialConvergenceError, RadialEigenvalueQuery,
-                     ball_energy, optimal_radius_scan, robin_eigenvalue_ball,
+                     ball_energy, optimal_radius_scan, robin_eigenvalues_ball,
                      robin_poisson_ball)
 from .sbvgrid import Grid, ShapeMask, shape_energy, write_field_text
 from .shapeopt import (AnnealSchedule, ShapeOptError, TRACE_COLUMNS,
@@ -150,7 +150,6 @@ SCHEMAS = {
         "gap_floor": Key(float, -1e-8, None, None),
         "rel_tol": Key(float, 1e-6, 0.0, None),
         "ns": Key(str, "128,256", help="grid sizes for ball-minimality"),
-        "workers": Key(int, 1, 1, 256, "process-pool size for the battery"),
     },
     "figure1": {
         **COMMON,
@@ -279,19 +278,43 @@ def _build_mask(grid, params):
     raise UsageError(f"unknown shape {shape!r}")
 
 
+def _init_mask(grid, init):
+    # --init spec: full | empty | interval:a:b | disc:cx:cy:r
+    kind, *args = init.split(":")
+    try:
+        vals = [float(v) for v in args]
+    except ValueError:
+        vals = None
+    if vals is None or len(vals) != {"full": 0, "empty": 0, "interval": 2,
+                                     "disc": 3}.get(kind):
+        raise UsageError(f"init: expected full | empty | interval:a:b | "
+                         f"disc:cx:cy:r, got {init!r}")
+    if kind == "empty":
+        return ShapeMask.empty(grid)
+    keys = {"interval": ("a", "b"), "disc": ("cx", "cy", "radius")}.get(kind, ())
+    return _build_mask(grid, {"shape": kind, **dict(zip(keys, vals))})
+
+
+def _solver_config(params, **kwargs):
+    try:
+        return SolverConfig(tol=params["tol"], weights=params["weights"], **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_eig(params):
     rows = [("R", "b", "d", "grad_exp", "bdry_exp", "denom_exp", "mesh_n",
              "lambda", "method", "residual")]
-    for R in _float_list(params["R"], "R", lo=1e-12):
-        for b in _float_list(params["b"], "b", lo=1e-12):
-            sol = robin_eigenvalue_ball(RadialEigenvalueQuery(
-                d=params["d"], R=R, b=b, grad_exp=params["grad_exp"],
-                bdry_exp=params["bdry_exp"], denom_exp=params["denom_exp"],
-                mesh_n=params["mesh_n"]))
-            rows.append((R, b, params["d"], params["grad_exp"],
-                         params["bdry_exp"], params["denom_exp"],
-                         params["mesh_n"], sol.lam, sol.meta["method"],
-                         float(sol.meta["residual"])))
+    queries = [RadialEigenvalueQuery(
+        d=params["d"], R=R, b=b, grad_exp=params["grad_exp"],
+        bdry_exp=params["bdry_exp"], denom_exp=params["denom_exp"],
+        mesh_n=params["mesh_n"])
+        for R in _float_list(params["R"], "R", lo=1e-12)
+        for b in _float_list(params["b"], "b", lo=1e-12)]
+    for q, sol in zip(queries, robin_eigenvalues_ball(queries)):
+        rows.append((q.R, q.b, q.d, q.grad_exp, q.bdry_exp, q.denom_exp,
+                     q.mesh_n, sol.lam, sol.meta["method"],
+                     float(sol.meta["residual"])))
     path = write_csv(os.path.join(params["out"], "eig.csv"), "eig", rows)
     print(f"wrote {path} ({len(rows) - 1} eigenvalues)")
     return 0
@@ -324,8 +347,7 @@ def cmd_solve(params):
     grid = Grid(params["d"], params["n"], params["extent"] / params["n"])
     model = _build_model(params)
     mask = _build_mask(grid, params)
-    config = SolverConfig(tol=params["tol"], max_iter=params["max_iter"],
-                          weights=params["weights"])
+    config = _solver_config(params, max_iter=params["max_iter"])
     field, info = solve_inner(model, grid, mask, config, return_info=True)
     J = shape_energy(model, mask, field, params["weights"])
     out = os.path.join(params["out"], "field.txt")
@@ -353,25 +375,13 @@ def cmd_solve(params):
 def cmd_optimize(params):
     grid = Grid(params["d"], params["n"], params["extent"] / params["n"])
     model = _build_model(params)
-    init = params["init"]
-    if init == "full":
-        mask0 = ShapeMask.full(grid)
-    elif init == "empty":
-        mask0 = ShapeMask.empty(grid)
-    elif init.startswith("interval:"):
-        _, a, b = init.split(":")
-        mask0 = ShapeMask.interval(grid, float(a), float(b))
-    elif init.startswith("disc:"):
-        _, cx, cy, r = init.split(":")
-        mask0 = ShapeMask.disc(grid, (float(cx), float(cy)), float(r))
-    else:
-        raise UsageError(f"unknown init {init!r}")
+    mask0 = _init_mask(grid, params["init"])
     sched = AnnealSchedule(T0=params["t0"], cooling=params["cooling"],
                            sweeps=params["sweeps"],
                            resolve_every=params["resolve_every"],
                            seed=params["seed"],
                            teleport_frac=params["teleport_frac"])
-    solver = SolverConfig(tol=params["tol"], weights=params["weights"])
+    solver = _solver_config(params)
     mask, field, trace = optimize_shape(model, grid, mask0, sched, solver)
     out_field = os.path.join(params["out"], "best_field.txt")
     write_field_text(out_field, field, mask)
@@ -391,8 +401,7 @@ def cmd_verify(params):
         raise UsageError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     kwargs = {}
     if suite == "poincare":
-        for src in ("trials", "n", "seed", "b", "min_ratio", "eq_tol",
-                    "workers"):
+        for src in ("trials", "n", "seed", "b", "min_ratio", "eq_tol"):
             if params[src] is not None:
                 kwargs[src] = params[src]
     elif suite == "reduction":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import IntegrandModel
-from .sbvgrid import Grid, SbvField, ShapeMask, boundary_faces
+from .sbvgrid import BOUNDARY_MODES, Grid, SbvField, ShapeMask, boundary_faces
 
 
 class SolverError(RuntimeError):
@@ -45,6 +45,9 @@ class SolverConfig:
             raise ValueError("eta must be nonnegative")
         if self.mode not in ("auto", "linear-cg", "nonlinear-descent"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
+        if self.weights not in BOUNDARY_MODES:
+            raise ValueError(f"unknown boundary weights {self.weights!r}; "
+                             f"choose from {', '.join(BOUNDARY_MODES)}")
 
     def resolve(self, model: IntegrandModel):
         mode = self.mode

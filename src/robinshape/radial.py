@@ -2,10 +2,12 @@
 solutions, and ball energies for the quadratic energy form.
 
 For unit exponents 2/2/2 the first eigenvalue comes from shooting on the
-radial ODE -u'' - (d-1)/r u' = lam*u with u'(R) + b*u(R) = 0: RK4 with a
-series start at the axis, a bracket scan in lam, then safeguarded secant
-refinement.  General exponents minimize the mesh Rayleigh quotient by
-projected, tridiagonally preconditioned descent with Armijo backtracking.
+radial ODE -u'' - (d-1)/r u' = lam*u with u'(R) + b*u(R) = 0: one RK4
+integrator with a series start at the axis runs over a batch of columns at
+once, first for a bracket scan in lam, then for Illinois (modified regula
+falsi) refinement of every root together.  General exponents minimize the
+mesh Rayleigh quotient by projected, tridiagonally preconditioned descent
+with Armijo backtracking.
 """
 
 from __future__ import annotations
@@ -85,101 +87,99 @@ def _series_start(lam, d, h):
     # lam*h^2 only, which keeps the integrator exactly scale-covariant
     t = lam * h * h
     d2, d4 = d + 2.0, d + 4.0
-    u = 1.0 - t / (2 * d) + t * t / (8 * d * d2) - t**3 / (48 * d * d2 * d4)
+    u = 1.0 - t / (2 * d) + t * t / (8 * d * d2) - t * t * t / (48 * d * d2 * d4)
     up = (t / h) * (-1.0 / d + t / (2 * d * d2) - t * t / (8 * d * d2 * d4))
     return u, up
 
 
-def _shoot_boundary(lam, d, R, n):
-    """Integrate the radial ODE for an array of lam; returns (u(R), u'(R))."""
+def _rk4(lam, d, R, n, path=False):
+    """RK4 for the radial ODE from the series start at r = h, one column per
+    entry of lam with its own step h = R/n (R broadcasts against lam).
+
+    Returns (u(R), u'(R)); with path=True, the (n+1, ...) arrays of u and u'
+    at r = 0, h, ..., R instead.  Every operation is elementwise, so a
+    column's result does not depend on the batch it runs in.
+    """
     lam = np.asarray(lam, dtype=float)
-    h = R / n
-    u0, v0 = _series_start(lam, d, h)
-    u = np.broadcast_to(np.asarray(u0), lam.shape).copy()
-    v = np.broadcast_to(np.asarray(v0), lam.shape).copy()
-    dm1 = d - 1.0
-
-    def rhs(r, uu, vv):
-        return vv, -lam * uu - (dm1 / r) * vv
-
-    r = h
-    for _ in range(n - 1):
-        k1u, k1v = rhs(r, u, v)
-        k2u, k2v = rhs(r + h / 2, u + h / 2 * k1u, v + h / 2 * k1v)
-        k3u, k3v = rhs(r + h / 2, u + h / 2 * k2u, v + h / 2 * k2v)
-        k4u, k4v = rhs(r + h, u + h * k3u, v + h * k3v)
-        u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        r += h
-    return u, v
-
-
-def _shoot_boundary_scalar(lam: float, d: int, R: float, n: int):
-    # same arithmetic as _shoot_boundary on plain floats (fast for refinement)
-    h = R / n
-    u, v = _series_start(lam, d, h)
-    dm1 = d - 1.0
-    r = h
+    h = np.asarray(R, dtype=float) / n
     h2, h6 = h / 2.0, h / 6.0
-    for _ in range(n - 1):
-        k1u, k1v = v, -lam * u - (dm1 / r) * v
-        u2, v2 = u + h2 * k1u, v + h2 * k1v
-        rm = r + h2
-        k2u, k2v = v2, -lam * u2 - (dm1 / rm) * v2
-        u3, v3 = u + h2 * k2u, v + h2 * k2v
-        k3u, k3v = v3, -lam * u3 - (dm1 / rm) * v3
-        u4, v4 = u + h * k3u, v + h * k3v
-        re = r + h
-        k4u, k4v = v4, -lam * u4 - (dm1 / re) * v4
-        u = u + h6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+    u, v = _series_start(lam, d, h)
+    nlam, dm1 = -lam, d - 1.0
+    if path:
+        us, vs = np.empty((2, n + 1) + u.shape)
+        us[0], vs[0], us[1], vs[1] = 1.0, 0.0, u, v
+    r = h
+    c0 = dm1 / r
+    for i in range(2, n + 1):
+        cm, re = dm1 / (r + h2), r + h
+        c1 = dm1 / re
+        k1v = nlam * u - c0 * v
+        u2, v2 = u + h2 * v, v + h2 * k1v
+        k2v = nlam * u2 - cm * v2
+        u3, v3 = u + h2 * v2, v + h2 * k2v
+        k3v = nlam * u3 - cm * v3
+        u4, v4 = u + h * v3, v + h * k3v
+        k4v = nlam * u4 - c1 * v4
+        u = u + h6 * (v + 2 * v2 + 2 * v3 + v4)
         v = v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        r = re
-    return u, v
+        r, c0 = re, c1
+        if path:
+            us[i], vs[i] = u, v
+    return (us, vs) if path else (u, v)
 
 
-def _refine_root(G, a, b_, Ga, Gb, tol=1e-14, max_iter=80):
-    # safeguarded secant: keep the sign-change bracket, bisect on stagnation
-    for _ in range(max_iter):
-        if Gb != Ga:
-            x = b_ - Gb * (b_ - a) / (Gb - Ga)
-        else:
-            x = 0.5 * (a + b_)
-        lo, hi = (a, b_) if a < b_ else (b_, a)
-        if not (lo + 0.1 * (hi - lo) < x < hi - 0.1 * (hi - lo)):
-            x = 0.5 * (lo + hi)
-        Gx = G(x)
-        if Gx == 0.0:
-            return x
-        if (Gx < 0) == (Ga < 0):
-            a, Ga = x, Gx
-        else:
-            b_, Gb = x, Gx
-        if abs(b_ - a) <= tol * max(1.0, abs(b_), abs(a)):
-            break
-    return 0.5 * (a + b_)
+_MAX_REFINE = 80  # Illinois steps before a root counts as not converged
+
+
+def _illinois(G, a, b, Ga, Gb, tol=1e-14):
+    """Roots of G inside the sign-change brackets 0 <= a < b, all refined
+    together by the Illinois rule (regula falsi that halves the G of an end
+    kept twice running).  G(x, idx) evaluates the columns idx at x.  A column
+    stops when G(x) == 0 or its bracket shrinks below tol relative; the root
+    is then x or the bracket midpoint."""
+    out = np.empty(a.shape)
+    idx = np.arange(a.size)
+    moved = np.zeros(a.size, dtype=int)  # end replaced last step: -1 a, +1 b
+    for _ in range(_MAX_REFINE):
+        x = b - Gb * (b - a) / (Gb - Ga)
+        off = ~((a < x) & (x < b))  # stagnant or undefined step: bisect
+        x[off] = 0.5 * (a[off] + b[off])
+        Gx = G(x, idx)
+        left = (Gx < 0) == (Ga < 0)
+        Ga = np.where(~left & (moved == 1), 0.5 * Ga, Ga)
+        Gb = np.where(left & (moved == -1), 0.5 * Gb, Gb)
+        a, Ga = np.where(left, x, a), np.where(left, Gx, Ga)
+        b, Gb = np.where(left, b, x), np.where(left, Gb, Gx)
+        moved = np.where(left, -1, 1)
+        exact = Gx == 0.0
+        done = exact | (b - a <= tol * b)
+        out[idx[done]] = np.where(exact, x, 0.5 * (a + b))[done]
+        if done.all():
+            return out
+        keep = ~done
+        idx, a, b, Ga, Gb, moved = (idx[keep], a[keep], b[keep], Ga[keep],
+                                    Gb[keep], moved[keep])
+    raise RadialConvergenceError(
+        f"{idx.size} shooting root(s) not converged after {_MAX_REFINE} "
+        f"Illinois steps", residual=float(np.max((b - a) / b)))
 
 
 def shoot_eigenvalues(d: int, R, b, mesh_n: int = 1024,
                       scan_points: int = 64) -> np.ndarray:
     """First Robin eigenvalues for arrays of radii/coefficients (p=q=alpha=2).
 
-    Scans G(lam) = u'(R) + b*u(R) over [1e-8, 4*(pi/R)^2] for the first sign
-    change (vectorized over queries), then refines each root by a
-    safeguarded secant iteration.
+    One RK4 pass over every (lam, query) column scans G(lam) = u'(R) + b*u(R)
+    over [0, 4*(pi/R)^2] for the first sign change (G(0) = b > 0, and the
+    first eigenvalue lies below the Dirichlet one); then all roots refine
+    together by batched Illinois steps, each on its own bracket, to 1e-14
+    relative.  A root still open at the step cap raises
+    RadialConvergenceError.
     """
     R = np.atleast_1d(np.asarray(R, dtype=float))
-    b = np.broadcast_to(np.atleast_1d(np.asarray(b, dtype=float)), R.shape).copy()
-    m = R.shape[0]
-    hi = 4.0 * (math.pi / R) ** 2
-    lo = np.full(m, 1e-8)
-
-    grid = lo[None, :] + np.linspace(0.0, 1.0, scan_points)[:, None] * (hi - lo)[None, :]
-    G = np.empty_like(grid)
-    for Rval in np.unique(R):  # radii differ per query; group integrations
-        cols = np.nonzero(R == Rval)[0]
-        u, v = _shoot_boundary(grid[:, cols], d, float(Rval), mesh_n)
-        G[:, cols] = v + b[cols][None, :] * u
-
+    b = np.broadcast_to(np.atleast_1d(np.asarray(b, dtype=float)), R.shape)
+    grid = np.linspace(0.0, 1.0, scan_points)[:, None] * (4.0 * (math.pi / R) ** 2)
+    u, v = _rk4(grid, d, R, mesh_n)
+    G = v + b * u
     neg = np.signbit(G)
     first = np.argmax(neg != neg[0], axis=0)  # 0 when no change at all
     if np.any(first == 0):
@@ -187,50 +187,21 @@ def shoot_eigenvalues(d: int, R, b, mesh_n: int = 1024,
             "no sign change of the shooting function inside the bracket",
             residual=float(np.min(np.abs(G))))
 
-    out = np.empty(m)
-    for j in range(m):
-        k = int(first[j])
-        Rj, bj = float(R[j]), float(b[j])
+    def Gcols(lam, idx):
+        u, v = _rk4(lam, d, R[idx], mesh_n)
+        return v + b[idx] * u
 
-        def Gfun(lam):
-            u, v = _shoot_boundary_scalar(lam, d, Rj, mesh_n)
-            return v + bj * u
-
-        out[j] = _refine_root(Gfun, float(grid[k - 1, j]), float(grid[k, j]),
-                              float(G[k - 1, j]), float(G[k, j]))
-    return out
+    cols = np.arange(R.size)
+    return _illinois(Gcols, grid[first - 1, cols], grid[first, cols],
+                     G[first - 1, cols], G[first, cols])
 
 
-def _shoot_profile(lam, d, R, n):
-    h = R / n
-    r = np.linspace(0.0, R, n + 1)
-    u = np.empty(n + 1)
-    v = np.empty(n + 1)
-    u[0], v[0] = 1.0, 0.0
-    u[1], v[1] = _series_start(lam, d, h)
-    dm1 = d - 1.0
-
-    def f(rr, uu, vv):
-        return vv, -lam * uu - (dm1 / rr) * vv
-
-    for i in range(1, n):
-        ri, ui, vi = r[i], u[i], v[i]
-        k1u, k1v = f(ri, ui, vi)
-        k2u, k2v = f(ri + h / 2, ui + h / 2 * k1u, vi + h / 2 * k1v)
-        k3u, k3v = f(ri + h / 2, ui + h / 2 * k2u, vi + h / 2 * k2v)
-        k4u, k4v = f(ri + h, ui + h * k3u, vi + h * k3v)
-        u[i + 1] = ui + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v[i + 1] = vi + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return r, u, v
-
-
-def _quotient_of_profile(d, R, b, r, u, v, grad_exp, bdry_exp, denom_exp):
+def _quotient_of_profile(d, R, b, r, u, v):
     sigma = sphere_area(d)
     w = r ** (d - 1)
-    num = sigma * np.trapezoid(np.abs(v) ** grad_exp * w, r) \
-        + b * sigma * R ** (d - 1) * abs(u[-1]) ** bdry_exp
-    den = sigma * np.trapezoid(np.abs(u) ** denom_exp * w, r)
-    return num / den ** (grad_exp / denom_exp)
+    num = sigma * np.trapezoid(v * v * w, r) + b * sigma * R ** (d - 1) * u[-1] ** 2
+    den = sigma * np.trapezoid(u * u * w, r)
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +324,46 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
 # ---------------------------------------------------------------------------
 # public operations
 
+def _shoots(q: RadialEigenvalueQuery) -> bool:
+    return q.grad_exp == q.bdry_exp == q.denom_exp == 2.0
+
+
 def robin_eigenvalue_ball(query: RadialEigenvalueQuery) -> RadialSolution:
     """First Robin eigenvalue (and radial eigenfunction profile) of a ball."""
     q = query
-    if q.grad_exp == q.bdry_exp == q.denom_exp == 2.0:
-        lam = float(shoot_eigenvalues(q.d, [q.R], [q.b], q.mesh_n)[0])
-        r, u, v = _shoot_profile(lam, q.d, q.R, q.mesh_n)
-        quot = _quotient_of_profile(q.d, q.R, q.b, r, u, v, 2.0, 2.0, 2.0)
-        res = abs(quot - lam) / lam
-        return RadialSolution(lam, np.column_stack([r, u]),
-                              {"method": "shooting", "residual": res})
+    if _shoots(q):
+        return robin_eigenvalues_ball([q])[0]
     lam, r, u, info = _rayleigh_min(q.d, q.R, q.b, q.grad_exp, q.denom_exp, q.mesh_n)
     meta = {"method": "rayleigh-descent", **info}
     return RadialSolution(float(lam), np.column_stack([r, u]), meta)
+
+
+def robin_eigenvalues_ball(queries) -> list[RadialSolution]:
+    """robin_eigenvalue_ball for a sequence of queries, results in order.
+
+    Unit-exponent queries that share (d, mesh_n) are shot in one batch, which
+    costs little more than one of them alone; descent queries run one at a
+    time.  Each result equals that of its query on its own.
+    """
+    out = [None] * len(queries)
+    batches = {}
+    for i, q in enumerate(queries):
+        if _shoots(q):
+            batches.setdefault((q.d, q.mesh_n), []).append(i)
+        else:
+            out[i] = robin_eigenvalue_ball(q)
+    for (d, n), idx in batches.items():
+        R = np.array([queries[i].R for i in idx])
+        b = np.array([queries[i].b for i in idx])
+        lam = shoot_eigenvalues(d, R, b, n)
+        us, vs = _rk4(lam, d, R, n, path=True)
+        for j, i in enumerate(idx):
+            r = np.linspace(0.0, R[j], n + 1)
+            quot = _quotient_of_profile(d, R[j], b[j], r, us[:, j], vs[:, j])
+            out[i] = RadialSolution(
+                float(lam[j]), np.column_stack([r, us[:, j]]),
+                {"method": "shooting", "residual": abs(quot - lam[j]) / lam[j]})
+    return out
 
 
 def robin_poisson_ball(d: int, R: float, f_const: float, beta: float,

@@ -21,6 +21,7 @@ import numpy as np
 from .model import IntegrandModel, eval_g
 
 Face = tuple
+BOUNDARY_MODES = ("auto", "uncorrected", "corrected")  # see boundary_faces
 
 
 @dataclass(frozen=True)
@@ -415,10 +416,10 @@ def boundary_faces(mask: ShapeMask, mode: str = "auto") -> list:
     corrected in 2d.
     """
     g = mask.grid
+    if mode not in BOUNDARY_MODES:
+        raise ValueError(f"unknown boundary mode {mode!r}")
     if mode == "auto":
         mode = "corrected" if g.d == 2 else "uncorrected"
-    if mode not in ("uncorrected", "corrected"):
-        raise ValueError(f"unknown boundary mode {mode!r}")
     if g.d == 1 or mode == "uncorrected":
         w = g.face_weight
         return [(f, w) for f in _boundary_face_list(mask)]
@@ -553,13 +554,14 @@ def bv_norm(field: SbvField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# plain-text serialization: "d n h" header, one cell per line, then faces
+# plain-text serialization: "d n h origin" header, one cell per line, then faces
 
 def write_field_text(path, field: SbvField, mask: ShapeMask | None = None):
     g = field.grid
     if mask is None:
         mask = ShapeMask(g, field.values != 0.0)
-    lines = [f"{g.d} {g.n} {float(g.h)!r}"]
+    head = [g.d, g.n] + [repr(float(v)) for v in (g.h, *g.origin)]
+    lines = [" ".join(map(str, head))]
     if g.d == 1:
         for i in range(g.n):
             lines.append(f"{i} {float(field.values[i])!r} {int(mask.cells[i])}")
@@ -577,8 +579,8 @@ def write_field_text(path, field: SbvField, mask: ShapeMask | None = None):
 def read_field_text(path) -> tuple[SbvField, ShapeMask]:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    d, n, h = lines[0].split()
-    grid = Grid(int(d), int(n), float(h))
+    d, n, h, *origin = lines[0].split()  # files without an origin sit at 0
+    grid = Grid(int(d), int(n), float(h), tuple(float(v) for v in origin) or None)
     values = np.zeros(grid.shape())
     cells = np.zeros(grid.shape(), dtype=bool)
     ncells = grid.n**grid.d

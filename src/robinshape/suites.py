@@ -15,7 +15,8 @@ import numpy as np
 from .model import IntegrandModel
 from .pdesolve import SolverConfig, grid_robin_eigenvalue
 from .radial import (RadialEigenvalueQuery, RadialSolution,
-                     robin_eigenvalue_ball, shoot_eigenvalues)
+                     robin_eigenvalue_ball, robin_eigenvalues_ball,
+                     shoot_eigenvalues)
 from .sbvgrid import Grid, SbvField, ShapeMask, poincare_check, reduction_check
 
 
@@ -59,22 +60,11 @@ def _cached_eig(cache, h):
     return eig
 
 
-def _poincare_eval(task):
-    # module-level so worker processes can unpickle it
-    n, values, extra, b, p, alpha, cache = task
-    grid = Grid(1, n, 1.0 / n)
-    field = SbvField.from_values(grid, np.asarray(values), extra)
-    return poincare_check(field, b, p, alpha, _cached_eig(cache, grid.h))
-
-
 def poincare_suite(trials: int = 1000, n: int = 128, seed: int = 20240501,
                    b: float = 1.0, p: float = 2.0, alpha: float = 2.0,
                    mesh_n: int = 768, min_ratio: float = 0.99,
-                   eq_tol: float = 0.02, workers: int = 1) -> dict:
-    """Ball lower bound on seeded discrete fields plus the equality case.
-
-    With workers > 1 the per-field checks fan out to a process pool; results
-    are collected by task index, so the output is identical either way."""
+                   eq_tol: float = 0.02) -> dict:
+    """Ball lower bound on seeded discrete fields plus the equality case."""
     grid = Grid(1, n, 1.0 / n)
     rng = np.random.Generator(np.random.Philox(key=seed))
     # one batched solve for every possible support size (the oracle cache)
@@ -84,19 +74,10 @@ def poincare_suite(trials: int = 1000, n: int = 128, seed: int = 20240501,
     cache = {int(k): float(l) for k, l in zip(counts, lams)}
     eig = _cached_eig(cache, grid.h)
 
-    fields = list(_poincare_fields(rng, grid, trials))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        tasks = [(n, f.values, sorted(f.jumps), b, p, alpha, cache)
-                 for _, _, f in fields]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            ratios = list(pool.map(_poincare_eval, tasks, chunksize=64))
-    else:
-        ratios = [poincare_check(f, b, p, alpha, eig) for _, _, f in fields]
-
     rows = [("trial", "family", "m", "ratio")]
     min_seen = (np.inf, None, None)
-    for (trial, fam, field), ratio in zip(fields, ratios):
+    for trial, fam, field in _poincare_fields(rng, grid, trials):
+        ratio = poincare_check(field, b, p, alpha, eig)
         m = field.support_volume()
         rows.append((trial, fam, repr(m), repr(ratio)))
         if ratio < min_seen[0]:
@@ -161,21 +142,22 @@ def scaling_suite(rel_tol: float = 1e-6, mesh_shoot: int = 1024,
     rows = [("check", "d", "q", "t_or_R", "value", "reference", "rel_err")]
     worst = 0.0
     ok = True
-    for d in (1, 2):
-        for q in (2.0, 3.0):
-            mesh = mesh_shoot if q == 2.0 else mesh_descent
-            for t in (0.5, 2.0, 3.0):
-                lt = robin_eigenvalue_ball(RadialEigenvalueQuery(
-                    d=d, R=t, b=1.0, grad_exp=q, bdry_exp=q, denom_exp=q,
-                    mesh_n=mesh)).lam
-                lb = robin_eigenvalue_ball(RadialEigenvalueQuery(
-                    d=d, R=1.0, b=t ** (q - 1.0), grad_exp=q, bdry_exp=q,
-                    denom_exp=q, mesh_n=mesh)).lam
-                ref = t ** (-q) * lb
-                rel = abs(lt - ref) / abs(ref)
-                worst = max(worst, rel)
-                ok &= rel <= rel_tol
-                rows.append(("identity", d, q, t, repr(lt), repr(ref), repr(rel)))
+    cases = [(d, q, t) for d in (1, 2) for q in (2.0, 3.0) for t in (0.5, 2.0, 3.0)]
+    queries = []
+    for d, q, t in cases:
+        mesh = mesh_shoot if q == 2.0 else mesh_descent
+        queries += [RadialEigenvalueQuery(d=d, R=t, b=1.0, grad_exp=q, bdry_exp=q,
+                                          denom_exp=q, mesh_n=mesh),
+                    RadialEigenvalueQuery(d=d, R=1.0, b=t ** (q - 1.0), grad_exp=q,
+                                          bdry_exp=q, denom_exp=q, mesh_n=mesh)]
+    sols = robin_eigenvalues_ball(queries)
+    for k, (d, q, t) in enumerate(cases):
+        lt, lb = sols[2 * k].lam, sols[2 * k + 1].lam
+        ref = t ** (-q) * lb
+        rel = abs(lt - ref) / abs(ref)
+        worst = max(worst, rel)
+        ok &= rel <= rel_tol
+        rows.append(("identity", d, q, t, repr(lt), repr(ref), repr(rel)))
     for d in (1, 2):
         radii = np.linspace(0.3, 3.0, sweep_points)
         lams = shoot_eigenvalues(d, radii, np.ones(sweep_points), mesh_shoot)

@@ -99,6 +99,18 @@ def test_range_checks_are_usage_errors(tmp_path):
     assert main(["optimize", "--cooling", "1.5"]) == 1
 
 
+def test_malformed_weights_and_init_are_usage_errors(tmp_path):
+    out = str(tmp_path)
+    assert main(["solve", "--d", "2", "--n", "32", "--weights", "bogus",
+                 "--out", out]) == 1
+    assert main(["optimize", "--weights", "bogus", "--out", out]) == 1
+    for init in ("interval:0.2", "interval:0.2:x", "disc:0.5:0.5",
+                 "blob", "full:1"):
+        assert main(["optimize", "--init", init, "--out", out]) == 1
+    assert main(["optimize", "--d", "2", "--init", "interval:0.2:0.6",
+                 "--out", out]) == 1
+
+
 def test_unknown_command_and_flag():
     assert main(["frobnicate"]) == 1
     assert main(["solve", "--frob", "1"]) == 1
@@ -146,13 +158,6 @@ def test_optimize_reproducible_outputs(tmp_path):
         with open(os.path.join(out1, name), "rb") as f1, \
                 open(os.path.join(out2, name), "rb") as f2:
             assert f1.read() == f2.read()
-
-
-def test_poincare_worker_pool_matches_sequential():
-    from robinshape.suites import poincare_suite
-    seq = poincare_suite(trials=60, n=64, seed=5)
-    par = poincare_suite(trials=60, n=64, seed=5, workers=2)
-    assert seq["rows"] == par["rows"]  # ordering is by task index
 
 
 def test_help_paths(capsys):

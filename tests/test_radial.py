@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from robinshape import radial
 from robinshape.model import IntegrandModel
-from robinshape.radial import (RadialEigenvalueQuery, ball_energy, ball_radius,
-                               ball_volume, optimal_radius_scan,
-                               robin_eigenvalue_ball, robin_poisson_ball,
+from robinshape.radial import (RadialConvergenceError, RadialEigenvalueQuery,
+                               ball_energy, ball_radius, ball_volume,
+                               optimal_radius_scan, robin_eigenvalue_ball,
+                               robin_eigenvalues_ball, robin_poisson_ball,
                                shoot_eigenvalues, _rayleigh_min)
 
 import oracles
@@ -29,6 +31,45 @@ def test_disc_eigenvalue_against_bessel_root():
     assert sol.lam == pytest.approx(1.577, abs=2e-3)
     assert sol.lam == pytest.approx(oracles.robin_lambda_disc(1.0, 1.0),
                                     rel=1e-8)
+
+
+def test_batched_queries_match_oracles_and_single_queries():
+    # mixed radii, coefficients and dimensions in one list, plus one descent
+    # query: results come back in order, each equal to its query alone
+    cases = [(1, 0.4, 3.0), (2, 1.0, 0.5), (1, 2.5, 1.0), (2, 0.7, 0.2),
+             (1, 1.6, 8.0), (2, 2.5, 1.0)]
+    queries = [RadialEigenvalueQuery(d=d, R=R, b=b, mesh_n=512)
+               for d, R, b in cases]
+    queries.insert(3, RadialEigenvalueQuery(d=2, R=1.0, b=1.0, grad_exp=3.0,
+                                            bdry_exp=3.0, denom_exp=3.0,
+                                            mesh_n=128))
+    sols = robin_eigenvalues_ball(queries)
+    assert [s.meta["method"] for s in sols] == ["shooting"] * 3 + \
+        ["rayleigh-descent"] + ["shooting"] * 3
+    for q, sol in zip(queries, sols):
+        single = robin_eigenvalue_ball(q)
+        assert sol.lam == single.lam
+        assert np.array_equal(sol.profile, single.profile)
+        if q.grad_exp == 2.0:
+            oracle = (oracles.robin_lambda_interval if q.d == 1
+                      else oracles.robin_lambda_disc)
+            assert sol.lam == pytest.approx(oracle(q.R, q.b), rel=1e-9)
+            assert sol.meta["residual"] < 1e-4
+
+
+def test_first_root_below_tiny_lambda_is_found():
+    # lam_1 ~ b*d/R sits far below the scan's first grid step
+    for d, oracle in ((1, oracles.robin_lambda_interval),
+                      (2, oracles.robin_lambda_disc)):
+        lam = shoot_eigenvalues(d, [1.0, 0.5], [1e-9, 1e-9], 512)
+        assert lam == pytest.approx([oracle(1.0, 1e-9), oracle(0.5, 1e-9)],
+                                    rel=1e-6)
+
+
+def test_refinement_cap_raises(monkeypatch):
+    monkeypatch.setattr(radial, "_MAX_REFINE", 3)
+    with pytest.raises(RadialConvergenceError):
+        shoot_eigenvalues(1, [1.0, 0.5], [1.0, 2.0], 256)
 
 
 def test_eigenvalue_monotone_in_robin_coefficient():

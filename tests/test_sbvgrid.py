@@ -339,22 +339,35 @@ def test_perimeter_bounded_by_bv_over_essinf():
 
 # ------------------------------------------------------------- serialization
 
-def test_field_roundtrip():
+def test_field_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
-    for d, n in ((1, 16), (2, 8)):
-        grid = Grid(d, n, 1.0 / n)
+    for d, n, origin in ((1, 16, None), (2, 8, None), (1, 16, (-2.0,)),
+                         (2, 8, (-2.0, 0.5)), (2, 8, (0.1, -1e-17))):
+        grid = Grid(d, n, 1.0 / n, origin)
         vals = np.where(rng.random(grid.shape()) < 0.6,
                         rng.uniform(-1, 2, grid.shape()), 0.0)
         extra = [(0, 3) if d == 1 else (0, 3, 2)]
         fld = SbvField.from_values(grid, vals, extra)
         mask = ShapeMask(grid, vals != 0.0)
-        path = f"/tmp/robinshape_roundtrip_{d}.txt"
-        write_field_text(path, fld, mask)
-        fld2, mask2 = read_field_text(path)
-        assert fld2.grid == grid
+        path = tmp_path / "field.txt"
+        write_field_text(str(path), fld, mask)
+        fld2, mask2 = read_field_text(str(path))
+        assert fld2.grid == grid and fld2.grid.origin == grid.origin
         assert np.array_equal(fld2.values, fld.values)
         assert fld2.jumps == fld.jumps
         assert np.array_equal(mask2.cells, mask.cells)
+        # rewriting what was read gives the same bytes
+        write_field_text(str(tmp_path / "again.txt"), fld2, mask2)
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_field_header_without_origin_reads_at_zero(tmp_path):
+    path = tmp_path / "old.txt"
+    path.write_text("1 4 0.25\n0 0.0 0\n1 1.5 1\n2 2.5 1\n3 0.0 0\n0 1\n0 3\n")
+    fld, mask = read_field_text(str(path))
+    assert fld.grid == Grid(1, 4, 0.25) and fld.grid.origin == (0.0,)
+    assert np.array_equal(fld.values, [0.0, 1.5, 2.5, 0.0])
+    assert fld.jumps == frozenset({(0, 1), (0, 3)})
 
 
 def test_grid_validation():
