@@ -270,7 +270,10 @@ def _build_mask(grid, params):
     if shape == "interval":
         if grid.d != 1:
             raise UsageError("interval shapes need d=1")
-        return ShapeMask.interval(grid, params["a"], params["b"])
+        try:
+            return ShapeMask.interval(grid, params["a"], params["b"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if shape == "disc":
         if grid.d != 2:
             raise UsageError("disc shapes need d=2")
@@ -412,6 +415,9 @@ def cmd_verify(params):
         kwargs["rel_tol"] = params["rel_tol"]
     else:
         kwargs["ns"] = tuple(int(v) for v in _float_list(params["ns"], "ns"))
+        if kwargs["ns"][0] == kwargs["ns"][-1]:
+            raise UsageError("ns: the Richardson check compares the first and "
+                             "last sizes, which must differ")
         kwargs["b"] = params["b"]
     result = SUITES[suite](**kwargs)
     path = write_csv(os.path.join(params["out"], f"verify_{result['name']}.csv"),

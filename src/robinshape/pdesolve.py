@@ -1,10 +1,16 @@
 """Inner minimization on a fixed shape mask.
 
-For p = q = 2 the face-based energy is a symmetric positive definite
-quadratic solved matrix-free by conjugate gradients; general exponents
-minimize the eta-regularized energy by Polak-Ribiere nonlinear CG with
-Armijo backtracking.  Zero initial guess always, fixed-order reductions,
-so results are reproducible bit for bit.
+Every solver works on the mask's own m cells, read from the mask's
+`MaskAssembly` (sbvgrid): the cells in compressed numbering, their
+neighbour arrays with one zero sentinel for absent neighbours, and the
+boundary faces as arrays.  For p = q = 2 the face-based energy is a
+symmetric positive definite quadratic solved matrix-free by conjugate
+gradients over the m unknowns, the operator a gather stencil over the
+neighbour arrays; general exponents minimize the eta-regularized energy by
+Polak-Ribiere nonlinear CG with Armijo backtracking.  The grid eigensolver
+assembles its sparse matrix from the same arrays.  Zero initial guess
+always, and every vector reduction is an np.sum (BLAS calls would thread
+and sum in another order), so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import IntegrandModel
-from .sbvgrid import BOUNDARY_MODES, Grid, SbvField, ShapeMask, boundary_faces
+from .sbvgrid import (BOUNDARY_MODES, Grid, MaskAssembly, SbvField, ShapeMask,
+                      mask_assembly)
 
 
 class SolverError(RuntimeError):
@@ -61,45 +68,12 @@ class SolverConfig:
         return mode, eta
 
 
-def _mask_face_data(model: IntegrandModel, grid: Grid, mask: ShapeMask,
-                    weights: str):
-    """Interior-face connectivity and boundary Robin weights for a mask."""
-    cells = mask.cells
-    conn = []
-    if grid.d == 1:
-        conn.append(cells[:-1] & cells[1:])
-    else:
-        conn.append(cells[:-1, :] & cells[1:, :])
-        conn.append(cells[:, :-1] & cells[:, 1:])
-    bfaces = boundary_faces(mask, weights)
-    bw = np.zeros(grid.shape())
-    if bfaces:
-        centers = np.array([grid.face_center(f) for f, _ in bfaces])
-        coeffs = model.bdry_coeff(centers)
-        if np.any(coeffs < 0):
-            raise SolverError("negative Robin coefficient: indefinite assembly")
-        for (face, w), bc in zip(bfaces, coeffs):
-            lo, hi = grid.face_cells(face)
-            inner = lo if (lo is not None and cells[lo]) else hi
-            bw[inner] += bc * w
-    return conn, bw, bfaces
-
-
-def _laplacian_apply(u, conn, grid: Grid):
-    """Graph-Laplacian action over interior faces, u^T L u = sum of delta^2."""
-    out = np.zeros_like(u)
-    if grid.d == 1:
-        d = np.where(conn[0], u[1:] - u[:-1], 0.0)
-        out[:-1] -= d
-        out[1:] += d
-    else:
-        d0 = np.where(conn[0], u[1:, :] - u[:-1, :], 0.0)
-        out[:-1, :] -= d0
-        out[1:, :] += d0
-        d1 = np.where(conn[1], u[:, 1:] - u[:, :-1], 0.0)
-        out[:, :-1] -= d1
-        out[:, 1:] += d1
-    return out
+def _robin_weights(model: IntegrandModel, asm: MaskAssembly, weights: str):
+    """Robin coefficient times surface weight, per boundary face."""
+    coeffs = model.bdry_coeff(asm.centers)
+    if np.any(coeffs < 0):
+        raise SolverError("negative Robin coefficient: indefinite assembly")
+    return coeffs * asm.weights(weights)
 
 
 def solve_inner(model: IntegrandModel, grid: Grid, mask: ShapeMask,
@@ -117,49 +91,36 @@ def solve_inner(model: IntegrandModel, grid: Grid, mask: ShapeMask,
     fvals = model.f_at(grid.centers())
     if np.min(fvals) < 0:
         warnings.warn("source term changes sign: model flagged, solver proceeds")
-    conn, bw, bfaces = _mask_face_data(model, grid, mask, config.weights)
+    asm = mask_assembly(mask)
+    fc = asm.gather(fvals)
+    bcw = _robin_weights(model, asm, config.weights)
     cap = config.max_iter if config.max_iter is not None else 10 * grid.n**grid.d
 
     if mode == "linear-cg":
-        u, info = _solve_cg(model, grid, mask, fvals, conn, bw, config, cap)
+        x, info = _solve_cg(model, asm, fc, bcw, config, cap)
     else:
-        u, info = _solve_descent(model, grid, mask, fvals, conn, bw, eta,
-                                 config, cap)
-    jumps = frozenset(f for f, _ in bfaces)
-    field = SbvField(grid, u, jumps)
+        x, info = _solve_descent(model, asm, fc, bcw, eta, config, cap)
+    field = SbvField(grid, asm.scatter(x), frozenset(asm.faces()))
     return (field, info) if return_info else field
 
 
-def _solve_cg(model, grid, mask, fvals, conn, bw, config, cap):
-    gc = model.grad_coeff
-    kappa = gc * grid.h ** (grid.d - 2)
-    cells = mask.cells
-    rhs = np.where(cells, fvals, 0.0) * grid.cell_volume
+def _solve_cg(model, asm, fc, bcw, config, cap):
+    grid = asm.grid
+    k2 = 2.0 * (model.grad_coeff * grid.h ** (grid.d - 2))
+    diag = k2 * asm.degree + 2.0 * asm.cell_sum(bcw)
+    nbrs = asm.nbrs
+    ext = np.zeros(asm.m + 1)  # a vector with the zero sentinel appended
 
-    def apply_A(u):
-        out = 2.0 * kappa * _laplacian_apply(u, conn, grid) + 2.0 * bw * u
-        return np.where(cells, out, 0.0)
+    def apply_A(p):
+        ext[:-1] = p
+        return diag * p - k2 * ext[nbrs].sum(axis=0)
 
-    bnorm = float(np.linalg.norm(rhs))
-    u = np.zeros(grid.shape())
+    rhs = fc * grid.cell_volume
+    bnorm = float(np.sqrt(np.sum(rhs * rhs)))
+    u = np.zeros(asm.m)
     if bnorm == 0.0:
         return u, {"iterations": 0, "residual": 0.0, "mode": "linear-cg"}
-    if config.precondition:
-        diag = 2.0 * bw.copy()
-        deg = np.zeros(grid.shape())
-        if grid.d == 1:
-            deg[:-1] += conn[0]
-            deg[1:] += conn[0]
-        else:
-            deg[:-1, :] += conn[0]
-            deg[1:, :] += conn[0]
-            deg[:, :-1] += conn[1]
-            deg[:, 1:] += conn[1]
-        diag += 2.0 * kappa * deg
-        diag = np.where(cells & (diag > 0), diag, 1.0)
-        minv = 1.0 / diag
-    else:
-        minv = None
+    minv = 1.0 / np.where(diag > 0, diag, 1.0) if config.precondition else None
 
     r = rhs.copy()
     z = r * minv if minv is not None else r
@@ -171,7 +132,7 @@ def _solve_cg(model, grid, mask, fvals, conn, bw, config, cap):
         alpha = rz / float(np.sum(p * Ap))
         u = u + alpha * p
         r = r - alpha * Ap
-        res = float(np.linalg.norm(r))
+        res = float(np.sqrt(np.sum(r * r)))
         if res <= config.tol * bnorm:
             return u, {"iterations": it, "residual": res / bnorm,
                        "mode": "linear-cg"}
@@ -183,75 +144,40 @@ def _solve_cg(model, grid, mask, fvals, conn, bw, config, cap):
                       residual=res / bnorm, iterations=cap)
 
 
-def _masked_energy_grad(model, grid, mask, fvals, conn, bw_faces, eta):
-    """Energy and gradient callables for the eta-regularized face energy."""
+def _face_energy(model, asm, fc, bcw, eta):
+    """Energy and gradient callables of the eta-regularized face energy over
+    the mask's cells, without the volume term."""
     gc = model.grad_coeff
     p, q = model.p, model.q
-    h = grid.h
-    vol = grid.cell_volume
-    cells = mask.cells
-    bfaces, bcoeffs = bw_faces
-    inner_cells = []
-    for face, w in bfaces:
-        lo, hi = grid.face_cells(face)
-        inner_cells.append(lo if (lo is not None and cells[lo]) else hi)
+    h = asm.grid.h
+    vol = asm.grid.cell_volume
+    e2 = eta * eta
 
-    def split(u):
-        ds = []
-        if grid.d == 1:
-            ds.append(np.where(conn[0], (u[1:] - u[:-1]) / h, 0.0))
-        else:
-            ds.append(np.where(conn[0], (u[1:, :] - u[:-1, :]) / h, 0.0))
-            ds.append(np.where(conn[1], (u[:, 1:] - u[:, :-1]) / h, 0.0))
-        return ds
-
-    def energy(u):
+    def energy(x):
         E = 0.0
-        for dd in split(u):
-            E += gc * float(np.sum((dd * dd + eta * eta) ** (p / 2.0))) * vol
-        E -= float(np.sum(np.where(cells, fvals * u, 0.0))) * vol
-        for (face, w), bc, cell in zip(bfaces, bcoeffs, inner_cells):
-            E += bc * (u[cell] ** 2 + eta * eta) ** (q / 2.0) * w
-        return E
+        for lo, hi in asm.links:
+            dd = (x[hi] - x[lo]) / h
+            E += gc * float(np.sum((dd * dd + e2) ** (p / 2.0))) * vol
+        E -= float(np.sum(fc * x)) * vol
+        s = x[asm.inner]
+        return E + float(np.sum(bcw * (s * s + e2) ** (q / 2.0)))
 
-    def gradient(u):
-        g = np.where(cells, -fvals, 0.0) * vol
-        ds = split(u)
-        t0 = gc * p * (ds[0] ** 2 + eta * eta) ** (p / 2.0 - 1.0) * ds[0] / h * vol
-        if grid.d == 1:
-            g[:-1] -= t0
-            g[1:] += t0
-        else:
-            g[:-1, :] -= t0
-            g[1:, :] += t0
-            t1 = gc * p * (ds[1] ** 2 + eta * eta) ** (p / 2.0 - 1.0) * ds[1] / h * vol
-            g[:, :-1] -= t1
-            g[:, 1:] += t1
-        for (face, w), bc, cell in zip(bfaces, bcoeffs, inner_cells):
-            g[cell] += bc * q * (u[cell] ** 2 + eta * eta) ** (q / 2.0 - 1.0) \
-                * u[cell] * w
-        return np.where(cells, g, 0.0)
+    def gradient(x):
+        g = -fc * vol
+        for lo, hi in asm.links:
+            dd = (x[hi] - x[lo]) / h
+            t = gc * p * (dd * dd + e2) ** (p / 2.0 - 1.0) * dd / h * vol
+            g[lo] -= t
+            g[hi] += t
+        s = x[asm.inner]
+        return g + asm.cell_sum(bcw * q * (s * s + e2) ** (q / 2.0 - 1.0) * s)
 
     return energy, gradient
 
 
-def _bface_coeffs(model, grid, mask, weights):
-    bfaces = boundary_faces(mask, weights)
-    if bfaces:
-        centers = np.array([grid.face_center(f) for f, _ in bfaces])
-        coeffs = model.bdry_coeff(centers)
-        if np.any(coeffs < 0):
-            raise SolverError("negative Robin coefficient: indefinite assembly")
-    else:
-        coeffs = np.zeros(0)
-    return bfaces, coeffs
-
-
-def _solve_descent(model, grid, mask, fvals, conn, bw, eta, config, cap):
-    bfc = _bface_coeffs(model, grid, mask, config.weights)
-    energy, gradient = _masked_energy_grad(model, grid, mask, fvals, conn,
-                                           bfc, eta)
-    u = np.zeros(grid.shape())
+def _solve_descent(model, asm, fc, bcw, eta, config, cap):
+    energy, gradient = _face_energy(model, asm, fc, bcw, eta)
+    u = np.zeros(asm.m)
     E = energy(u)
     g = gradient(u)
     direction = -g
@@ -315,35 +241,21 @@ def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField,
               eta: float = 0.0, weights: str = "auto") -> float:
     """Face-based fixed-support energy of a field, including the volume term
     c0*|mask|; the solver's objective up to that constant."""
-    grid = field.grid
-    fvals = model.f_at(grid.centers())
-    cells = mask.cells
-    conn = []
-    if grid.d == 1:
-        conn.append(cells[:-1] & cells[1:])
-    else:
-        conn.append(cells[:-1, :] & cells[1:, :])
-        conn.append(cells[:, :-1] & cells[:, 1:])
-    bfc = _bface_coeffs(model, grid, mask, weights)
-    energy, _ = _masked_energy_grad(model, grid, mask, fvals, conn, bfc, eta)
-    return energy(field.values) + model.c0 * mask.volume()
+    asm = mask_assembly(mask)
+    fc = asm.gather(model.f_at(field.grid.centers()))
+    energy, _ = _face_energy(model, asm, fc,
+                             _robin_weights(model, asm, weights), eta)
+    return energy(asm.gather(field.values)) + model.c0 * mask.volume()
 
 
 def energy_gradient(model: IntegrandModel, mask: ShapeMask, field: SbvField,
                     eta: float = 0.0, weights: str = "auto") -> np.ndarray:
     """Assembled residual of the nonlinear objective at the given field."""
-    grid = field.grid
-    fvals = model.f_at(grid.centers())
-    cells = mask.cells
-    conn = []
-    if grid.d == 1:
-        conn.append(cells[:-1] & cells[1:])
-    else:
-        conn.append(cells[:-1, :] & cells[1:, :])
-        conn.append(cells[:, :-1] & cells[:, 1:])
-    bfc = _bface_coeffs(model, grid, mask, weights)
-    _, gradient = _masked_energy_grad(model, grid, mask, fvals, conn, bfc, eta)
-    return gradient(field.values)
+    asm = mask_assembly(mask)
+    fc = asm.gather(model.f_at(field.grid.centers()))
+    _, gradient = _face_energy(model, asm, fc,
+                               _robin_weights(model, asm, weights), eta)
+    return asm.scatter(gradient(asm.gather(field.values)))
 
 
 def grid_robin_eigenvalue(grid: Grid, mask: ShapeMask, b: float,
@@ -351,56 +263,38 @@ def grid_robin_eigenvalue(grid: Grid, mask: ShapeMask, b: float,
                           max_iter: int = 400):
     """Smallest eigenvalue of the Robin form on the mask via inverse power
     iteration on the raw Rayleigh quotient assembly (gradient coefficient 1,
-    boundary coefficient b)."""
+    boundary coefficient b).  Raises SolverError when the eigenvalue has
+    not settled to relative change tol within max_iter iterations."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    cells = mask.cells
-    m = int(np.count_nonzero(cells))
+    asm = mask_assembly(mask)
+    m = asm.m
     if m == 0:
         raise ValueError("empty mask has no eigenvalue")
-    idx = -np.ones(grid.shape(), dtype=np.int64)
-    idx[cells] = np.arange(m)
     kap = grid.h ** (grid.d - 2)
-    rows, cols, vals = [], [], []
-
-    def add_pair(a, bb):
-        rows.extend([a, bb, a, bb])
-        cols.extend([a, bb, bb, a])
-        vals.extend([kap, kap, -kap, -kap])
-
-    if grid.d == 1:
-        pairs = np.nonzero(cells[:-1] & cells[1:])[0]
-        for i in pairs:
-            add_pair(idx[i], idx[i + 1])
-    else:
-        ii, jj = np.nonzero(cells[:-1, :] & cells[1:, :])
-        for i, j in zip(ii, jj):
-            add_pair(idx[i, j], idx[i + 1, j])
-        ii, jj = np.nonzero(cells[:, :-1] & cells[:, 1:])
-        for i, j in zip(ii, jj):
-            add_pair(idx[i, j], idx[i, j + 1])
-    for face, w in boundary_faces(mask, weights):
-        lo, hi = grid.face_cells(face)
-        inner = lo if (lo is not None and cells[lo]) else hi
-        k = idx[inner]
-        rows.append(k)
-        cols.append(k)
-        vals.append(b * w)
+    lo = np.concatenate([lo for lo, _ in asm.links])
+    hi = np.concatenate([hi for _, hi in asm.links])
+    # per interior face, in order: kap on both diagonals, -kap off them;
+    # then b*w on the diagonal per boundary face
+    rows = np.concatenate([np.stack([lo, hi, lo, hi], axis=1).ravel(), asm.inner])
+    cols = np.concatenate([np.stack([lo, hi, hi, lo], axis=1).ravel(), asm.inner])
+    vals = np.concatenate([np.tile([kap, kap, -kap, -kap], len(lo)),
+                           b * asm.weights(weights)])
     A = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
     mass = grid.cell_volume
     lu = spla.splu(A.tocsc())
     x = np.ones(m)
-    lam = None
-    for it in range(max_iter):
+    lam, change = None, np.inf
+    for _ in range(max_iter):
         y = lu.solve(mass * x)
-        y /= np.sqrt(mass * float(np.dot(y, y)))
-        lam_new = float(y @ (A @ y)) / (mass * float(np.dot(y, y)))
-        if lam is not None and abs(lam_new - lam) <= tol * abs(lam_new):
-            lam = lam_new
-            x = y
-            break
+        y /= np.sqrt(mass * float(np.sum(y * y)))
+        lam_new = float(np.sum(y * (A @ y))) / (mass * float(np.sum(y * y)))
+        if lam is not None:
+            change = abs(lam_new - lam) / abs(lam_new)
+            if change <= tol:
+                return lam_new, asm.scatter(y)
         lam, x = lam_new, y
-    values = np.zeros(grid.shape())
-    values[cells] = x
-    return lam, values
+    raise SolverError(f"inverse iteration did not converge in {max_iter} "
+                      f"iterations (relative change {change:.3e})",
+                      residual=change, iterations=max_iter)

@@ -10,6 +10,11 @@ Faces are identified by tuples: (axis, i) in 1d, (axis, i, j) in 2d, where
 face (0, i, j) separates cells (i-1, j) | (i, j) and face (1, i, j)
 separates (i, j-1) | (i, j); index i (resp. j) runs to n inclusive so the
 box boundary is addressable.
+
+A shape mask's boundary faces, its cells' neighbours and its surface
+weights live in arrays, in one `MaskAssembly` per mask that the solvers,
+the shape energy and the perimeter share; `boundary_faces` is a view of it
+as (face tuple, weight) pairs.
 """
 
 from __future__ import annotations
@@ -300,6 +305,8 @@ class ShapeMask:
         """Cells of a 1d grid whose centers lie in [a, b]."""
         if grid.d != 1:
             raise ValueError("interval masks require d = 1")
+        if a > b:
+            raise ValueError(f"interval [{a}, {b}] has its ends reversed")
         x = grid.centers()[:, 0]
         return cls(grid, (x >= a) & (x <= b))
 
@@ -322,91 +329,188 @@ class ShapeMask:
         return int(np.count_nonzero(self.cells))
 
 
-def _boundary_face_list(mask: ShapeMask) -> list:
-    g = mask.grid
-    cells = mask.cells
-    faces = []
-    if g.d == 1:
-        pad = np.zeros(g.n + 2, dtype=bool)
-        pad[1:-1] = cells
-        for i in np.nonzero(pad[:-1] != pad[1:])[0]:
-            faces.append((0, int(i)))
-        return faces
-    pad = np.zeros((g.n + 2, g.n + 2), dtype=bool)
-    pad[1:-1, 1:-1] = cells
-    for i, j in zip(*np.nonzero(pad[:-1, 1:-1] != pad[1:, 1:-1])):
-        faces.append((0, int(i), int(j)))
-    for i, j in zip(*np.nonzero(pad[1:-1, :-1] != pad[1:-1, 1:])):
-        faces.append((1, int(i), int(j)))
-    return sorted(faces)
+# ---------------------------------------------------------------------------
+# one assembly per mask: its cells, their neighbours and its boundary faces
+
+_DIRS = np.array([(1, 0), (0, 1), (-1, 0), (0, -1)])  # counter-clockwise
 
 
-# directed boundary edges: start corner, end corner, unit direction, all in
-# lattice-corner coordinates; the inside of the mask stays on the left
-def _directed_edge(face: Face, cells: np.ndarray, n: int):
-    axis, i, j = face
-    if axis == 0:
-        inside_right = i < n and cells[i, j]
-        if inside_right:       # normal -x, walk -y
-            return (i, j + 1), (i, j), (0, -1)
-        return (i, j), (i, j + 1), (0, 1)
-    inside_up = j < n and cells[i, j]
-    if inside_up:              # normal -y, walk +x
-        return (i, j), (i + 1, j), (1, 0)
-    return (i + 1, j), (i, j), (-1, 0)
+class MaskAssembly:
+    """Arrays describing one mask, shared by the solvers, the boundary
+    measure and the shape energy.
+
+    The mask's m cells are numbered 0..m-1 in grid order (`flat` holds their
+    flat grid indices); the number m is a sentinel standing for every absent
+    neighbour, outside the mask or the box, so a gather from a cell vector
+    with a zero appended needs no masking.  `nbrs` has one row per direction
+    (axis 0 lower, axis 0 upper, axis 1 lower, ...), `links` the interior
+    faces of each axis as (lower cell, upper cell) arrays.  Boundary faces
+    come in sorted tuple order: `face_axis`, `face_pos` (the i[, j] of the
+    face tuple), `inner` (the mask cell beside the face), `upper_in` (whether
+    that cell is the upper one) and `centers`.
+    """
+
+    def __init__(self, grid: Grid, cells: np.ndarray):
+        d, m = grid.d, int(np.count_nonzero(cells))
+        self.grid, self.m = grid, m
+        self.flat = np.flatnonzero(cells)
+        pad = np.full(tuple(k + 2 for k in grid.shape()), m)
+        pad[(slice(1, -1),) * d][cells] = np.arange(m)
+
+        def shifted(ax, lo, hi):
+            return pad[tuple(slice(lo, hi) if k == ax else slice(1, -1)
+                             for k in range(d))]
+
+        self.nbrs = np.array([shifted(ax, lo, hi)[cells] for ax in range(d)
+                              for lo, hi in ((None, -2), (2, None))])
+        self.links = []
+        for ax in range(d):
+            up = self.nbrs[2 * ax + 1]
+            lo = np.flatnonzero(up < m)
+            self.links.append((lo, up[lo]))
+        self.degree = np.count_nonzero(self.nbrs < m, axis=0)
+
+        # face (ax, i, j) lies between padded cells pos + 1 - e_ax and pos + 1
+        axes, pos, inner, upper_in = [], [], [], []
+        for ax in range(d):
+            below, above = shifted(ax, None, -1), shifted(ax, 1, None)
+            ij = np.nonzero((below < m) != (above < m))
+            below, above = below[ij], above[ij]
+            axes.append(np.full(len(below), ax))
+            pos.append(np.stack(ij, axis=-1))
+            upper_in.append(above < m)
+            inner.append(np.where(above < m, above, below))
+        self.face_axis = np.concatenate(axes)
+        self.face_pos = np.concatenate(pos)
+        self.inner = np.concatenate(inner)
+        self.upper_in = np.concatenate(upper_in)
+        offset = np.where(np.arange(d) == self.face_axis[:, None], 0.0, 0.5)
+        self.centers = np.asarray(grid.origin) + (self.face_pos + offset) * grid.h
+        self._corrected = None
+
+    @property
+    def nfaces(self) -> int:
+        return len(self.inner)
+
+    def faces(self) -> list:
+        """The boundary faces as sorted tuples (axis, i[, j])."""
+        return [(a, *p) for a, p in zip(self.face_axis.tolist(),
+                                        self.face_pos.tolist())]
+
+    def weights(self, mode: str = "auto") -> np.ndarray:
+        """Surface weight of each boundary face (see boundary_faces)."""
+        if mode not in BOUNDARY_MODES:
+            raise ValueError(f"unknown boundary mode {mode!r}")
+        if self.grid.d == 1 or mode == "uncorrected":
+            return np.full(self.nfaces, self.grid.face_weight)
+        if self._corrected is None:
+            self._corrected = _corrected_weights(self)
+            self._corrected.flags.writeable = False
+        return self._corrected
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Cell values of a grid array, in the mask's numbering."""
+        return values.reshape(-1)[self.flat]
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """A grid array holding x on the mask and zero elsewhere."""
+        out = np.zeros(self.grid.shape())
+        out.reshape(-1)[self.flat] = x
+        return out
+
+    def cell_sum(self, per_face: np.ndarray) -> np.ndarray:
+        """Sum of a boundary-face quantity over the faces of each cell."""
+        return np.bincount(self.inner, weights=per_face, minlength=self.m)
 
 
-_LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
-_RIGHT = {v: k for k, v in _LEFT.items()}
+def _corrected_weights(asm: MaskAssembly) -> np.ndarray:
+    """Staircase-corrected weights of the 2d boundary faces.
 
+    Each face becomes a directed edge between lattice corners with the mask
+    on its left.  The edges form closed walks; at a saddle corner a walk
+    takes the left turn, so every edge has exactly one successor and one
+    predecessor.  Walks start at the first face (in sorted order) not yet
+    walked.  Along a walk of at least 8 faces, a turn is steppy when the
+    previous or the next turn has the opposite sense; faces within distance
+    2 of a steppy turn are projected onto the chord between the midpoints
+    K = 8 faces (at most (L-1)/2) behind and ahead, clamped to [h/4, h].
+    """
+    h, n = asm.grid.h, asm.grid.n
+    i, j = asm.face_pos.T
+    vertical = asm.face_axis == 0
+    # direction (index into _DIRS): a vertical face walks -y when the mask
+    # lies at +x, else +y; a horizontal one +x when the mask lies at +y, else -x
+    k = np.where(vertical, np.where(asm.upper_in, 3, 1),
+                 np.where(asm.upper_in, 0, 2))
+    start = np.stack([i + (~vertical & ~asm.upper_in),
+                      j + (vertical & asm.upper_in)], axis=-1)
+    end = start + _DIRS[k]
+    # the edge leaving each lattice corner in each direction, or -1
+    leaving = np.full(((n + 1) ** 2, 4), -1)
+    leaving[start[:, 0] * (n + 1) + start[:, 1], k] = np.arange(asm.nfaces)
+    at_end = leaving[end[:, 0] * (n + 1) + end[:, 1]]
+    left, ahead, right = (at_end[np.arange(asm.nfaces), (k + t) % 4]
+                          for t in (1, 0, 3))
+    succ = np.where(left >= 0, left, np.where(ahead >= 0, ahead, right)).tolist()
 
-def _boundary_loops(mask: ShapeMask):
-    """Ordered closed walks of the staircase boundary; each entry is a list
-    of (face, start, direction)."""
-    faces = _boundary_face_list(mask)
-    start_map = {}
-    edges = {}
-    for f in faces:
-        s, e, dvec = _directed_edge(f, mask.cells, mask.grid.n)
-        edges[f] = (s, e, dvec)
-        start_map.setdefault(s, []).append(f)
-    unused = set(faces)
-    loops = []
-    for f0 in faces:
-        if f0 not in unused:
+    w = np.full(asm.nfaces, h)
+    walked = [False] * asm.nfaces
+    for f0 in range(asm.nfaces):
+        if walked[f0]:
             continue
-        loop = []
-        f = f0
-        while True:
-            unused.discard(f)
-            s, e, dvec = edges[f]
-            loop.append((f, s, dvec))
-            cands = [c for c in start_map.get(e, ()) if c in unused or c == f0]
-            if not cands:
-                break
-            if len(cands) == 1:
-                nxt = cands[0]
-            else:  # saddle corner: prefer the left turn, then straight
-                pref = [_LEFT[dvec], dvec, _RIGHT[dvec]]
-                nxt = None
-                for want in pref:
-                    for c in cands:
-                        if edges[c][2] == want:
-                            nxt = c
-                            break
-                    if nxt:
-                        break
-                if nxt is None:
-                    nxt = cands[0]
-            if nxt == f0:
-                break
-            f = nxt
-        loops.append(loop)
-    return loops
+        loop, f = [], f0
+        while not walked[f]:
+            walked[f] = True
+            loop.append(f)
+            f = succ[f]
+        L = len(loop)
+        if L < 8:
+            continue
+        loop = np.array(loop)
+        dirs = _DIRS[k[loop]]
+        nxt = np.roll(dirs, -1, axis=0)
+        turn = dirs[:, 0] * nxt[:, 1] - dirs[:, 1] * nxt[:, 0]
+        nz = np.flatnonzero(turn)
+        t = turn[nz]
+        steppy = nz[(t * np.roll(t, 1) < 0) | (t * np.roll(t, -1) < 0)]
+        if len(steppy) == 0:
+            continue
+        near = np.zeros(L, dtype=bool)
+        near[(steppy[:, None] + np.arange(-1, 3)) % L] = True
+        near = np.flatnonzero(near)
+        K = min(8, (L - 1) // 2)
+        mids = start[loop] + 0.5 * dirs
+        # 2K < L: the two chord ends are distinct faces, never the same point
+        chord = mids[(near + K) % L] - mids[(near - K) % L]
+        along = np.abs(chord[np.arange(len(near)), np.abs(dirs[near, 1])])
+        proj = h * along / np.hypot(chord[:, 0], chord[:, 1])
+        w[loop[near]] = np.minimum(h, np.maximum(0.25 * h, proj))
+    return w
+
+
+_memo = (None, None)
+
+
+def mask_assembly(mask: ShapeMask) -> MaskAssembly:
+    """The assembly of a mask, built once while its cells stay the same.
+
+    A one-slot memo, keyed on the grid and the cell content rather than on
+    the mask object (which the annealer flips in place), lets the solver,
+    the shape energy, the annealer's frozen energy and the perimeter of one
+    re-solve sweep share one assembly.
+    """
+    global _memo
+    key = (mask.grid, mask.cells.tobytes())
+    last, asm = _memo
+    if last != key:
+        asm = MaskAssembly(mask.grid, mask.cells)
+        _memo = (key, asm)
+    return asm
 
 
 def boundary_faces(mask: ShapeMask, mode: str = "auto") -> list:
-    """Faces of the staircase boundary with their surface weights.
+    """Faces of the staircase boundary with their surface weights, as sorted
+    (face tuple, weight) pairs: a tuple view of the mask's assembly.
 
     mode "uncorrected" charges h^(d-1) per face.  mode "corrected" (2d)
     projects staircase faces onto a locally estimated tangent wherever the
@@ -415,59 +519,13 @@ def boundary_faces(mask: ShapeMask, mode: str = "auto") -> list:
     while leaving flat runs and isolated corners exact.  "auto" picks
     corrected in 2d.
     """
-    g = mask.grid
-    if mode not in BOUNDARY_MODES:
-        raise ValueError(f"unknown boundary mode {mode!r}")
-    if mode == "auto":
-        mode = "corrected" if g.d == 2 else "uncorrected"
-    if g.d == 1 or mode == "uncorrected":
-        w = g.face_weight
-        return [(f, w) for f in _boundary_face_list(mask)]
-
-    h = g.h
-    out = []
-    for loop in _boundary_loops(mask):
-        L = len(loop)
-        dirs = np.array([dv for (_, _, dv) in loop], dtype=float)
-        mids = np.array([(s[0] + 0.5 * dv[0], s[1] + 0.5 * dv[1])
-                         for (_, s, dv) in loop])
-        if L < 8:
-            out.extend((f, h) for (f, _, _) in loop)
-            continue
-        nxt = np.roll(dirs, -1, axis=0)
-        turn = (dirs[:, 0] * nxt[:, 1] - dirs[:, 1] * nxt[:, 0]).astype(int)
-        nz = np.nonzero(turn)[0]
-        steppy = np.zeros(L, dtype=bool)
-        if len(nz) >= 2:
-            for kk, v in enumerate(nz):
-                s_prev = turn[nz[kk - 1]]
-                s_next = turn[nz[(kk + 1) % len(nz)]]
-                if turn[v] * s_prev < 0 or turn[v] * s_next < 0:
-                    steppy[v] = True
-        # faces within distance 2 of a steppy vertex get tangent-projected
-        P = 2
-        stepmode = np.zeros(L, dtype=bool)
-        for v in np.nonzero(steppy)[0]:
-            for i in range(v - P + 1, v + P + 1):
-                stepmode[i % L] = True
-        K = min(8, (L - 1) // 2)
-        for idx, (f, _, dv) in enumerate(loop):
-            if not stepmode[idx] or K < 1:
-                out.append((f, h))
-                continue
-            chord = mids[(idx + K) % L] - mids[(idx - K) % L]
-            norm = float(np.hypot(chord[0], chord[1]))
-            if norm == 0.0:
-                out.append((f, h))
-                continue
-            w = h * abs(float(np.dot(dv, chord))) / norm
-            out.append((f, min(h, max(0.25 * h, w))))
-    return sorted(out)
+    asm = mask_assembly(mask)
+    return list(zip(asm.faces(), asm.weights(mode).tolist()))
 
 
 def perimeter(mask: ShapeMask, mode: str = "auto") -> float:
     """Weighted measure of the staircase boundary (see boundary_faces)."""
-    return float(sum(w for _, w in boundary_faces(mask, mode)))
+    return float(sum(mask_assembly(mask).weights(mode).tolist()))
 
 
 def shape_energy(model: IntegrandModel, mask: ShapeMask, field: SbvField,
@@ -482,12 +540,12 @@ def shape_energy(model: IntegrandModel, mask: ShapeMask, field: SbvField,
         fvals = model.f_at(g.centers())
         dens = model.grad_coeff * gn**model.p - fvals * field.values + model.c0
         total += float(np.sum(dens[mask.cells])) * g.cell_volume
-    for face, w in boundary_faces(mask, mode):
-        a, b = field.traces(face)
-        lo, _ = g.face_cells(face)
-        inner = a if (lo is not None and mask.cells[lo]) else b
-        total += eval_g(model, g.face_center(face), inner) * w
-    return total
+    asm = mask_assembly(mask)
+    inner = asm.gather(field.values)[asm.inner]
+    if not np.all(np.isfinite(inner)):
+        raise ValueError("shape energy needs finite boundary traces")
+    g_term = model.bdry_coeff(asm.centers) * np.abs(inner) ** model.q
+    return total + float(np.sum(g_term * asm.weights(mode)))
 
 
 def eval_shape_functional(model: IntegrandModel, mask: ShapeMask, inner=None,

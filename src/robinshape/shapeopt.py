@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from .model import IntegrandModel
 from .pdesolve import SolverConfig, SolverError, solve_inner
-from .sbvgrid import (Grid, SbvField, ShapeMask, boundary_faces, bv_norm,
+from .sbvgrid import (Grid, SbvField, ShapeMask, bv_norm, mask_assembly,
                       perimeter, shape_energy)
 
 TRACE_COLUMNS = ("sweep", "J", "volume", "perimeter", "ess_inf", "sup",
@@ -140,24 +140,14 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
 
     def frozen_energy(u):
         # face-based energy at the frozen field plus the volume term
-        E = model.c0 * mask.volume()
-        E -= float(np.sum(np.where(cells, fvals * u, 0.0))) * vol
-        if grid.d == 1:
-            conn = cells[:-1] & cells[1:]
-            dd = np.where(conn, (u[1:] - u[:-1]), 0.0)
-            E += float(np.sum(np.where(conn, ((dd / h) ** 2 + eta * eta) ** (p / 2), 0.0))) * gc * vol
-        else:
-            conn0 = cells[:-1, :] & cells[1:, :]
-            d0 = np.where(conn0, u[1:, :] - u[:-1, :], 0.0)
-            E += float(np.sum(np.where(conn0, ((d0 / h) ** 2 + eta * eta) ** (p / 2), 0.0))) * gc * vol
-            conn1 = cells[:, :-1] & cells[:, 1:]
-            d1 = np.where(conn1, u[:, 1:] - u[:, :-1], 0.0)
-            E += float(np.sum(np.where(conn1, ((d1 / h) ** 2 + eta * eta) ** (p / 2), 0.0))) * gc * vol
-        for face, w in boundary_faces(mask, "uncorrected"):
-            lo, hi = grid.face_cells(face)
-            inner = lo if (lo is not None and cells[lo]) else hi
-            E += gface(face, u[inner])
-        return E
+        asm = mask_assembly(mask)
+        x = asm.gather(u)
+        E = model.c0 * mask.volume() - float(np.sum(asm.gather(fvals) * x)) * vol
+        for lo, hi in asm.links:
+            dd = (x[hi] - x[lo]) / h
+            E += float(np.sum((dd * dd + eta * eta) ** (p / 2))) * gc * vol
+        g_term = model.bdry_coeff(asm.centers) * np.abs(x[asm.inner]) ** q
+        return E + float(np.sum(g_term)) * wunc
 
     def delta_toggle(cell, u):
         inside = cells[cell]

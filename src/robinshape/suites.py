@@ -178,7 +178,12 @@ def scaling_suite(rel_tol: float = 1e-6, mesh_shoot: int = 1024,
 
 
 def ball_minimality_suite(ns=(128, 256), b: float = 1.0, box: float = 1.5) -> dict:
-    """Grid eigensolver comparison: the disc beats the square of equal area."""
+    """Grid eigensolver comparison: the disc beats the square of equal area.
+    The Richardson check compares the first and last of ns, which must
+    differ."""
+    if ns[0] == ns[-1]:
+        raise ValueError(f"ball-minimality needs different first and last "
+                         f"grid sizes, got {tuple(ns)}")
     rows = [("n", "lambda_disc", "lambda_square", "margin")]
     margins = []
     for n in ns:

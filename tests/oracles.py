@@ -3,7 +3,8 @@
 Nothing here calls into robinshape's solvers: eigenvalues come from
 transcendental root-finding on the known radial solutions (cosine in 1d,
 Bessel J0 in 2d), thresholds from extended-precision formula evaluation,
-and inner solves from LAPACK banded factorizations.
+inner solves from LAPACK banded factorizations and sparse direct solves,
+and staircase boundary faces from a face-by-face walk over Python tuples.
 """
 
 import math
@@ -80,3 +81,212 @@ def interval_robin_solve(fvals, h, beta=1.0):
     band[1] = dmain
     band[0, 1:] = -1.0 / h
     return solveh_banded(band, rhs)
+
+
+# ---------------------------------------------------------------------------
+# staircase boundary faces and their corrected weights, face by face: a
+# closed walk of directed boundary edges with the mask on the left, taking
+# the left turn at saddle corners
+
+def _boundary_face_list(mask):
+    g = mask.grid
+    cells = mask.cells
+    faces = []
+    if g.d == 1:
+        pad = np.zeros(g.n + 2, dtype=bool)
+        pad[1:-1] = cells
+        for i in np.nonzero(pad[:-1] != pad[1:])[0]:
+            faces.append((0, int(i)))
+        return faces
+    pad = np.zeros((g.n + 2, g.n + 2), dtype=bool)
+    pad[1:-1, 1:-1] = cells
+    for i, j in zip(*np.nonzero(pad[:-1, 1:-1] != pad[1:, 1:-1])):
+        faces.append((0, int(i), int(j)))
+    for i, j in zip(*np.nonzero(pad[1:-1, :-1] != pad[1:-1, 1:])):
+        faces.append((1, int(i), int(j)))
+    return sorted(faces)
+
+
+# directed boundary edges: start corner, end corner, unit direction, all in
+# lattice-corner coordinates; the inside of the mask stays on the left
+def _directed_edge(face, cells, n):
+    axis, i, j = face
+    if axis == 0:
+        inside_right = i < n and cells[i, j]
+        if inside_right:       # normal -x, walk -y
+            return (i, j + 1), (i, j), (0, -1)
+        return (i, j), (i, j + 1), (0, 1)
+    inside_up = j < n and cells[i, j]
+    if inside_up:              # normal -y, walk +x
+        return (i, j), (i + 1, j), (1, 0)
+    return (i + 1, j), (i, j), (-1, 0)
+
+
+_LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
+_RIGHT = {v: k for k, v in _LEFT.items()}
+
+
+def _boundary_loops(mask):
+    """Ordered closed walks of the staircase boundary; each entry is a list
+    of (face, start, direction)."""
+    faces = _boundary_face_list(mask)
+    start_map = {}
+    edges = {}
+    for f in faces:
+        s, e, dvec = _directed_edge(f, mask.cells, mask.grid.n)
+        edges[f] = (s, e, dvec)
+        start_map.setdefault(s, []).append(f)
+    unused = set(faces)
+    loops = []
+    for f0 in faces:
+        if f0 not in unused:
+            continue
+        loop = []
+        f = f0
+        while True:
+            unused.discard(f)
+            s, e, dvec = edges[f]
+            loop.append((f, s, dvec))
+            cands = [c for c in start_map.get(e, ()) if c in unused or c == f0]
+            if not cands:
+                break
+            if len(cands) == 1:
+                nxt = cands[0]
+            else:  # saddle corner: prefer the left turn, then straight
+                pref = [_LEFT[dvec], dvec, _RIGHT[dvec]]
+                nxt = None
+                for want in pref:
+                    for c in cands:
+                        if edges[c][2] == want:
+                            nxt = c
+                            break
+                    if nxt:
+                        break
+                if nxt is None:
+                    nxt = cands[0]
+            if nxt == f0:
+                break
+            f = nxt
+        loops.append(loop)
+    return loops
+
+
+def boundary_faces_reference(mask, mode="auto"):
+    """Faces of the staircase boundary with their surface weights, from a
+    walk over Python tuples: the reference for sbvgrid.boundary_faces, which
+    must match it exactly, faces and weights.
+
+    mode "uncorrected" charges h^(d-1) per face.  mode "corrected" (2d)
+    projects staircase faces onto a locally estimated tangent wherever the
+    boundary walk shows genuine stair steps (adjacent turns of opposite
+    sense), which removes the taxicab bias on smooth or diagonal boundaries
+    while leaving flat runs and isolated corners exact.  "auto" picks
+    corrected in 2d.
+    """
+    g = mask.grid
+    if mode not in ("auto", "uncorrected", "corrected"):
+        raise ValueError(f"unknown boundary mode {mode!r}")
+    if mode == "auto":
+        mode = "corrected" if g.d == 2 else "uncorrected"
+    if g.d == 1 or mode == "uncorrected":
+        w = g.face_weight
+        return [(f, w) for f in _boundary_face_list(mask)]
+
+    h = g.h
+    out = []
+    for loop in _boundary_loops(mask):
+        L = len(loop)
+        dirs = np.array([dv for (_, _, dv) in loop], dtype=float)
+        mids = np.array([(s[0] + 0.5 * dv[0], s[1] + 0.5 * dv[1])
+                         for (_, s, dv) in loop])
+        if L < 8:
+            out.extend((f, h) for (f, _, _) in loop)
+            continue
+        nxt = np.roll(dirs, -1, axis=0)
+        turn = (dirs[:, 0] * nxt[:, 1] - dirs[:, 1] * nxt[:, 0]).astype(int)
+        nz = np.nonzero(turn)[0]
+        steppy = np.zeros(L, dtype=bool)
+        if len(nz) >= 2:
+            for kk, v in enumerate(nz):
+                s_prev = turn[nz[kk - 1]]
+                s_next = turn[nz[(kk + 1) % len(nz)]]
+                if turn[v] * s_prev < 0 or turn[v] * s_next < 0:
+                    steppy[v] = True
+        # faces within distance 2 of a steppy vertex get tangent-projected
+        P = 2
+        stepmode = np.zeros(L, dtype=bool)
+        for v in np.nonzero(steppy)[0]:
+            for i in range(v - P + 1, v + P + 1):
+                stepmode[i % L] = True
+        K = min(8, (L - 1) // 2)
+        for idx, (f, _, dv) in enumerate(loop):
+            if not stepmode[idx] or K < 1:
+                out.append((f, h))
+                continue
+            chord = mids[(idx + K) % L] - mids[(idx - K) % L]
+            norm = float(np.hypot(chord[0], chord[1]))
+            if norm == 0.0:
+                out.append((f, h))
+                continue
+            w = h * abs(float(np.dot(dv, chord))) / norm
+            out.append((f, min(h, max(0.25 * h, w))))
+    return sorted(out)
+
+
+def mask_zoo(seed=2024):
+    """(grid, cells) pairs that stress boundary walks and solvers: seeded
+    random 2d masks (isolated cells, saddle corners, holes), masks that
+    touch the box, a checkerboard, a ring, a disc, a diagonal strip, the
+    empty mask, and random 1d masks."""
+    from robinshape.sbvgrid import Grid
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(50):
+        n = int(rng.integers(4, 21))
+        out.append((Grid(2, n, 1.0 / n), rng.random((n, n)) < rng.uniform(0.15, 0.9)))
+    n = 12
+    grid = Grid(2, n, 1.0 / n)
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    r = np.hypot(ii - 5.5, jj - 5.5)
+    out += [(grid, np.ones((n, n), bool)),          # the whole box
+            (grid, jj < 3),                          # a band on one box side
+            (grid, (ii < 4) | (jj < 4)),             # an L in a corner
+            (grid, (ii + jj) % 2 == 0),              # saddles everywhere
+            (grid, (ii % 3 == 1) & (jj % 3 == 1)),   # isolated cells
+            (grid, (r < 5.0) & (r > 2.0)),           # a ring around a hole
+            (grid, abs(ii - jj) <= 2),               # a diagonal strip
+            (grid, np.zeros((n, n), bool))]
+    g64 = Grid(2, 64, 1.0 / 64, origin=(-0.5, 0.25))
+    c = (np.arange(64) + 0.5) / 64
+    out.append((g64, np.hypot(c[:, None] - 0.45, c[None, :] - 0.55) <= 0.3))
+    for _ in range(12):
+        n = int(rng.integers(4, 41))
+        out.append((Grid(1, n, 1.0 / n), rng.random(n) < rng.uniform(0.2, 0.9)))
+    return out
+
+
+def robin_solve_direct(cells, h, f, gc, W):
+    """Direct sparse solve of the face-based quadratic energy on a mask:
+    gc * sum over interior faces of (du/h)^2 h^d - f sum u h^d
+    + sum over cells of W u^2, assembled cell pair by cell pair."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    d = cells.ndim
+    idx = {c: k for k, c in enumerate(zip(*np.nonzero(cells)))}
+    kap = 2.0 * gc * h ** (d - 2)
+    A = sp.lil_matrix((len(idx), len(idx)))
+    for c, k in idx.items():
+        A[k, k] += 2.0 * W[c]
+        for ax in range(d):
+            nb = tuple(v + (a == ax) for a, v in enumerate(c))
+            if nb in idx:
+                kk = idx[nb]
+                A[k, k] += kap
+                A[kk, kk] += kap
+                A[k, kk] -= kap
+                A[kk, k] -= kap
+    x = spla.spsolve(A.tocsc(), np.full(len(idx), f * h**d))
+    out = np.zeros(cells.shape)
+    for c, k in idx.items():
+        out[c] = x[k]
+    return out

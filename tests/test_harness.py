@@ -5,6 +5,7 @@ import pytest
 
 from robinshape.cli import main
 from robinshape.sbvgrid import read_field_text
+from robinshape.suites import ball_minimality_suite
 
 import oracles
 
@@ -111,6 +112,14 @@ def test_malformed_weights_and_init_are_usage_errors(tmp_path):
                  "--out", out]) == 1
 
 
+def test_reversed_interval_is_usage_error(tmp_path):
+    out = str(tmp_path)
+    assert main(["solve", "--d", "1", "--shape", "interval", "--a", "0.8",
+                 "--b", "0.2", "--out", out]) == 1
+    assert main(["optimize", "--d", "1", "--init", "interval:0.8:0.2",
+                 "--out", out]) == 1
+
+
 def test_unknown_command_and_flag():
     assert main(["frobnicate"]) == 1
     assert main(["solve", "--frob", "1"]) == 1
@@ -146,6 +155,14 @@ def test_verify_reduction_passes(tmp_path):
 def test_verify_needs_suite():
     assert main(["verify"]) == 1
     assert main(["verify", "--suite", "nonsense"]) == 1
+
+
+def test_ball_minimality_needs_two_sizes(tmp_path):
+    # one size leaves the Richardson check nothing to compare
+    assert main(["verify", "--suite", "ball-minimality", "--ns", "8",
+                 "--out", str(tmp_path)]) == 1
+    with pytest.raises(ValueError):
+        ball_minimality_suite(ns=(8,))
 
 
 def test_optimize_reproducible_outputs(tmp_path):

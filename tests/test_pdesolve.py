@@ -71,6 +71,25 @@ def test_field_jumps_exactly_on_mask_boundary():
     assert np.all(fld.values[~mask.cells] == 0.0)
 
 
+@pytest.mark.parametrize("precondition", [False, True])
+def test_compressed_cg_matches_direct_sparse_solve(precondition):
+    # energy normalization: gradient coefficient 1/2, Robin coefficient 1.5/2
+    model = slab_model(f=2.0, beta=1.5)
+    for grid, cells in oracles.mask_zoo()[::3]:
+        mask = ShapeMask(grid, cells)
+        if mask.count() == 0:
+            continue
+        W = np.zeros(grid.shape())
+        for face, w in oracles.boundary_faces_reference(mask):
+            lo, hi = grid.face_cells(face)
+            W[lo if lo is not None and cells[lo] else hi] += 0.75 * w
+        ref = oracles.robin_solve_direct(cells, grid.h, 2.0, 0.5, W)
+        fld = solve_inner(model, grid, mask,
+                          SolverConfig(tol=1e-12, precondition=precondition))
+        err = np.max(np.abs(fld.values - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-9
+
+
 def test_quadratic_energy_identity():
     # for the linear problem E(u*) = -(1/2) (f, u*)_h up to the volume term
     n = 128
@@ -243,3 +262,12 @@ def test_grid_eigenvalue_refines_toward_reference():
         lam, _ = grid_robin_eigenvalue(grid, mask, 1.0)
         errs.append(abs(lam - ref))
     assert errs[1] < errs[0]
+
+
+def test_grid_eigenvalue_iteration_cap_raises():
+    grid = Grid(2, 32, 1.0 / 32)
+    mask = ShapeMask.disc(grid, (0.5, 0.5), 0.35)
+    with pytest.raises(SolverError) as err:
+        grid_robin_eigenvalue(grid, mask, 1.0, max_iter=2)
+    assert err.value.iterations == 2
+    assert err.value.residual > 1e-10

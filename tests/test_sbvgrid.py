@@ -196,6 +196,25 @@ def test_boundary_faces_sum_to_perimeter():
         assert all(0 < w <= grid.h + 1e-15 for _, w in faces)
 
 
+@pytest.mark.parametrize("k", range(len(oracles.mask_zoo())))
+def test_boundary_faces_match_tuple_reference(k):
+    grid, cells = oracles.mask_zoo()[k]
+    mask = ShapeMask(grid, cells)
+    for mode in ("uncorrected", "corrected", "auto"):
+        ref = oracles.boundary_faces_reference(mask, mode)
+        assert boundary_faces(mask, mode) == ref
+        assert perimeter(mask, mode) == float(sum(w for _, w in ref))
+
+
+def test_boundary_faces_follow_in_place_flips():
+    grid = Grid(2, 16, 1.0 / 16)
+    mask = ShapeMask.disc(grid, (0.5, 0.5), 0.3)
+    before = boundary_faces(mask)
+    mask.cells[8, 8] = False  # a hole, flipped in place as the annealer does
+    after = boundary_faces(mask)
+    assert after == oracles.boundary_faces_reference(mask) != before
+
+
 # ------------------------------------------------------------ shape energy
 
 def test_shape_functional_empty_mask():
@@ -388,6 +407,8 @@ def test_mask_constructors():
     m = ShapeMask.interval(grid, 0.25, 0.65)
     assert m.count() == 5  # centers 0.25, 0.35, ..., 0.65 inclusive
     assert m.volume() == pytest.approx(0.5)
+    with pytest.raises(ValueError):
+        ShapeMask.interval(grid, 0.65, 0.25)
     grid2 = Grid(2, 10, 0.1)
     d = ShapeMask.disc(grid2, (0.5, 0.5), 0.25)
     assert 0.1 < d.volume() < 0.3

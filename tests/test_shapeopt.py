@@ -148,6 +148,32 @@ def test_2d_anneal_carves_single_blob():
     assert trace.best_J[-1] < 0.9 * J_disc + 0.1 * J_full  # near the disc score
 
 
+def test_small_2d_trajectory_is_pinned():
+    # volume, perimeter, accepted flips and components of every sweep, as
+    # recorded from the tuple-based boundary walk and the full-grid solver
+    model = IntegrandModel(p=2, q=2, c0=0.2, f=4.0, beta1=1.0,
+                           normalization="energy")
+    grid = Grid(2, 24, 1.0 / 24)
+    sched = AnnealSchedule(T0=1e-3, cooling=0.8, sweeps=10, resolve_every=2,
+                           seed=5)
+    _, _, trace = optimize_shape(model, grid,
+                                 ShapeMask.disc(grid, (0.5, 0.5), 0.3), sched)
+    recorded = [
+        (0.2847222222222222, 1.8820725288970235, 0, 1),
+        (0.3211805555555555, 2.528656357729019, 21, 4),
+        (0.34375, 3.280871630052534, 19, 8),
+        (0.3611111111111111, 4.4477300361347325, 24, 14),
+        (0.3836805555555555, 6.416666666666678, 39, 25),
+        (0.40277777777777773, 8.105409255338968, 61, 35),
+        (0.390625, 7.166666666666683, 65, 30),
+        (0.4097222222222222, 8.772075922005625, 69, 39),
+        (0.390625, 7.166666666666683, 69, 30),
+        (0.3802083333333333, 6.166666666666676, 52, 24),
+        (0.37152777777777773, 4.915036777365828, 39, 16),
+    ]
+    assert [(r[2], r[3], r[6], r[7]) for r in trace.rows] == recorded
+
+
 def test_diagnostics_fields():
     model = bump_model()
     n = 64
