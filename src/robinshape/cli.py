@@ -365,7 +365,7 @@ def cmd_solve(params):
         for i in range(grid.n):
             rows.append((float(centers[i, mid, 0]), float(field.values[i, mid])))
     csv = write_csv(os.path.join(params["out"], "solve_profile.csv"), "solve", rows)
-    diag = diagnostics(model, mask, field)
+    diag = diagnostics(model, mask, field, params["weights"])
     write_diagnostics(params["out"], "solve", diag)
     print(f"wrote {out} and {csv}")
     print(f"J = {J!r}; iterations = {info['iterations']}; "
@@ -390,7 +390,7 @@ def cmd_optimize(params):
     write_field_text(out_field, field, mask)
     csv = write_csv(os.path.join(params["out"], "trace.csv"), "optimize",
                     [TRACE_COLUMNS] + trace.rows)
-    diag = diagnostics(model, mask, field)
+    diag = diagnostics(model, mask, field, params["weights"])
     diag_path = write_diagnostics(params["out"], "optimize", diag)
     print(f"wrote {out_field}, {csv}, {diag_path}")
     print(f"best J = {trace.best_J[-1]!r} volume = {diag['volume']!r} "

@@ -9,8 +9,11 @@ gradients over the m unknowns, the operator a gather stencil over the
 neighbour arrays; general exponents minimize the eta-regularized energy by
 Polak-Ribiere nonlinear CG with Armijo backtracking.  The grid eigensolver
 assembles its sparse matrix from the same arrays.  Zero initial guess
-always, and every vector reduction is an np.sum (BLAS calls would thread
-and sum in another order), so results are reproducible bit for bit.
+always, and every vector reduction is a numpy add.reduce (np.sum, or
+ndarray.sum in the CG loop; BLAS calls would thread and sum in another
+order), so results are reproducible bit for bit.  The CG iteration updates
+its vectors in place, and without a preconditioner it reuses the residual's
+r.r as the next r.z.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def _solve_cg(model, asm, fc, bcw, config, cap):
         return diag * p - k2 * ext[nbrs].sum(axis=0)
 
     rhs = fc * grid.cell_volume
-    bnorm = float(np.sqrt(np.sum(rhs * rhs)))
+    bnorm = float(np.sqrt((rhs * rhs).sum()))
     u = np.zeros(asm.m)
     if bnorm == 0.0:
         return u, {"iterations": 0, "residual": 0.0, "mode": "linear-cg"}
@@ -125,20 +128,25 @@ def _solve_cg(model, asm, fc, bcw, config, cap):
     r = rhs.copy()
     z = r * minv if minv is not None else r
     p = z.copy()
-    rz = float(np.sum(r * z))
+    rz = float((r * z).sum())
     res = bnorm
     for it in range(1, cap + 1):
         Ap = apply_A(p)
-        alpha = rz / float(np.sum(p * Ap))
-        u = u + alpha * p
-        r = r - alpha * Ap
-        res = float(np.sqrt(np.sum(r * r)))
+        alpha = rz / float((p * Ap).sum())
+        u += alpha * p
+        r -= alpha * Ap
+        rr = float((r * r).sum())
+        res = float(np.sqrt(rr))
         if res <= config.tol * bnorm:
             return u, {"iterations": it, "residual": res / bnorm,
                        "mode": "linear-cg"}
-        z = r * minv if minv is not None else r
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        if minv is None:  # z is r
+            rz_new = rr
+        else:
+            z = r * minv
+            rz_new = float((r * z).sum())
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverError(f"CG did not converge in {cap} iterations",
                       residual=res / bnorm, iterations=cap)

@@ -3,8 +3,11 @@
 Between full inner re-solves the accept/reject decisions use O(1) energy
 deltas computed at the frozen field (a biased estimate of the true change);
 best-shape bookkeeping only trusts exact re-solved energies, so reported
-results stay unbiased.  All randomness flows through one counter-based
-Philox generator keyed by the schedule seed: runs are bit-reproducible.
+results stay unbiased.  Proposals run on flat cell indices c = i*n + j:
+neighbours and face coefficients come from index arithmetic, and each delta
+is a sum of Python floats in a fixed order.  All randomness flows through
+one counter-based Philox generator keyed by the schedule seed: runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -71,25 +74,6 @@ def component_count(mask: ShapeMask) -> int:
     return int(k)
 
 
-def _neighbor_table(grid: Grid):
-    """For each cell, its (neighbor cell | None, face) pairs per direction."""
-    # built lazily per query; cells are index tuples
-    def neighbors(cell):
-        out = []
-        if grid.d == 1:
-            (i,) = cell
-            out.append(((i - 1,) if i > 0 else None, (0, i)))
-            out.append(((i + 1,) if i < grid.n - 1 else None, (0, i + 1)))
-        else:
-            i, j = cell
-            out.append(((i - 1, j) if i > 0 else None, (0, i, j)))
-            out.append(((i + 1, j) if i < grid.n - 1 else None, (0, i + 1, j)))
-            out.append(((i, j - 1) if j > 0 else None, (1, i, j)))
-            out.append(((i, j + 1) if j < grid.n - 1 else None, (1, i, j + 1)))
-        return out
-    return neighbors
-
-
 def _face_coeff_arrays(model: IntegrandModel, grid: Grid):
     """Boundary g-coefficients sampled at every face center, per axis."""
     h, org = grid.h, grid.origin
@@ -119,20 +103,16 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
     gc = model.grad_coeff
     p, q = model.p, model.q
     h, vol, wunc = grid.h, grid.cell_volume, grid.face_weight
-    fvals = model.f_at(grid.centers())
-    bcs = _face_coeff_arrays(model, grid)
-    neighbors = _neighbor_table(grid)
+    n, c0, e2, p2 = grid.n, model.c0, eta * eta, p / 2.0
+    fvals = model.f_at(grid.centers()).reshape(-1)
+    bcs = [b.reshape(-1) for b in _face_coeff_arrays(model, grid)]
     trace = OptimizationTrace()
 
+    # u, fvals and cf (a view of the mask's cells) are flat and read with
+    # .item, so every term of a delta is a Python float
     mask = init.copy()
     cells = mask.cells
-
-    def phi(delta):
-        return gc * ((delta / h) ** 2 + eta * eta) ** (p / 2.0) * vol
-
-    def gface(face, s):
-        bc = bcs[face[0]][face[1:]] if grid.d == 2 else bcs[0][face[1]]
-        return float(bc) * abs(s) ** q * wunc
+    cf = cells.reshape(-1)
 
     def resolve():
         fld = solve_inner(model, grid, mask, solver)
@@ -149,70 +129,89 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
         g_term = model.bdry_coeff(asm.centers) * np.abs(x[asm.inner]) ** q
         return E + float(np.sum(g_term)) * wunc
 
-    def delta_toggle(cell, u):
-        inside = cells[cell]
-        if inside:
-            uc = u[cell]
-            dE = (fvals[cell] * uc - model.c0) * vol
-            for nb, face in neighbors(cell):
-                if nb is not None and cells[nb]:
-                    dE += gface(face, u[nb]) - phi(u[nb] - uc)
+    def neighbors(c):
+        """(neighbour in the mask or None, face coefficient) per face of c."""
+        if grid.d == 1:
+            nbs = ((c - 1, c > 0, bcs[0].item(c)),
+                   (c + 1, c < n - 1, bcs[0].item(c + 1)))
+        else:
+            i, j = divmod(c, n)
+            nbs = ((c - n, i > 0, bcs[0].item(c)),
+                   (c + n, i < n - 1, bcs[0].item(c + n)),
+                   (c - 1, j > 0, bcs[1].item(c + i)),
+                   (c + 1, j < n - 1, bcs[1].item(c + i + 1)))
+        return [(nb if inbox and cf.item(nb) else None, bc)
+                for nb, inbox, bc in nbs]
+
+    def delta_toggle(c, u):
+        # the operand order of every term is fixed: results stay bit for bit
+        nbs = neighbors(c)
+        if cf.item(c):
+            uc = u.item(c)
+            dE = (fvals.item(c) * uc - c0) * vol
+            for nb, bc in nbs:
+                if nb is None:
+                    dE -= bc * abs(uc) ** q * wunc
                 else:
-                    dE -= gface(face, uc)
+                    s = u.item(nb)
+                    dE += bc * abs(s) ** q * wunc \
+                        - gc * (((s - uc) / h) ** 2 + e2) ** p2 * vol
             return dE, 0.0
-        nbs = [nb for nb, _ in neighbors(cell) if nb is not None and cells[nb]]
-        u_est = float(np.mean([u[nb] for nb in nbs])) if nbs else 0.0
-        dE = (-fvals[cell] * u_est + model.c0) * vol
-        for nb, face in neighbors(cell):
-            if nb is not None and cells[nb]:
-                dE += phi(u[nb] - u_est) - gface(face, u[nb])
+        # sequential sum and division, as np.mean of at most four terms
+        u_est, k = 0.0, 0
+        for nb, _ in nbs:
+            if nb is not None:
+                u_est += u.item(nb)
+                k += 1
+        u_est = u_est / k if k else 0.0
+        dE = (-fvals.item(c) * u_est + c0) * vol
+        for nb, bc in nbs:
+            if nb is None:
+                dE += bc * abs(u_est) ** q * wunc
             else:
-                dE += gface(face, u_est)
+                s = u.item(nb)
+                dE += gc * (((s - u_est) / h) ** 2 + e2) ** p2 * vol \
+                    - bc * abs(s) ** q * wunc
         return dE, u_est
 
     def band_candidates():
-        out = set()
         if grid.d == 1:
             pad = np.zeros(grid.n + 2, dtype=bool)
             pad[1:-1] = cells
             edge = pad[:-2] != pad[1:-1]
             edge |= pad[1:-1] != pad[2:]
-            for i in np.nonzero(edge)[0]:
-                out.add((int(i),))
         else:
             pad = np.zeros((grid.n + 2, grid.n + 2), dtype=bool)
             pad[1:-1, 1:-1] = cells
             c = pad[1:-1, 1:-1]
             edge = (c != pad[:-2, 1:-1]) | (c != pad[2:, 1:-1]) \
                 | (c != pad[1:-1, :-2]) | (c != pad[1:-1, 2:])
-            for i, j in zip(*np.nonzero(edge)):
-                out.add((int(i), int(j)))
-        return out
+        return set(np.flatnonzero(edge).tolist())
 
     try:
         field, J_exact = resolve()
     except SolverError as exc:
         raise ShapeOptError(f"initial inner solve failed: {exc}", trace) from exc
-    u = field.values.copy()
+    u = field.values.flatten()
     best = (J_exact, mask.copy(), field)
     trace.best_J.append(J_exact)
     E_frozen = frozen_energy(u)
-    trace.add(0, J_exact, mask.volume(), perimeter(mask), _essinf(u, cells),
-              float(np.max(u, initial=0.0)), 0, component_count(mask))
+    trace.add(0, J_exact, mask.volume(), perimeter(mask, solver.weights),
+              _essinf(u, cf), float(np.max(u, initial=0.0)), 0,
+              component_count(mask))
 
     ncells = grid.n**grid.d
     for sweep in range(1, sched.sweeps + 1):
         T = sched.T0 * sched.cooling ** (sweep - 1)
         cand = band_candidates()
         k = max(1, int(round(sched.teleport_frac * ncells)))
-        flat = rng.integers(0, ncells, size=k)
-        for fi in flat:
-            cand.add((int(fi),) if grid.d == 1 else (int(fi) // grid.n, int(fi) % grid.n))
+        cand.update(rng.integers(0, ncells, size=k).tolist())
+        # sorted flat indices are in the order of sorted (i, j) tuples
         order = sorted(cand)
         rng.shuffle(order)
         accepted = 0
-        for cell in order:
-            dE, u_new = delta_toggle(cell, u)
+        for c in order:
+            dE, u_new = delta_toggle(c, u)
             if dE < 0.0:
                 ok = True
             elif dE == 0.0:
@@ -222,9 +221,9 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
             else:
                 ok = False
             if ok:
-                cells[cell] = not cells[cell]
-                u[cell] = u_new
-                E_frozen += float(dE)
+                cf[c] = not cf.item(c)
+                u[c] = u_new
+                E_frozen += dE
                 accepted += 1
         J_report = E_frozen
         if sweep % sched.resolve_every == 0 or sweep == sched.sweeps:
@@ -233,15 +232,15 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
             except SolverError as exc:
                 raise ShapeOptError(f"inner solve failed at sweep {sweep}: {exc}",
                                     trace) from exc
-            u = field.values.copy()
+            u = field.values.flatten()
             E_frozen = frozen_energy(u)
             if J_exact < best[0]:
                 best = (J_exact, mask.copy(), field)
             trace.best_J.append(min(trace.best_J[-1], J_exact))
             J_report = J_exact
-        trace.add(sweep, J_report, mask.volume(), perimeter(mask),
-                  _essinf(u, cells), float(np.max(u, initial=0.0)), accepted,
-                  component_count(mask))
+        trace.add(sweep, J_report, mask.volume(),
+                  perimeter(mask, solver.weights), _essinf(u, cf),
+                  float(np.max(u, initial=0.0)), accepted, component_count(mask))
     return best[1], best[2], trace
 
 
@@ -249,19 +248,21 @@ def _essinf(u, cells):
     return float(np.min(u[cells])) if np.any(cells) else 0.0
 
 
-def diagnostics(model: IntegrandModel, mask: ShapeMask, field: SbvField) -> dict:
+def diagnostics(model: IntegrandModel, mask: ShapeMask, field: SbvField,
+                mode: str = "auto") -> dict:
     """Scalar summary of an inner-minimized shape: energy, volume, boundary
-    measure, field bounds, and the perimeter-vs-BV-norm inequality."""
+    measure, field bounds, and the perimeter-vs-BV-norm inequality.  The
+    energy and the boundary measure use the boundary weights `mode`."""
     if mask.count() == 0:
         return {"J": 0.0, "volume": 0.0, "perimeter": 0.0, "ess_inf_support": 0.0,
                 "sup": 0.0, "components": 0, "bv_norm": 0.0,
                 "perimeter_bound_ok": True}
     essinf = _essinf(field.values, mask.cells)
-    perim = perimeter(mask)
+    perim = perimeter(mask, mode)
     bv = bv_norm(field)
     ok = (essinf > 0) and (perim <= bv / essinf * (1 + 1e-12))
     return {
-        "J": shape_energy(model, mask, field),
+        "J": shape_energy(model, mask, field, mode),
         "volume": mask.volume(),
         "perimeter": perim,
         "ess_inf_support": essinf,

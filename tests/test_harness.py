@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,31 @@ def test_optimize_reproducible_outputs(tmp_path):
         with open(os.path.join(out1, name), "rb") as f1, \
                 open(os.path.join(out2, name), "rb") as f2:
             assert f1.read() == f2.read()
+
+
+def test_reported_J_uses_the_boundary_weights(tmp_path, capsys):
+    # diagnostics.csv and the trace's perimeter follow --weights, so the
+    # J written equals the J printed
+    out = str(tmp_path / "solve")
+    assert main(["solve", "--d", "2", "--n", "48", "--shape", "disc",
+                 "--radius", "0.3", "--weights", "uncorrected",
+                 "--out", out]) == 0
+    printed = re.search(r"^J = (\S+);", capsys.readouterr().out, re.M).group(1)
+    header, rows = read_csv(os.path.join(out, "diagnostics.csv"))
+    assert rows[0][header.index("J")] == printed
+    out = str(tmp_path / "optimize")
+    assert main(["optimize", "--d", "2", "--n", "32", "--init",
+                 "disc:0.5:0.5:0.3", "--sweeps", "4", "--weights",
+                 "uncorrected", "--f-const", "4", "--c0", "0.2",
+                 "--out", out]) == 0
+    best = re.search(r"best J = (\S+) ", capsys.readouterr().out).group(1)
+    header, rows = read_csv(os.path.join(out, "diagnostics.csv"))
+    assert rows[0][header.index("J")] == best
+    # uncorrected faces weigh h each: every perimeter is a whole number of h
+    header, rows = read_csv(os.path.join(out, "trace.csv"))
+    for row in rows:
+        faces = float(row[header.index("perimeter")]) * 32
+        assert faces == pytest.approx(round(faces), abs=1e-9)
 
 
 def test_help_paths(capsys):

@@ -73,24 +73,24 @@ def test_refinement_cap_raises(monkeypatch):
 
 
 def test_eigenvalue_monotone_in_robin_coefficient():
-    lams = [robin_eigenvalue_ball(RadialEigenvalueQuery(d=1, R=1.0, b=b,
-                                                        mesh_n=512)).lam
-            for b in (0.1, 1.0, 10.0)]
+    sols = robin_eigenvalues_ball([RadialEigenvalueQuery(d=1, R=1.0, b=b,
+                                                         mesh_n=512)
+                                   for b in (0.1, 1.0, 10.0)])
+    lams = [s.lam for s in sols]
     assert lams[0] < lams[1] < lams[2]
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("q", [2.0, 3.0])
 def test_scaling_identity(d, q):
+    # lam_1(tB) against t^-q lam_{t^(q-1)}(B), every query in one call
     mesh = 1024 if q == 2.0 else 192
-    for t in (0.5, 2.0, 3.0):
-        lt = robin_eigenvalue_ball(RadialEigenvalueQuery(
-            d=d, R=t, b=1.0, grad_exp=q, bdry_exp=q, denom_exp=q,
-            mesh_n=mesh)).lam
-        lb = robin_eigenvalue_ball(RadialEigenvalueQuery(
-            d=d, R=1.0, b=t ** (q - 1.0), grad_exp=q, bdry_exp=q,
-            denom_exp=q, mesh_n=mesh)).lam
-        assert lt == pytest.approx(t ** (-q) * lb, rel=1e-6)
+    ts = (0.5, 2.0, 3.0)
+    sols = robin_eigenvalues_ball([RadialEigenvalueQuery(
+        d=d, R=R, b=b, grad_exp=q, bdry_exp=q, denom_exp=q, mesh_n=mesh)
+        for t in ts for R, b in ((t, 1.0), (1.0, t ** (q - 1.0)))])
+    for t, st, sb in zip(ts, sols[::2], sols[1::2]):
+        assert st.lam == pytest.approx(t ** (-q) * sb.lam, rel=1e-6)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -148,9 +148,13 @@ def test_2d_anneal_carves_single_blob():
     assert trace.best_J[-1] < 0.9 * J_disc + 0.1 * J_full  # near the disc score
 
 
+def _reprs(rows):
+    return [tuple(repr(v) for v in row) for row in rows]
+
+
 def test_small_2d_trajectory_is_pinned():
-    # volume, perimeter, accepted flips and components of every sweep, as
-    # recorded from the tuple-based boundary walk and the full-grid solver
+    # every column of every sweep, the repr of J, ess inf and sup included,
+    # as recorded from the tuple-based annealer and boundary walk
     model = IntegrandModel(p=2, q=2, c0=0.2, f=4.0, beta1=1.0,
                            normalization="energy")
     grid = Grid(2, 24, 1.0 / 24)
@@ -159,19 +163,95 @@ def test_small_2d_trajectory_is_pinned():
     _, _, trace = optimize_shape(model, grid,
                                  ShapeMask.disc(grid, (0.5, 0.5), 0.3), sched)
     recorded = [
-        (0.2847222222222222, 1.8820725288970235, 0, 1),
-        (0.3211805555555555, 2.528656357729019, 21, 4),
-        (0.34375, 3.280871630052534, 19, 8),
-        (0.3611111111111111, 4.4477300361347325, 24, 14),
-        (0.3836805555555555, 6.416666666666678, 39, 25),
-        (0.40277777777777773, 8.105409255338968, 61, 35),
-        (0.390625, 7.166666666666683, 65, 30),
-        (0.4097222222222222, 8.772075922005625, 69, 39),
-        (0.390625, 7.166666666666683, 69, 30),
-        (0.3802083333333333, 6.166666666666676, 52, 24),
-        (0.37152777777777773, 4.915036777365828, 39, 16),
+        (0, -0.30376509234101406, 0.2847222222222222, 1.8820725288970235,
+         0.5980571570122625, 0.6843471480667621, 0, 1),
+        (1, -0.2937561727318819, 0.3211805555555555, 2.528656357729019,
+         0.0, 0.6843471480667621, 21, 4),
+        (2, -0.3696844243078023, 0.34375, 3.280871630052534,
+         0.041666666666666734, 0.7194118331608571, 19, 8),
+        (3, -0.3475657193588798, 0.3611111111111111, 4.4477300361347325,
+         0.0, 0.7194118331608571, 24, 14),
+        (4, -0.34857778942018613, 0.3836805555555555, 6.416666666666678,
+         0.0416666666666667, 0.6825334541766938, 39, 25),
+        (5, -0.3501153236625616, 0.40277777777777773, 8.105409255338968,
+         0.0, 0.6825334541766938, 61, 35),
+        (6, -0.34767115361771694, 0.390625, 7.166666666666683,
+         0.04166666666666663, 0.6825334541767095, 65, 30),
+        (7, -0.34915532744914135, 0.4097222222222222, 8.772075922005625,
+         0.0, 0.6825334541767095, 69, 39),
+        (8, -0.34767115361771694, 0.390625, 7.166666666666683,
+         0.04166666666666666, 0.6825334541767081, 69, 30),
+        (9, -0.35419004967136336, 0.3802083333333333, 6.166666666666676,
+         0.0, 0.6825334541767081, 52, 24),
+        (10, -0.35087444461818323, 0.37152777777777773, 4.915036777365828,
+         0.04166666666666666, 0.6825334541767203, 39, 16),
     ]
-    assert [(r[2], r[3], r[6], r[7]) for r in trace.rows] == recorded
+    assert _reprs(trace.rows) == _reprs(recorded)
+
+
+def test_2d_trajectory_with_varying_robin_coefficient_is_pinned():
+    # beta1 differs along both axes, so reading a face coefficient from the
+    # wrong axis or the wrong face moves the frozen J of the odd sweeps
+    model = IntegrandModel(p=2, q=2, c0=0.2, f=4.0,
+                           beta1=lambda x: 0.5 + x[..., 0] + 2.0 * x[..., 1] ** 2,
+                           normalization="energy")
+    grid = Grid(2, 20, 1.0 / 20)
+    sched = AnnealSchedule(T0=1e-3, cooling=0.8, sweeps=8, resolve_every=2,
+                           seed=9)
+    _, _, trace = optimize_shape(model, grid,
+                                 ShapeMask.disc(grid, (0.45, 0.55), 0.3), sched)
+    recorded = [
+        (0, -0.16887793760624226, 0.28, 1.8659113421525861,
+         0.3196344733470286, 0.46243153917754687, 0, 1),
+        (1, -0.15829639896731362, 0.31500000000000006, 1.9985215367784712,
+         0.3196344733470286, 0.46243153917754687, 14, 1),
+        (2, -0.23331340072751666, 0.3475000000000001, 2.327591356085802,
+         0.017687375635615968, 0.5143539784938864, 13, 2),
+        (3, -0.22111284839344625, 0.36750000000000005, 3.137276043361681,
+         0.0, 0.5143539784938864, 10, 5),
+        (4, -0.2212695655175202, 0.38000000000000006, 3.999999999999994,
+         0.01708306641222389, 0.4919017911983162, 13, 9),
+        (5, -0.22746314342862126, 0.38250000000000006, 4.199999999999993,
+         0.0, 0.4919017911983162, 17, 10),
+        (6, -0.22122179983558743, 0.38000000000000006, 3.999999999999994,
+         0.017941242432868588, 0.4919017911978493, 17, 9),
+        (7, -0.22967007371153747, 0.37000000000000005, 3.1999999999999966,
+         0.0, 0.4919017911978493, 12, 5),
+        (8, -0.2235739784537446, 0.36500000000000005, 2.799999999999998,
+         0.015494867325199677, 0.4919017911979275, 6, 3),
+    ]
+    assert _reprs(trace.rows) == _reprs(recorded)
+
+
+def test_1d_trajectory_at_exponent_three_is_pinned():
+    # p = q = 3 runs the descent solver and the eta-regularized move energy
+    model = IntegrandModel(
+        p=3, q=3, c0=0.3, L=1.0,
+        f=lambda x: np.where((x[..., 0] > 0.3) & (x[..., 0] < 0.7), 3.0, 0.0),
+        beta1=lambda x: 0.5 + x[..., 0], normalization="energy")
+    grid = Grid(1, 32, 1.0 / 32)
+    sched = AnnealSchedule(T0=1e-2, cooling=0.8, sweeps=8, resolve_every=2,
+                           seed=4)
+    _, _, trace = optimize_shape(model, grid,
+                                 ShapeMask.interval(grid, 0.1, 0.9), sched)
+    recorded = [
+        (0, -0.351307424929336, 0.8125, 2.0,
+         0.5823852414702545, 0.8326766324361563, 0, 1),
+        (1, -0.3520330542431646, 0.8125, 2.0,
+         0.6039671592937963, 0.8326766324361563, 2, 1),
+        (2, -0.35393239859183906, 0.8125, 2.0,
+         0.6165391174878789, 0.8394049835904266, 2, 1),
+        (3, -0.34466741335133194, 0.84375, 4.0, 0.0, 0.8394049835904266, 3, 2),
+        (4, -0.34780883521572376, 0.78125, 4.0, 0.0, 0.8202996128753219, 4, 2),
+        (5, -0.36316723954061, 0.6875, 2.0,
+         0.6602631629893079, 0.8202996128753219, 3, 1),
+        (6, -0.34555546172739643, 0.6875, 6.0, 0.0, 0.7776838729280792, 4, 3),
+        (7, -0.3709092358037619, 0.5625, 2.0,
+         0.6541355345813717, 0.7776838729280792, 4, 1),
+        (8, -0.37030047351208484, 0.53125, 2.0,
+         0.6290023763982948, 0.7454226554254604, 1, 1),
+    ]
+    assert _reprs(trace.rows) == _reprs(recorded)
 
 
 def test_diagnostics_fields():
