@@ -6,12 +6,13 @@ from .model import (AssumptionCheck, AssumptionReport, IntegrandModel,
 from .radial import (RadialConvergenceError, RadialEigenvalueQuery,
                      RadialSolution, ball_energy, ball_radius, ball_volume,
                      optimal_radius_scan, robin_eigenvalue_ball,
-                     robin_poisson_ball, shoot_eigenvalues)
+                     robin_eigenvalues_ball, robin_poisson_ball,
+                     shoot_eigenvalues)
 from .sbvgrid import (Grid, SbvField, ShapeMask, boundary_faces, bv_norm,
-                      discrete_gradient, eval_free_discontinuity,
-                      eval_shape_functional, gradient_field, perimeter,
-                      poincare_check, read_field_text, reduction_check,
-                      shape_energy, support_jumps, write_field_text)
+                      eval_free_discontinuity, eval_shape_functional,
+                      gradient_field, perimeter, poincare_check,
+                      read_field_text, reduction_check, shape_energy,
+                      support_jumps, write_field_text)
 from .pdesolve import (SolverConfig, SolverError, energy_gradient, energy_of,
                        grid_robin_eigenvalue, solve_inner)
 from .shapeopt import (AnnealSchedule, OptimizationTrace, ShapeOptError,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import IntegrandModel
 from .sbvgrid import (BOUNDARY_MODES, Grid, MaskAssembly, SbvField, ShapeMask,
-                      mask_assembly)
+                      mask_assembly, support_jumps)
 
 
 class SolverError(RuntimeError):
@@ -86,7 +86,7 @@ def solve_inner(model: IntegrandModel, grid: Grid, mask: ShapeMask,
     if config is None:
         config = SolverConfig()
     if mask.count() == 0:
-        field = SbvField(grid, np.zeros(grid.shape()), frozenset())
+        field = SbvField.zero(grid)
         return (field, {"iterations": 0, "residual": 0.0, "mode": "empty"}) \
             if return_info else field
 
@@ -103,7 +103,7 @@ def solve_inner(model: IntegrandModel, grid: Grid, mask: ShapeMask,
         x, info = _solve_cg(model, asm, fc, bcw, config, cap)
     else:
         x, info = _solve_descent(model, asm, fc, bcw, eta, config, cap)
-    field = SbvField(grid, asm.scatter(x), frozenset(asm.faces()))
+    field = SbvField(grid, asm.scatter(x), support_jumps(grid, mask.cells))
     return (field, info) if return_info else field
 
 

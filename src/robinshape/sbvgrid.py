@@ -1,15 +1,18 @@
 """Discrete SBV calculus on a structured grid.
 
-Cell-centered values carry the absolutely continuous part; an explicit set
-of flagged faces carries the jump part, and gradients never differentiate
-across flagged faces.  The grid covers a box; the field is extended by zero
-outside it, so box faces adjacent to a nonzero cell are jump faces and the
-boundary of the support is always contained in the flagged set.
+Cell-centered values carry the absolutely continuous part; boolean arrays of
+flagged faces, one per axis, carry the jump part, and gradients never
+differentiate across flagged faces.  The grid covers a box; the field is
+extended by zero outside it, so box faces adjacent to a nonzero cell are
+jump faces and the boundary of the support is always contained in the
+flagged set.
 
-Faces are identified by tuples: (axis, i) in 1d, (axis, i, j) in 2d, where
-face (0, i, j) separates cells (i-1, j) | (i, j) and face (1, i, j)
-separates (i, j-1) | (i, j); index i (resp. j) runs to n inclusive so the
-box boundary is addressable.
+The faces of axis k form an array of the cell shape with one more entry
+along k: (n+1,) in 1d, (n+1, n) and (n, n+1) in 2d.  Face [i, j] of axis 0
+separates cells (i-1, j) | (i, j) and face [i, j] of axis 1 separates
+(i, j-1) | (i, j), so index n addresses the box boundary.  Where faces are
+listed one by one (`extra_jumps`, the text format, `boundary_faces`) a face
+is the tuple (axis, i[, j]).
 
 A shape mask's boundary faces, its cells' neighbours and its surface
 weights live in arrays, in one `MaskAssembly` per mask that the solvers,
@@ -23,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IntegrandModel, eval_g
+from .model import IntegrandModel
 
-Face = tuple
 BOUNDARY_MODES = ("auto", "uncorrected", "corrected")  # see boundary_faces
 
 
@@ -79,112 +81,130 @@ class Grid:
         X, Y = np.meshgrid(ax[0], ax[1], indexing="ij")
         return np.stack([X, Y], axis=-1)
 
-    def face_center(self, face: Face) -> np.ndarray:
-        if self.d == 1:
-            (_, i) = face
-            return np.array([self.origin[0] + i * self.h])
-        axis, i, j = face
-        if axis == 0:
-            return np.array([self.origin[0] + i * self.h,
-                             self.origin[1] + (j + 0.5) * self.h])
-        return np.array([self.origin[0] + (i + 0.5) * self.h,
-                         self.origin[1] + j * self.h])
 
-    def face_cells(self, face: Face):
-        """The (lower, upper) cell indices of a face; None when outside."""
-        if self.d == 1:
-            (_, i) = face
-            lo = (i - 1,) if i > 0 else None
-            hi = (i,) if i < self.n else None
-            return lo, hi
-        axis, i, j = face
-        if axis == 0:
-            lo = (i - 1, j) if i > 0 else None
-            hi = (i, j) if i < self.n else None
-        else:
-            lo = (i, j - 1) if j > 0 else None
-            hi = (i, j) if j < self.n else None
-        return lo, hi
+def _face_shapes(grid: Grid) -> list:
+    return [tuple(grid.n + (k == ax) for k in range(grid.d))
+            for ax in range(grid.d)]
 
 
-def support_jumps(grid: Grid, values: np.ndarray) -> set:
-    """Faces separating a zero cell (or the outside) from a nonzero cell."""
-    nz = values != 0.0
-    out = set()
-    if grid.d == 1:
-        pad = np.zeros(grid.n + 2, dtype=bool)
-        pad[1:-1] = nz
-        for i in np.nonzero(pad[:-1] != pad[1:])[0]:
-            out.add((0, int(i)))
+def _lower(a: np.ndarray, ax: int) -> np.ndarray:
+    return a[(slice(None),) * ax + (slice(None, -1),)]
+
+
+def _upper(a: np.ndarray, ax: int) -> np.ndarray:
+    return a[(slice(None),) * ax + (slice(1, None),)]
+
+
+def _face_sides(a: np.ndarray, ax: int, fill=0):
+    """The cell values on the lower and upper side of every face of axis ax,
+    `fill` outside the box: two arrays of that axis's face shape.  Of a face
+    array, _lower and _upper give each cell's lower and upper face."""
+    pad = np.full(tuple(k + 2 * (i == ax) for i, k in enumerate(a.shape)), fill,
+                  dtype=a.dtype)
+    pad[(slice(None),) * ax + (slice(1, -1),)] = a
+    return _lower(pad, ax), _upper(pad, ax)
+
+
+def _face_centers(grid: Grid, axes: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Centres of the faces with the given axes and (i[, j]) rows."""
+    offset = np.where(np.arange(grid.d) == axes[:, None], 0.0, 0.5)
+    return np.asarray(grid.origin) + (pos + offset) * grid.h
+
+
+def _flagged(jumps) -> tuple:
+    """Axes and (i[, j]) rows of the flagged faces, in sorted face order."""
+    pos = [np.argwhere(j) for j in jumps]
+    return np.repeat(np.arange(len(pos)), [len(p) for p in pos]), np.concatenate(pos)
+
+
+def support_jumps(grid: Grid, values: np.ndarray) -> tuple:
+    """Faces separating a zero cell (or the outside) from a nonzero cell, as
+    one boolean array per axis."""
+    nz = np.asarray(values) != 0.0
+    return tuple(np.not_equal(*_face_sides(nz, ax)) for ax in range(grid.d))
+
+
+def _jump_arrays(grid: Grid, faces) -> tuple:
+    """Face tuples (axis, i[, j]) as one boolean array per axis; a face that
+    is not on the grid raises ValueError."""
+    out = tuple(np.zeros(s, dtype=bool) for s in _face_shapes(grid))
+    form = "(axis, i)" if grid.d == 1 else "(axis, i, j)"
+    try:
+        faces = np.array(faces)
+    except ValueError:
+        raise ValueError(f"jump faces must all be tuples {form}") from None
+    if faces.size == 0:
         return out
-    pad = np.zeros((grid.n + 2, grid.n + 2), dtype=bool)
-    pad[1:-1, 1:-1] = nz
-    diff0 = pad[:-1, 1:-1] != pad[1:, 1:-1]
-    for i, j in zip(*np.nonzero(diff0)):
-        out.add((0, int(i), int(j)))
-    diff1 = pad[1:-1, :-1] != pad[1:-1, 1:]
-    for i, j in zip(*np.nonzero(diff1)):
-        out.add((1, int(i), int(j)))
+    if (faces.ndim != 2 or faces.shape[1] != grid.d + 1
+            or not np.issubdtype(faces.dtype, np.integer)):
+        raise ValueError(f"jump faces must be integer tuples {form}")
+    axis, pos = faces[:, 0], faces[:, 1:]
+    ok = (axis >= 0) & (axis < grid.d)
+    limit = np.array(_face_shapes(grid))[np.where(ok, axis, 0)]
+    ok &= np.all((pos >= 0) & (pos < limit), axis=1)
+    if not np.all(ok):
+        raise ValueError(f"jump face {tuple(faces[np.argmin(ok)].tolist())} "
+                         f"is not on the grid")
+    for ax, jumps in enumerate(out):
+        jumps[tuple(pos[axis == ax].T)] = True
     return out
 
 
 @dataclass
 class SbvField:
-    """Cell values plus explicitly flagged jump faces."""
+    """Cell values plus flagged jump faces, one boolean array per axis."""
 
     grid: Grid
     values: np.ndarray
-    jumps: frozenset
+    jumps: tuple
 
     @classmethod
     def from_values(cls, grid: Grid, values, extra_jumps=()) -> "SbvField":
-        """Build a field, automatically flagging every support-boundary face."""
+        """Build a field, automatically flagging every support-boundary face
+        and the given face tuples (axis, i[, j])."""
         values = np.asarray(values, dtype=float).reshape(grid.shape())
-        jumps = support_jumps(grid, values) | set(extra_jumps)
-        return cls(grid, values, frozenset(jumps))
+        jumps = zip(support_jumps(grid, values), _jump_arrays(grid, extra_jumps))
+        return cls(grid, values, tuple(s | e for s, e in jumps))
 
     @classmethod
     def zero(cls, grid: Grid) -> "SbvField":
-        return cls(grid, np.zeros(grid.shape()), frozenset())
+        return cls.from_values(grid, np.zeros(grid.shape()))
 
     def validate(self):
         if self.values.shape != self.grid.shape():
             raise ValueError("value array shape does not match grid")
+        if [np.shape(j) for j in self.jumps] != _face_shapes(self.grid):
+            raise ValueError("jump arrays do not match the grid's faces")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field has non-finite values")
-        missing = support_jumps(self.grid, self.values) - set(self.jumps)
-        if missing:
+        support = support_jumps(self.grid, self.values)
+        axes, pos = _flagged([s & ~j for s, j in zip(support, self.jumps)])
+        if len(axes):
             raise ValueError(
-                f"support-boundary faces not flagged as jumps: {sorted(missing)[:4]}"
-                + ("..." if len(missing) > 4 else ""))
-
-    def traces(self, face: Face) -> tuple[float, float]:
-        """Values on the two sides of a face (0 outside the box)."""
-        lo, hi = self.grid.face_cells(face)
-        a = float(self.values[lo]) if lo is not None else 0.0
-        b = float(self.values[hi]) if hi is not None else 0.0
-        return a, b
+                f"{len(axes)} support-boundary faces not flagged as jumps, "
+                f"first {(int(axes[0]), *pos[0].tolist())}")
 
     def support_volume(self) -> float:
         return float(np.count_nonzero(self.values)) * self.grid.cell_volume
 
 
-def _axis_jump_masks(field: SbvField):
-    """Boolean arrays marking flagged faces, one array per axis."""
+def _gradient(field: SbvField):
+    """gradient_field, and the values on the lower and upper side of the
+    flagged faces, axis by axis in sorted face order (0 outside the box)."""
     g = field.grid
-    if g.d == 1:
-        m = np.zeros(g.n + 1, dtype=bool)
-        for (_, i) in field.jumps:
-            m[i] = True
-        return (m,)
-    m0 = np.zeros((g.n + 1, g.n), dtype=bool)
-    m1 = np.zeros((g.n, g.n + 1), dtype=bool)
-    for f in field.jumps:
-        if f[0] == 0:
-            m0[f[1], f[2]] = True
-        else:
-            m1[f[1], f[2]] = True
-    return m0, m1
+    out = np.zeros(g.shape() + (g.d,))
+    below, above = [], []
+    for ax, jumps in enumerate(field.jumps):
+        lo, hi = _face_sides(field.values, ax)
+        diff = (hi - lo) / g.h
+        dminus, dplus = _lower(diff, ax), _upper(diff, ax)
+        open_minus, open_plus = ~_lower(jumps, ax), ~_upper(jumps, ax)
+        out[..., ax] = np.where(open_minus & open_plus, 0.5 * (dminus + dplus),
+                                np.where(open_minus, dminus,
+                                         np.where(open_plus, dplus, 0.0)))
+        below.append(lo[jumps])
+        above.append(hi[jumps])
+    return out, np.concatenate(below), np.concatenate(above)
 
 
 def gradient_field(field: SbvField) -> np.ndarray:
@@ -194,67 +214,16 @@ def gradient_field(field: SbvField) -> np.ndarray:
     flagged, the single open difference when one is, and zero when both are.
     Differences across the box boundary use the zero extension.
     """
-    g = field.grid
-    u = field.values
-    jm = _axis_jump_masks(field)
-    out = np.zeros(g.shape() + (g.d,))
-    for ax in range(g.d):
-        pad = np.zeros(np.array(u.shape) + np.eye(g.d, dtype=int)[ax] * 2)
-        sl = tuple(slice(1, -1) if k == ax else slice(None) for k in range(g.d))
-        pad[sl] = u
-        lowsl = tuple(slice(0, -2) if k == ax else slice(None) for k in range(g.d))
-        upsl = tuple(slice(2, None) if k == ax else slice(None) for k in range(g.d))
-        dminus = (u - pad[lowsl]) / g.h
-        dplus = (pad[upsl] - u) / g.h
-        jma = jm[ax]
-        if g.d == 1:
-            open_minus = ~jma[:-1]
-            open_plus = ~jma[1:]
-        elif ax == 0:
-            open_minus = ~jma[:-1, :]
-            open_plus = ~jma[1:, :]
-        else:
-            open_minus = ~jma[:, :-1]
-            open_plus = ~jma[:, 1:]
-        both = open_minus & open_plus
-        grad = np.where(both, 0.5 * (dminus + dplus),
-                        np.where(open_minus, dminus,
-                                 np.where(open_plus, dplus, 0.0)))
-        out[..., ax] = grad
-    return out
+    return _gradient(field)[0]
 
 
-def discrete_gradient(field: SbvField, cell) -> np.ndarray:
-    """Gradient vector at one cell (see gradient_field)."""
+def _bulk_energy(model: IntegrandModel, field: SbvField, grads, cells) -> float:
+    """Integral of j(x, u, grad u) over the given cells."""
     g = field.grid
-    cell = tuple(int(c) for c in np.atleast_1d(cell))
-    u = field.values
-    out = np.zeros(g.d)
-    for ax in range(g.d):
-        lo = list(cell)
-        lo[ax] -= 1
-        hi = list(cell)
-        hi[ax] += 1
-        if g.d == 1:
-            fminus, fplus = (0, cell[0]), (0, cell[0] + 1)
-        elif ax == 0:
-            fminus, fplus = (0, cell[0], cell[1]), (0, cell[0] + 1, cell[1])
-        else:
-            fminus, fplus = (1, cell[0], cell[1]), (1, cell[0], cell[1] + 1)
-        uval = u[cell]
-        um = u[tuple(lo)] if lo[ax] >= 0 else 0.0
-        up = u[tuple(hi)] if hi[ax] < g.n else 0.0
-        dm = (uval - um) / g.h
-        dp = (up - uval) / g.h
-        om = fminus not in field.jumps
-        op = fplus not in field.jumps
-        if om and op:
-            out[ax] = 0.5 * (dm + dp)
-        elif om:
-            out[ax] = dm
-        elif op:
-            out[ax] = dp
-    return out
+    gn = np.sqrt(np.sum(grads * grads, axis=-1))
+    fvals = model.f_at(g.centers())
+    dens = model.grad_coeff * gn**model.p - fvals * field.values + model.c0
+    return float(np.sum(dens[cells])) * g.cell_volume
 
 
 def eval_free_discontinuity(model: IntegrandModel, field: SbvField) -> float:
@@ -262,21 +231,11 @@ def eval_free_discontinuity(model: IntegrandModel, field: SbvField) -> float:
     g(x, u+) + g(x, u-), with face traces taken from the adjacent cells."""
     field.validate()
     g = field.grid
-    u = field.values
-    supp = u != 0.0
-    total = 0.0
-    if np.any(supp):
-        grads = gradient_field(field)
-        gn = np.sqrt(np.sum(grads * grads, axis=-1))
-        fvals = model.f_at(g.centers())
-        dens = model.grad_coeff * gn**model.p - fvals * u + model.c0
-        total += float(np.sum(dens[supp])) * g.cell_volume
-    w = g.face_weight
-    for face in sorted(field.jumps):
-        a, b = field.traces(face)
-        x = g.face_center(face)
-        total += (eval_g(model, x, a) + eval_g(model, x, b)) * w
-    return total
+    grads, a, b = _gradient(field)
+    total = _bulk_energy(model, field, grads, field.values != 0.0)
+    x = _face_centers(g, *_flagged(field.jumps))
+    g_term = model.bdry_coeff(x) * (np.abs(a) ** model.q + np.abs(b) ** model.q)
+    return total + float(np.sum(g_term * g.face_weight))
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +313,12 @@ class MaskAssembly:
         d, m = grid.d, int(np.count_nonzero(cells))
         self.grid, self.m = grid, m
         self.flat = np.flatnonzero(cells)
-        pad = np.full(tuple(k + 2 for k in grid.shape()), m)
-        pad[(slice(1, -1),) * d][cells] = np.arange(m)
-
-        def shifted(ax, lo, hi):
-            return pad[tuple(slice(lo, hi) if k == ax else slice(1, -1)
-                             for k in range(d))]
-
-        self.nbrs = np.array([shifted(ax, lo, hi)[cells] for ax in range(d)
-                              for lo, hi in ((None, -2), (2, None))])
+        ids = np.full(grid.shape(), m)
+        ids[cells] = np.arange(m)
+        sides = [_face_sides(ids, ax, m) for ax in range(d)]
+        # a cell's neighbours lie below its lower and above its upper face
+        self.nbrs = np.array([nb[cells] for ax, (below, above) in enumerate(sides)
+                              for nb in (_lower(below, ax), _upper(above, ax))])
         self.links = []
         for ax in range(d):
             up = self.nbrs[2 * ax + 1]
@@ -370,22 +326,13 @@ class MaskAssembly:
             self.links.append((lo, up[lo]))
         self.degree = np.count_nonzero(self.nbrs < m, axis=0)
 
-        # face (ax, i, j) lies between padded cells pos + 1 - e_ax and pos + 1
-        axes, pos, inner, upper_in = [], [], [], []
-        for ax in range(d):
-            below, above = shifted(ax, None, -1), shifted(ax, 1, None)
-            ij = np.nonzero((below < m) != (above < m))
-            below, above = below[ij], above[ij]
-            axes.append(np.full(len(below), ax))
-            pos.append(np.stack(ij, axis=-1))
-            upper_in.append(above < m)
-            inner.append(np.where(above < m, above, below))
-        self.face_axis = np.concatenate(axes)
-        self.face_pos = np.concatenate(pos)
-        self.inner = np.concatenate(inner)
-        self.upper_in = np.concatenate(upper_in)
-        offset = np.where(np.arange(d) == self.face_axis[:, None], 0.0, 0.5)
-        self.centers = np.asarray(grid.origin) + (self.face_pos + offset) * grid.h
+        jumps = support_jumps(grid, cells)
+        self.face_axis, self.face_pos = _flagged(jumps)
+        below = np.concatenate([lo[j] for (lo, _), j in zip(sides, jumps)])
+        above = np.concatenate([hi[j] for (_, hi), j in zip(sides, jumps)])
+        self.upper_in = above < m
+        self.inner = np.where(self.upper_in, above, below)
+        self.centers = _face_centers(grid, self.face_axis, self.face_pos)
         self._corrected = None
 
     @property
@@ -394,8 +341,7 @@ class MaskAssembly:
 
     def faces(self) -> list:
         """The boundary faces as sorted tuples (axis, i[, j])."""
-        return [(a, *p) for a, p in zip(self.face_axis.tolist(),
-                                        self.face_pos.tolist())]
+        return list(zip(self.face_axis.tolist(), *self.face_pos.T.tolist()))
 
     def weights(self, mode: str = "auto") -> np.ndarray:
         """Surface weight of each boundary face (see boundary_faces)."""
@@ -532,14 +478,7 @@ def shape_energy(model: IntegrandModel, mask: ShapeMask, field: SbvField,
                  mode: str = "auto") -> float:
     """Shape functional at a given inner field: bulk j over the mask plus the
     boundary g-term at the inner traces (the outer trace is zero and g(x,0)=0)."""
-    g = mask.grid
-    total = 0.0
-    if mask.count():
-        grads = gradient_field(field)
-        gn = np.sqrt(np.sum(grads * grads, axis=-1))
-        fvals = model.f_at(g.centers())
-        dens = model.grad_coeff * gn**model.p - fvals * field.values + model.c0
-        total += float(np.sum(dens[mask.cells])) * g.cell_volume
+    total = _bulk_energy(model, field, gradient_field(field), mask.cells)
     asm = mask_assembly(mask)
     inner = asm.gather(field.values)[asm.inner]
     if not np.all(np.isfinite(inner)):
@@ -581,13 +520,10 @@ def poincare_check(field: SbvField, b: float, p: float, alpha: float,
     m = field.support_volume()
     if m <= 0.0:
         raise ValueError("field has empty support")
-    grads = gradient_field(field)
+    grads, ta, tb = _gradient(field)
     gn = np.sqrt(np.sum(grads * grads, axis=-1))
     lhs = float(np.sum(gn**p)) * g.cell_volume
-    w = g.face_weight
-    for face in sorted(field.jumps):
-        ta, tb = field.traces(face)
-        lhs += b * (abs(ta) ** p + abs(tb) ** p) * w
+    lhs += float(np.sum(b * (np.abs(ta) ** p + np.abs(tb) ** p) * g.face_weight))
     if eig is None:
         eig = radial.robin_eigenvalue_ball
     R = radial.ball_radius(g.d, m)
@@ -601,58 +537,77 @@ def poincare_check(field: SbvField, b: float, p: float, alpha: float,
 def bv_norm(field: SbvField) -> float:
     """Discrete BV norm: L1 gradient plus total jump mass."""
     g = field.grid
-    grads = gradient_field(field)
+    grads, a, b = _gradient(field)
     gn = np.sqrt(np.sum(grads * grads, axis=-1))
     total = float(np.sum(gn)) * g.cell_volume
-    w = g.face_weight
-    for face in sorted(field.jumps):
-        a, b = field.traces(face)
-        total += abs(a - b) * w
-    return total
+    return total + float(np.sum(np.abs(a - b) * g.face_weight))
 
 
 # ---------------------------------------------------------------------------
 # plain-text serialization: "d n h origin" header, one cell per line, then faces
+
+def _lines(columns):
+    """Text lines holding the rows of a list of equal-length columns."""
+    return map(" ".join, zip(*(map(repr, c.tolist()) for c in columns)))
+
 
 def write_field_text(path, field: SbvField, mask: ShapeMask | None = None):
     g = field.grid
     if mask is None:
         mask = ShapeMask(g, field.values != 0.0)
     head = [g.d, g.n] + [repr(float(v)) for v in (g.h, *g.origin)]
-    lines = [" ".join(map(str, head))]
-    if g.d == 1:
-        for i in range(g.n):
-            lines.append(f"{i} {float(field.values[i])!r} {int(mask.cells[i])}")
-    else:
-        for i in range(g.n):
-            for j in range(g.n):
-                lines.append(f"{i} {j} {float(field.values[i, j])!r} "
-                             f"{int(mask.cells[i, j])}")
-    for face in sorted(field.jumps):
-        lines.append(" ".join(str(v) for v in face))
+    cells = [*np.indices(g.shape()).reshape(g.d, -1), field.values.reshape(-1),
+             mask.cells.reshape(-1).astype(int)]
+    axes, pos = _flagged(field.jumps)
+    lines = [" ".join(map(str, head)), *_lines(cells), *_lines([axes, *pos.T])]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
+def _table(lines, width: int, what: str) -> np.ndarray:
+    """The numbers on the given lines, `width` to a line, as a float array."""
+    try:
+        table = np.loadtxt(lines, ndmin=2) if lines else np.empty((0, width))
+    except ValueError as err:
+        raise ValueError(f"malformed {what} line: {err}") from None
+    if table.shape[1] != width:
+        raise ValueError(f"{what} lines hold {table.shape[1]} numbers, "
+                         f"expected {width}")
+    return table
+
+
+def _whole(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(a) & (a == np.floor(a))):
+        raise ValueError(f"{what} must be integers")
+    return a.astype(int)
 
 
 def read_field_text(path) -> tuple[SbvField, ShapeMask]:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = list(filter(str.strip, fh))
+    if not lines:
+        raise ValueError(f"{path} is empty")
     d, n, h, *origin = lines[0].split()  # files without an origin sit at 0
     grid = Grid(int(d), int(n), float(h), tuple(float(v) for v in origin) or None)
-    values = np.zeros(grid.shape())
-    cells = np.zeros(grid.shape(), dtype=bool)
     ncells = grid.n**grid.d
-    for ln in lines[1:1 + ncells]:
-        parts = ln.split()
-        if grid.d == 1:
-            i = int(parts[0])
-            values[i] = float(parts[1])
-            cells[i] = bool(int(parts[2]))
-        else:
-            i, j = int(parts[0]), int(parts[1])
-            values[i, j] = float(parts[2])
-            cells[i, j] = bool(int(parts[3]))
-    jumps = set()
-    for ln in lines[1 + ncells:]:
-        jumps.add(tuple(int(v) for v in ln.split()))
-    return SbvField(grid, values, frozenset(jumps)), ShapeMask(grid, cells)
+    cells = _table(lines[1:1 + ncells], grid.d + 2, "cell")
+    faces = _whole(_table(lines[1 + ncells:], grid.d + 1, "face"), "face indices")
+    if len(cells) != ncells:
+        raise ValueError(f"{len(cells)} cell lines for {ncells} cells")
+    idx = _whole(cells[:, :grid.d], "cell indices")
+    outside = np.any((idx < 0) | (idx >= grid.n), axis=1)
+    if np.any(outside):
+        raise ValueError(f"cell {tuple(idx[outside][0].tolist())} is outside the grid")
+    flat = np.ravel_multi_index(tuple(idx.T), grid.shape())
+    if len(np.unique(flat)) != ncells:
+        raise ValueError("a cell has more than one line")
+    flags = cells[:, -1]
+    if np.any((flags != 0) & (flags != 1)):
+        raise ValueError("mask flags must be 0 or 1")
+    values = np.zeros(ncells)
+    values[flat] = cells[:, grid.d]
+    in_omega = np.zeros(ncells, dtype=bool)
+    in_omega[flat] = flags == 1
+    field = SbvField(grid, values.reshape(grid.shape()), _jump_arrays(grid, faces))
+    return field, ShapeMask(grid, in_omega)

@@ -4,7 +4,8 @@ Nothing here calls into robinshape's solvers: eigenvalues come from
 transcendental root-finding on the known radial solutions (cosine in 1d,
 Bessel J0 in 2d), thresholds from extended-precision formula evaluation,
 inner solves from LAPACK banded factorizations and sparse direct solves,
-and staircase boundary faces from a face-by-face walk over Python tuples.
+staircase boundary faces from a face-by-face walk over Python tuples, and
+gradients and jump sums of SBV fields from loops over single cells and faces.
 """
 
 import math
@@ -290,3 +291,78 @@ def robin_solve_direct(cells, h, f, gc, W):
     for c, k in idx.items():
         out[c] = x[k]
     return out
+
+
+# ---------------------------------------------------------------------------
+# SBV fields cell by cell and face by face: the loop forms of the array code
+
+def face_tuples(jumps):
+    """Flagged faces of per-axis jump arrays as sorted tuples (axis, i[, j])."""
+    return [(ax, *(int(v) for v in pos)) for ax, j in enumerate(jumps)
+            for pos in zip(*np.nonzero(j))]
+
+
+def discrete_gradient(field, cell):
+    """Gradient vector at one cell: per axis the mean of the two one-sided
+    differences when neither face is flagged, the open one when one is,
+    zero when both are; the field is zero outside the box."""
+    g = field.grid
+    cell = tuple(int(c) for c in np.atleast_1d(cell))
+    u = field.values
+    out = np.zeros(g.d)
+    for ax in range(g.d):
+        lo, hi = list(cell), list(cell)
+        lo[ax] -= 1
+        hi[ax] += 1
+        # face k of an axis lies below cell k, so cell and hi index the
+        # cell's lower and upper face
+        om = not field.jumps[ax][cell]
+        op = not field.jumps[ax][tuple(hi)]
+        um = u[tuple(lo)] if lo[ax] >= 0 else 0.0
+        up = u[tuple(hi)] if hi[ax] < g.n else 0.0
+        dm = (u[cell] - um) / g.h
+        dp = (up - u[cell]) / g.h
+        if om and op:
+            out[ax] = 0.5 * (dm + dp)
+        elif om:
+            out[ax] = dm
+        elif op:
+            out[ax] = dp
+    return out
+
+
+def face_traces(field, face):
+    """Values on the lower and upper side of a face (0 outside the box) and
+    the face centre."""
+    g = field.grid
+    axis, pos = face[0], list(face[1:])
+    below = list(pos)
+    below[axis] -= 1
+    a = float(field.values[tuple(below)]) if below[axis] >= 0 else 0.0
+    b = float(field.values[tuple(pos)]) if pos[axis] < g.n else 0.0
+    x = np.array([g.origin[k] + (pos[k] + (0.0 if k == axis else 0.5)) * g.h
+                  for k in range(g.d)])
+    return a, b, x
+
+
+def sbv_sums_reference(model, field, b, p):
+    """(free-discontinuity energy, BV norm, Poincare left-hand side with
+    coefficient b and exponent p) of a field, one cell and one face at a
+    time with the scalar densities eval_j and eval_g."""
+    from robinshape.model import eval_g, eval_j
+    g = field.grid
+    F = bv = lhs = 0.0
+    centers = g.centers()
+    for cell in np.ndindex(*g.shape()):
+        z = discrete_gradient(field, cell)
+        zn = float(np.sqrt(np.dot(z, z)))
+        if field.values[cell] != 0.0:
+            F += eval_j(model, centers[cell], field.values[cell], z) * g.cell_volume
+        bv += zn * g.cell_volume
+        lhs += zn**p * g.cell_volume
+    for face in face_tuples(field.jumps):
+        ta, tb, x = face_traces(field, face)
+        F += (eval_g(model, x, ta) + eval_g(model, x, tb)) * g.face_weight
+        bv += abs(ta - tb) * g.face_weight
+        lhs += b * (abs(ta) ** p + abs(tb) ** p) * g.face_weight
+    return F, bv, lhs

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import robinshape
 from robinshape import radial
 from robinshape.model import IntegrandModel
 from robinshape.radial import (RadialConvergenceError, RadialEigenvalueQuery,
@@ -43,6 +44,7 @@ def test_batched_queries_match_oracles_and_single_queries():
     queries.insert(3, RadialEigenvalueQuery(d=2, R=1.0, b=1.0, grad_exp=3.0,
                                             bdry_exp=3.0, denom_exp=3.0,
                                             mesh_n=128))
+    assert robinshape.robin_eigenvalues_ball is robin_eigenvalues_ball
     sols = robin_eigenvalues_ball(queries)
     assert [s.meta["method"] for s in sols] == ["shooting"] * 3 + \
         ["rayleigh-descent"] + ["shooting"] * 3

@@ -5,9 +5,9 @@ import pytest
 
 from robinshape.model import IntegrandModel
 from robinshape.pdesolve import SolverConfig, solve_inner
+from robinshape.radial import RadialSolution
 from robinshape.sbvgrid import (Grid, SbvField, ShapeMask, boundary_faces,
-                                bv_norm, discrete_gradient,
-                                eval_free_discontinuity,
+                                bv_norm, eval_free_discontinuity,
                                 eval_shape_functional, gradient_field,
                                 perimeter, poincare_check, read_field_text,
                                 reduction_check, support_jumps,
@@ -38,7 +38,7 @@ def test_gradient_linear_field_is_exact():
     fld = SbvField.from_values(grid, x)
     g = gradient_field(fld)[:, 0]
     assert np.max(np.abs(g[1:-1] - 1.0)) < 1e-12
-    assert discrete_gradient(fld, (5,))[0] == pytest.approx(1.0, abs=1e-12)
+    assert oracles.discrete_gradient(fld, (5,))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gradient_step_carried_by_jump():
@@ -57,14 +57,32 @@ def test_gradient_single_cell_matches_field():
     fld = SbvField.from_values(grid, vals, extra_jumps=[(0, 4, 2), (1, 3, 5)])
     full = gradient_field(fld)
     for cell in [(0, 0), (4, 2), (3, 4), (3, 5), (7, 7), (2, 2)]:
-        assert np.allclose(discrete_gradient(fld, cell), full[cell])
+        assert np.allclose(oracles.discrete_gradient(fld, cell), full[cell])
+
+
+def test_extra_jumps_off_the_grid_rejected():
+    grid1 = Grid(1, 8, 0.125)
+    vals1 = np.ones(8)
+    grid2 = Grid(2, 8, 0.125)
+    vals2 = np.ones((8, 8))
+    # the last face of each axis closes the box and is accepted
+    SbvField.from_values(grid1, vals1, [(0, 0), (0, 8)])
+    SbvField.from_values(grid2, vals2, [(0, 8, 7), (1, 7, 8)])
+    bad1 = [[(5, 2)], [(0, -1)], [(0, 9)], [(-1, 3)], [(0, 2, 3)], [(0,)],
+            [(0, 2.5)], [(0, 1), (0, 1, 2)]]
+    bad2 = [[(2, 3, 3)], [(0, 9, 0)], [(0, 3, 8)], [(1, 8, 3)], [(1, 3, -1)],
+            [(1, 3)], [(0, 1, 1), (1, 2)]]
+    for grid, vals, cases in ((grid1, vals1, bad1), (grid2, vals2, bad2)):
+        for faces in cases:
+            with pytest.raises(ValueError):
+                SbvField.from_values(grid, vals, faces)
 
 
 def test_support_boundary_must_be_flagged():
     grid = Grid(1, 8, 0.125)
     vals = np.zeros(8)
     vals[2:5] = 1.0
-    fld = SbvField(grid, vals, frozenset())  # bypass auto flagging
+    fld = SbvField(grid, vals, (np.zeros(9, bool),))  # bypass auto flagging
     with pytest.raises(ValueError):
         eval_free_discontinuity(slab_model(), fld)
 
@@ -123,12 +141,36 @@ def test_free_discontinuity_insertion_order_invariant():
     n = 32
     grid = Grid(1, n, 1.0 / n)
     vals = np.where(rng.random(n) < 0.7, rng.uniform(0.5, 1.5, n), 0.0)
-    jumps = sorted(support_jumps(grid, vals) | {(0, 5), (0, 9)})
+    support = oracles.face_tuples(support_jumps(grid, vals))
+    jumps = sorted(set(support) | {(0, 5), (0, 9)})
     m = slab_model()
-    vals_ref = eval_free_discontinuity(m, SbvField(grid, vals, frozenset(jumps)))
+    vals_ref = eval_free_discontinuity(m, SbvField.from_values(grid, vals, jumps))
     shuffled = [jumps[i] for i in rng.permutation(len(jumps))]
-    assert eval_free_discontinuity(m, SbvField(grid, vals, frozenset(shuffled))) \
+    assert eval_free_discontinuity(m, SbvField.from_values(grid, vals, shuffled)) \
         == vals_ref
+
+
+def test_array_sums_match_face_loop_reference():
+    # 2d, interior jumps between nonzero cells, callable beta and source
+    rng = np.random.default_rng(17)
+    n = 12
+    grid = Grid(2, n, 1.0 / n, origin=(-0.3, 0.2))
+    vals = np.where(rng.random((n, n)) < 0.75,
+                    rng.uniform(-1.0, 2.0, (n, n)), 0.0)
+    extra = [(0, 3, 4), (0, 6, 6), (0, 9, 1), (1, 5, 2), (1, 7, 9), (1, 2, 2)]
+    fld = SbvField.from_values(grid, vals, extra)
+    model = IntegrandModel(
+        p=2.5, q=2.0, L=0.7, c0=0.3, f=lambda x: 1.0 + x[..., 0],
+        beta1=lambda x: 1.0 + x[..., 0] ** 2 + 0.5 * np.sin(3.0 * x[..., 1]))
+    b, p = 1.3, 2.5
+    F_ref, bv_ref, lhs_ref = oracles.sbv_sums_reference(model, fld, b, p)
+    # with lambda = 1 and alpha = p the ratio is LHS / sum |u|^p h^d
+    unit = lambda query: RadialSolution(1.0, np.zeros((0, 2)), {})
+    norm = float(np.sum(np.abs(vals) ** p)) * grid.cell_volume
+    lhs = poincare_check(fld, b, p, p, eig=unit) * norm
+    assert eval_free_discontinuity(model, fld) == pytest.approx(F_ref, rel=1e-13)
+    assert bv_norm(fld) == pytest.approx(bv_ref, rel=1e-13)
+    assert lhs == pytest.approx(lhs_ref, rel=1e-13)
 
 
 # ----------------------------------------------------------------- perimeter
@@ -373,7 +415,8 @@ def test_field_roundtrip(tmp_path):
         fld2, mask2 = read_field_text(str(path))
         assert fld2.grid == grid and fld2.grid.origin == grid.origin
         assert np.array_equal(fld2.values, fld.values)
-        assert fld2.jumps == fld.jumps
+        assert len(fld2.jumps) == d
+        assert all(np.array_equal(a, b) for a, b in zip(fld2.jumps, fld.jumps))
         assert np.array_equal(mask2.cells, mask.cells)
         # rewriting what was read gives the same bytes
         write_field_text(str(tmp_path / "again.txt"), fld2, mask2)
@@ -386,7 +429,45 @@ def test_field_header_without_origin_reads_at_zero(tmp_path):
     fld, mask = read_field_text(str(path))
     assert fld.grid == Grid(1, 4, 0.25) and fld.grid.origin == (0.0,)
     assert np.array_equal(fld.values, [0.0, 1.5, 2.5, 0.0])
-    assert fld.jumps == frozenset({(0, 1), (0, 3)})
+    assert oracles.face_tuples(fld.jumps) == [(0, 1), (0, 3)]
+
+
+def test_malformed_field_files_rejected(tmp_path):
+    good1 = ["1 4 0.25 0.0", "0 0.0 0", "1 1.5 1", "2 2.5 1", "3 0.0 0",
+             "0 1", "0 3"]
+    good2 = ["2 4 0.25 0.0 0.0"] + [f"{i} {j} 1.0 1" for i in range(4)
+                                    for j in range(4)] + ["0 0 0", "1 3 4"]
+    cases = [
+        (good1, 4, "-1 0.0 0"),    # a negative cell index
+        (good1, 4, "2 2.5 1"),     # a repeated cell line
+        (good1, 4, None),          # a missing cell line
+        (good1, 5, "0 99"),        # a face outside the box
+        (good1, 5, "5 2"),         # a face with a bad axis
+        (good1, 5, "0 -1"),        # a negative face index
+        (good1, 2, "1 1.5 2"),     # a mask flag other than 0 or 1
+        (good1, 2, "1 1.5 1 7"),   # a cell line with too many tokens
+        (good1, 2, "1 1.5"),       # a cell line with too few tokens
+        (good1, 6, "0 1 2"),       # a face line with too many tokens
+        (good1, 2, "1.5 1.5 1"),   # a cell index that is not an integer
+        (good2, 17, "0 2 4"),      # a face outside the box, off its axis
+        (good2, 17, "2 1 1"),      # a face with a bad axis
+        (good2, 18, "1 3"),        # a face line with too few tokens
+        (good2, 3, "1 4 1.0 1"),   # a cell index outside the box
+    ]
+    for good in (good1, good2):
+        path = tmp_path / "good.txt"
+        path.write_text("\n".join(good) + "\n")
+        read_field_text(str(path))
+    for k, (good, line, repl) in enumerate(cases):
+        lines = list(good)
+        if repl is None:
+            del lines[line]
+        else:
+            lines[line] = repl
+        path = tmp_path / f"bad{k}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_field_text(str(path))
 
 
 def test_grid_validation():
