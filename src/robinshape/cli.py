@@ -44,16 +44,6 @@ class Key:
     help: str = ""
 
     def parse(self, raw, name):
-        if self.typ is bool:
-            if isinstance(raw, bool):
-                val = raw
-            elif str(raw).lower() in ("1", "true", "yes"):
-                val = True
-            elif str(raw).lower() in ("0", "false", "no"):
-                val = False
-            else:
-                raise UsageError(f"{name}: cannot parse boolean from {raw!r}")
-            return val
         try:
             val = self.typ(raw)
         except (TypeError, ValueError):

@@ -190,8 +190,8 @@ def check_admissible(model: IntegrandModel, domain_volume: float, d: int,
     """
     if domain_volume <= 0:
         raise ValueError("domain_volume must be positive")
+    from . import radial
     if eig is None:
-        from . import radial
         eig = radial.robin_eigenvalue_ball
 
     pts = _sample_points(domain_volume, d, n_samples)
@@ -223,11 +223,11 @@ def check_admissible(model: IntegrandModel, domain_volume: float, d: int,
     f2_need = f_sup * (sstar - sstar**q)
     f2_margin = float(np.min(a_s)) + model.c0 - f2_need
     f2_ok = (f_min >= 0.0) and (f2_margin >= -1e-12)
-    ball_R = _ball_radius(domain_volume, d)
+    ball_R = radial.ball_radius(d, domain_volume)
     try:
-        from .radial import RadialEigenvalueQuery
-        sol = eig(RadialEigenvalueQuery(d=d, R=ball_R, b=b1_min / model.L,
-                                        grad_exp=q, bdry_exp=q, denom_exp=q))
+        sol = eig(radial.RadialEigenvalueQuery(d=d, R=ball_R, b=b1_min / model.L,
+                                               grad_exp=q, bdry_exp=q,
+                                               denom_exp=q))
         lam = float(sol.lam)
         bound = model.grad_coeff / (2.0 * q) * lam
         f22_ok = f_sup <= bound
@@ -272,9 +272,3 @@ def check_admissible(model: IntegrandModel, domain_volume: float, d: int,
         "g4", "pass" if gap >= 0.0 else "fail",
         f"min (beta2-beta1) = {gap:.6g}, max beta2 = {float(np.max(b2_s)):.6g}"))
     return rep
-
-
-def _ball_radius(volume: float, d: int) -> float:
-    """Radius of the d-ball with the given volume."""
-    omega = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-    return (volume / omega) ** (1.0 / d)

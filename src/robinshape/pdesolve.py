@@ -12,8 +12,13 @@ assembles its sparse matrix from the same arrays.  Zero initial guess
 always, and every vector reduction is a numpy add.reduce (np.sum, or
 ndarray.sum in the CG loop; BLAS calls would thread and sum in another
 order), so results are reproducible bit for bit.  The CG iteration updates
-its vectors in place, and without a preconditioner it reuses the residual's
-r.r as the next r.z.
+its vectors in place and reuses the residual's r.r in the next step.
+
+The face energy (`_face_energy`, `energy_of`) is the package's one discrete
+functional: Lg ((u_hi - u_lo)^2/h^2 + eta^2)^(p/2) h^d per interior face,
+-f u h^d per cell, and Bg (u^2 + eta^2)^(q/2) times the boundary weight
+per boundary face, plus c0 |mask|.  The reported J is this energy with the
+solver's eta and boundary weights.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ class SolverConfig:
     max_iter: int | None = None
     eta: float | None = None
     mode: str = "auto"  # "linear-cg" | "nonlinear-descent" | "auto"
-    precondition: bool = False
     weights: str = "auto"
 
     def __post_init__(self):
@@ -123,31 +127,24 @@ def _solve_cg(model, asm, fc, bcw, config, cap):
     u = np.zeros(asm.m)
     if bnorm == 0.0:
         return u, {"iterations": 0, "residual": 0.0, "mode": "linear-cg"}
-    minv = 1.0 / np.where(diag > 0, diag, 1.0) if config.precondition else None
 
     r = rhs.copy()
-    z = r * minv if minv is not None else r
-    p = z.copy()
-    rz = float((r * z).sum())
+    p = r.copy()
+    rr = float((r * r).sum())
     res = bnorm
     for it in range(1, cap + 1):
         Ap = apply_A(p)
-        alpha = rz / float((p * Ap).sum())
+        alpha = rr / float((p * Ap).sum())
         u += alpha * p
         r -= alpha * Ap
-        rr = float((r * r).sum())
-        res = float(np.sqrt(rr))
+        rr_new = float((r * r).sum())
+        res = float(np.sqrt(rr_new))
         if res <= config.tol * bnorm:
             return u, {"iterations": it, "residual": res / bnorm,
                        "mode": "linear-cg"}
-        if minv is None:  # z is r
-            rz_new = rr
-        else:
-            z = r * minv
-            rz_new = float((r * z).sum())
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
+        p *= rr_new / rr
+        p += r
+        rr = rr_new
     raise SolverError(f"CG did not converge in {cap} iterations",
                       residual=res / bnorm, iterations=cap)
 
@@ -248,7 +245,8 @@ def _solve_descent(model, asm, fc, bcw, eta, config, cap):
 def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField,
               eta: float = 0.0, weights: str = "auto") -> float:
     """Face-based fixed-support energy of a field, including the volume term
-    c0*|mask|; the solver's objective up to that constant."""
+    c0*|mask|: the solver's objective up to that constant, and the shape
+    functional J when eta and weights are the solver's."""
     asm = mask_assembly(mask)
     fc = asm.gather(model.f_at(field.grid.centers()))
     energy, _ = _face_energy(model, asm, fc,

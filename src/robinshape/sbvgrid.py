@@ -18,6 +18,15 @@ A shape mask's boundary faces, its cells' neighbours and its surface
 weights live in arrays, in one `MaskAssembly` per mask that the solvers,
 the shape energy and the perimeter share; `boundary_faces` is a view of it
 as (face tuple, weight) pairs.
+
+One discrete functional scores a shape: the solver's face energy
+(`pdesolve.energy_of`), with face differences (u_hi - u_lo)/h between
+neighbouring mask cells, the solver's boundary weights and the solver's eta.
+`shape_energy`, `eval_shape_functional` and the annealer's re-solves all
+report it.  The free-discontinuity functional F uses the same face
+differences on unflagged faces, so F(u) = J({u != 0}) at the minimiser
+when u has no interior jumps (uncorrected weights, eta = 0).  The
+cell-centred `gradient_field` serves only `poincare_check` and `bv_norm`.
 """
 
 from __future__ import annotations
@@ -175,8 +184,7 @@ class SbvField:
             raise ValueError("value array shape does not match grid")
         if [np.shape(j) for j in self.jumps] != _face_shapes(self.grid):
             raise ValueError("jump arrays do not match the grid's faces")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field has non-finite values")
+        _check_finite(self)
         support = support_jumps(self.grid, self.values)
         axes, pos = _flagged([s & ~j for s, j in zip(support, self.jumps)])
         if len(axes):
@@ -186,6 +194,11 @@ class SbvField:
 
     def support_volume(self) -> float:
         return float(np.count_nonzero(self.values)) * self.grid.cell_volume
+
+
+def _check_finite(field: SbvField):
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError("field has non-finite values")
 
 
 def _gradient(field: SbvField):
@@ -217,22 +230,27 @@ def gradient_field(field: SbvField) -> np.ndarray:
     return _gradient(field)[0]
 
 
-def _bulk_energy(model: IntegrandModel, field: SbvField, grads, cells) -> float:
-    """Integral of j(x, u, grad u) over the given cells."""
-    g = field.grid
-    gn = np.sqrt(np.sum(grads * grads, axis=-1))
-    fvals = model.f_at(g.centers())
-    dens = model.grad_coeff * gn**model.p - fvals * field.values + model.c0
-    return float(np.sum(dens[cells])) * g.cell_volume
-
-
 def eval_free_discontinuity(model: IntegrandModel, field: SbvField) -> float:
-    """Bulk integral of j over the support plus the jump-face sum of
-    g(x, u+) + g(x, u-), with face traces taken from the adjacent cells."""
+    """Free-discontinuity functional F(u): Lg |du/h|^p on every unflagged
+    face and -f u + c0 on every support cell, times h^d, plus
+    g(x, u+) + g(x, u-) times h^(d-1) on every flagged face, with face traces
+    taken from the adjacent cells.  For a field without interior jumps this
+    is the solver's energy (`pdesolve.energy_of`) at eta = 0 with uncorrected
+    boundary weights."""
     field.validate()
     g = field.grid
-    grads, a, b = _gradient(field)
-    total = _bulk_energy(model, field, grads, field.values != 0.0)
+    total = 0.0
+    below, above = [], []
+    for ax, jumps in enumerate(field.jumps):
+        lo, hi = _face_sides(field.values, ax)
+        dd = (hi[~jumps] - lo[~jumps]) / g.h
+        total += model.grad_coeff * float(np.sum(np.abs(dd) ** model.p)) * g.cell_volume
+        below.append(lo[jumps])
+        above.append(hi[jumps])
+    support = field.values != 0.0
+    fvals = model.f_at(g.centers())[support]
+    total += float(np.sum(model.c0 - fvals * field.values[support])) * g.cell_volume
+    a, b = np.concatenate(below), np.concatenate(above)
     x = _face_centers(g, *_flagged(field.jumps))
     g_term = model.bdry_coeff(x) * (np.abs(a) ** model.q + np.abs(b) ** model.q)
     return total + float(np.sum(g_term * g.face_weight))
@@ -442,8 +460,8 @@ def mask_assembly(mask: ShapeMask) -> MaskAssembly:
 
     A one-slot memo, keyed on the grid and the cell content rather than on
     the mask object (which the annealer flips in place), lets the solver,
-    the shape energy, the annealer's frozen energy and the perimeter of one
-    re-solve sweep share one assembly.
+    the shape energy and the perimeter of one re-solve sweep share one
+    assembly.
     """
     global _memo
     key = (mask.grid, mask.cells.tobytes())
@@ -476,30 +494,31 @@ def perimeter(mask: ShapeMask, mode: str = "auto") -> float:
 
 def shape_energy(model: IntegrandModel, mask: ShapeMask, field: SbvField,
                  mode: str = "auto") -> float:
-    """Shape functional at a given inner field: bulk j over the mask plus the
-    boundary g-term at the inner traces (the outer trace is zero and g(x,0)=0)."""
-    total = _bulk_energy(model, field, gradient_field(field), mask.cells)
-    asm = mask_assembly(mask)
-    inner = asm.gather(field.values)[asm.inner]
-    if not np.all(np.isfinite(inner)):
-        raise ValueError("shape energy needs finite boundary traces")
-    g_term = model.bdry_coeff(asm.centers) * np.abs(inner) ** model.q
-    return total + float(np.sum(g_term * asm.weights(mode)))
+    """Shape functional at a given inner field: the solver's face energy
+    `pdesolve.energy_of` with boundary weights `mode` and eta as the default
+    solver resolves it (0 for p = q = 2, else 1e-6)."""
+    from .pdesolve import SolverConfig, energy_of
+    _check_finite(field)
+    _, eta = SolverConfig(weights=mode).resolve(model)
+    return energy_of(model, mask, field, eta, mode)
 
 
-def eval_shape_functional(model: IntegrandModel, mask: ShapeMask, inner=None,
-                          mode: str = "auto"):
-    """Inner-minimize on the mask, then evaluate the shape functional.
+def eval_shape_functional(model: IntegrandModel, mask: ShapeMask, inner=None):
+    """Inner-minimize on the mask, then evaluate the shape functional with
+    the solver's eta and boundary weights.
 
     `inner` is a SolverConfig (None for defaults) or a callable
-    (model, grid, mask) -> SbvField.  Returns (J, field).
+    (model, grid, mask) -> SbvField, whose field is scored as the default
+    solver's would be.  Returns (J, field).
     """
-    from . import pdesolve
+    from .pdesolve import SolverConfig, energy_of, solve_inner
     if callable(inner):
-        field = inner(model, mask.grid, mask)
+        config, field = SolverConfig(), inner(model, mask.grid, mask)
     else:
-        field = pdesolve.solve_inner(model, mask.grid, mask, inner)
-    return shape_energy(model, mask, field, mode), field
+        config = inner if inner is not None else SolverConfig()
+        field = solve_inner(model, mask.grid, mask, config)
+    _, eta = config.resolve(model)
+    return energy_of(model, mask, field, eta, config.weights), field
 
 
 def reduction_check(model: IntegrandModel, field: SbvField, solver=None) -> float:
@@ -520,6 +539,7 @@ def poincare_check(field: SbvField, b: float, p: float, alpha: float,
     m = field.support_volume()
     if m <= 0.0:
         raise ValueError("field has empty support")
+    _check_finite(field)
     grads, ta, tb = _gradient(field)
     gn = np.sqrt(np.sum(grads * grads, axis=-1))
     lhs = float(np.sum(gn**p)) * g.cell_volume
@@ -536,6 +556,7 @@ def poincare_check(field: SbvField, b: float, p: float, alpha: float,
 
 def bv_norm(field: SbvField) -> float:
     """Discrete BV norm: L1 gradient plus total jump mass."""
+    _check_finite(field)
     g = field.grid
     grads, a, b = _gradient(field)
     gn = np.sqrt(np.sum(grads * grads, axis=-1))
@@ -610,4 +631,5 @@ def read_field_text(path) -> tuple[SbvField, ShapeMask]:
     in_omega = np.zeros(ncells, dtype=bool)
     in_omega[flat] = flags == 1
     field = SbvField(grid, values.reshape(grid.shape()), _jump_arrays(grid, faces))
+    field.validate()
     return field, ShapeMask(grid, in_omega)

@@ -1,13 +1,16 @@
 """Outer minimization over shapes by seeded cell-flip annealing.
 
-Between full inner re-solves the accept/reject decisions use O(1) energy
-deltas computed at the frozen field (a biased estimate of the true change);
-best-shape bookkeeping only trusts exact re-solved energies, so reported
-results stay unbiased.  Proposals run on flat cell indices c = i*n + j:
-neighbours and face coefficients come from index arithmetic, and each delta
-is a sum of Python floats in a fixed order.  All randomness flows through
-one counter-based Philox generator keyed by the schedule seed: runs are
-bit-reproducible.
+Every re-solve scores the mask with the solver's own face energy
+(`pdesolve.energy_of` at the solver's eta and boundary weights), the one
+functional the package reports.  Between re-solves the accept/reject
+decisions use O(1) energy deltas computed at the frozen field, with
+uncorrected face weights (a biased estimate of the true change); the trace
+J of those sweeps is the last exact J plus the accepted deltas.  Best-shape
+bookkeeping only trusts exact re-solved energies.  Proposals run on flat
+cell indices c = i*n + j: neighbours and face coefficients come from index
+arithmetic, and each delta is a sum of Python floats in a fixed order.
+All randomness flows through one counter-based Philox generator keyed by
+the schedule seed: runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import numpy as np
 from scipy import ndimage
 
 from .model import IntegrandModel
-from .pdesolve import SolverConfig, SolverError, solve_inner
-from .sbvgrid import (Grid, SbvField, ShapeMask, bv_norm, mask_assembly,
-                      perimeter, shape_energy)
+from .pdesolve import SolverConfig, SolverError, energy_of, solve_inner
+from .sbvgrid import (Grid, SbvField, ShapeMask, _face_centers, _face_shapes,
+                      _lower, _upper, bv_norm, perimeter, shape_energy,
+                      support_jumps)
 
 TRACE_COLUMNS = ("sweep", "J", "volume", "perimeter", "ess_inf", "sup",
                  "accepted_flips", "components")
@@ -56,10 +60,6 @@ class OptimizationTrace:
         self.rows.append(tuple(float(v) if isinstance(v, (float, np.floating))
                                else int(v) for v in row))
 
-    def csv_rows(self):
-        return [TRACE_COLUMNS] + [tuple(repr(v) if isinstance(v, float) else str(v)
-                                        for v in row) for row in self.rows]
-
 
 class ShapeOptError(RuntimeError):
     def __init__(self, msg, trace: OptimizationTrace | None = None):
@@ -74,21 +74,14 @@ def component_count(mask: ShapeMask) -> int:
     return int(k)
 
 
-def _face_coeff_arrays(model: IntegrandModel, grid: Grid):
-    """Boundary g-coefficients sampled at every face center, per axis."""
-    h, org = grid.h, grid.origin
-    if grid.d == 1:
-        x = org[0] + np.arange(grid.n + 1) * h
-        return (model.bdry_coeff(x[:, None]),)
-    xi = org[0] + np.arange(grid.n + 1) * h
-    yj = org[1] + (np.arange(grid.n) + 0.5) * h
-    X, Y = np.meshgrid(xi, yj, indexing="ij")
-    bc0 = model.bdry_coeff(np.stack([X, Y], axis=-1))
-    xi2 = org[0] + (np.arange(grid.n) + 0.5) * h
-    yj2 = org[1] + np.arange(grid.n + 1) * h
-    X2, Y2 = np.meshgrid(xi2, yj2, indexing="ij")
-    bc1 = model.bdry_coeff(np.stack([X2, Y2], axis=-1))
-    return bc0, bc1
+def _face_coeff_arrays(model: IntegrandModel, grid: Grid) -> list:
+    """Boundary g-coefficients at every face centre, one flat array per axis
+    in the order of the axis's face array."""
+    out = []
+    for ax, shape in enumerate(_face_shapes(grid)):
+        pos = np.indices(shape).reshape(grid.d, -1).T
+        out.append(model.bdry_coeff(_face_centers(grid, np.full(len(pos), ax), pos)))
+    return out
 
 
 def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
@@ -99,13 +92,13 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
     if solver is None:
         solver = SolverConfig()
     rng = np.random.Generator(np.random.Philox(key=sched.seed))
-    mode, eta = solver.resolve(model)
+    _, eta = solver.resolve(model)
     gc = model.grad_coeff
     p, q = model.p, model.q
     h, vol, wunc = grid.h, grid.cell_volume, grid.face_weight
     n, c0, e2, p2 = grid.n, model.c0, eta * eta, p / 2.0
     fvals = model.f_at(grid.centers()).reshape(-1)
-    bcs = [b.reshape(-1) for b in _face_coeff_arrays(model, grid)]
+    bcs = _face_coeff_arrays(model, grid)
     trace = OptimizationTrace()
 
     # u, fvals and cf (a view of the mask's cells) are flat and read with
@@ -116,18 +109,7 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
 
     def resolve():
         fld = solve_inner(model, grid, mask, solver)
-        return fld, shape_energy(model, mask, fld, solver.weights)
-
-    def frozen_energy(u):
-        # face-based energy at the frozen field plus the volume term
-        asm = mask_assembly(mask)
-        x = asm.gather(u)
-        E = model.c0 * mask.volume() - float(np.sum(asm.gather(fvals) * x)) * vol
-        for lo, hi in asm.links:
-            dd = (x[hi] - x[lo]) / h
-            E += float(np.sum((dd * dd + eta * eta) ** (p / 2))) * gc * vol
-        g_term = model.bdry_coeff(asm.centers) * np.abs(x[asm.inner]) ** q
-        return E + float(np.sum(g_term)) * wunc
+        return fld, energy_of(model, mask, fld, eta, solver.weights)
 
     def neighbors(c):
         """(neighbour in the mask or None, face coefficient) per face of c."""
@@ -175,17 +157,10 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
         return dE, u_est
 
     def band_candidates():
-        if grid.d == 1:
-            pad = np.zeros(grid.n + 2, dtype=bool)
-            pad[1:-1] = cells
-            edge = pad[:-2] != pad[1:-1]
-            edge |= pad[1:-1] != pad[2:]
-        else:
-            pad = np.zeros((grid.n + 2, grid.n + 2), dtype=bool)
-            pad[1:-1, 1:-1] = cells
-            c = pad[1:-1, 1:-1]
-            edge = (c != pad[:-2, 1:-1]) | (c != pad[2:, 1:-1]) \
-                | (c != pad[1:-1, :-2]) | (c != pad[1:-1, 2:])
+        # cells with a face on the mask boundary (the box edge included)
+        edge = np.zeros(grid.shape(), dtype=bool)
+        for ax, j in enumerate(support_jumps(grid, cells)):
+            edge |= _lower(j, ax) | _upper(j, ax)
         return set(np.flatnonzero(edge).tolist())
 
     try:
@@ -195,7 +170,7 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
     u = field.values.flatten()
     best = (J_exact, mask.copy(), field)
     trace.best_J.append(J_exact)
-    E_frozen = frozen_energy(u)
+    E_frozen = J_exact
     trace.add(0, J_exact, mask.volume(), perimeter(mask, solver.weights),
               _essinf(u, cf), float(np.max(u, initial=0.0)), 0,
               component_count(mask))
@@ -233,7 +208,7 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
                 raise ShapeOptError(f"inner solve failed at sweep {sweep}: {exc}",
                                     trace) from exc
             u = field.values.flatten()
-            E_frozen = frozen_energy(u)
+            E_frozen = J_exact
             if J_exact < best[0]:
                 best = (J_exact, mask.copy(), field)
             trace.best_J.append(min(trace.best_J[-1], J_exact))
@@ -252,7 +227,8 @@ def diagnostics(model: IntegrandModel, mask: ShapeMask, field: SbvField,
                 mode: str = "auto") -> dict:
     """Scalar summary of an inner-minimized shape: energy, volume, boundary
     measure, field bounds, and the perimeter-vs-BV-norm inequality.  The
-    energy and the boundary measure use the boundary weights `mode`."""
+    energy is `shape_energy` (the default solver's face energy) and, with
+    the boundary measure, uses the boundary weights `mode`."""
     if mask.count() == 0:
         return {"J": 0.0, "volume": 0.0, "perimeter": 0.0, "ess_inf_support": 0.0,
                 "sup": 0.0, "components": 0, "bv_norm": 0.0,

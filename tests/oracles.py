@@ -5,7 +5,8 @@ transcendental root-finding on the known radial solutions (cosine in 1d,
 Bessel J0 in 2d), thresholds from extended-precision formula evaluation,
 inner solves from LAPACK banded factorizations and sparse direct solves,
 staircase boundary faces from a face-by-face walk over Python tuples, and
-gradients and jump sums of SBV fields from loops over single cells and faces.
+gradients, face differences and jump sums of SBV fields from loops over
+single cells and faces.
 """
 
 import math
@@ -348,7 +349,10 @@ def face_traces(field, face):
 def sbv_sums_reference(model, field, b, p):
     """(free-discontinuity energy, BV norm, Poincare left-hand side with
     coefficient b and exponent p) of a field, one cell and one face at a
-    time with the scalar densities eval_j and eval_g."""
+    time: F takes j(x, u, 0) = -f u + c0 per support cell, Lg |du/h|^p per
+    unflagged face and g(x, u+) + g(x, u-) per flagged face, with the
+    scalar densities eval_j and eval_g; the BV norm and the Poincare
+    left-hand side take the cell-centred gradient."""
     from robinshape.model import eval_g, eval_j
     g = field.grid
     F = bv = lhs = 0.0
@@ -357,12 +361,17 @@ def sbv_sums_reference(model, field, b, p):
         z = discrete_gradient(field, cell)
         zn = float(np.sqrt(np.dot(z, z)))
         if field.values[cell] != 0.0:
-            F += eval_j(model, centers[cell], field.values[cell], z) * g.cell_volume
+            F += eval_j(model, centers[cell], field.values[cell], 0.0) * g.cell_volume
         bv += zn * g.cell_volume
         lhs += zn**p * g.cell_volume
-    for face in face_tuples(field.jumps):
-        ta, tb, x = face_traces(field, face)
-        F += (eval_g(model, x, ta) + eval_g(model, x, tb)) * g.face_weight
-        bv += abs(ta - tb) * g.face_weight
-        lhs += b * (abs(ta) ** p + abs(tb) ** p) * g.face_weight
+    for ax, jumps in enumerate(field.jumps):
+        for pos in np.ndindex(*jumps.shape):
+            face = (ax, *pos)
+            ta, tb, x = face_traces(field, face)
+            if not jumps[pos]:
+                F += model.grad_coeff * abs((tb - ta) / g.h) ** model.p * g.cell_volume
+                continue
+            F += (eval_g(model, x, ta) + eval_g(model, x, tb)) * g.face_weight
+            bv += abs(ta - tb) * g.face_weight
+            lhs += b * (abs(ta) ** p + abs(tb) ** p) * g.face_weight
     return F, bv, lhs

@@ -72,8 +72,7 @@ def test_field_jumps_exactly_on_mask_boundary():
     assert np.all(fld.values[~mask.cells] == 0.0)
 
 
-@pytest.mark.parametrize("precondition", [False, True])
-def test_compressed_cg_matches_direct_sparse_solve(precondition):
+def test_compressed_cg_matches_direct_sparse_solve():
     # energy normalization: gradient coefficient 1/2, Robin coefficient 1.5/2
     model = slab_model(f=2.0, beta=1.5)
     for grid, cells in oracles.mask_zoo()[::3]:
@@ -86,7 +85,7 @@ def test_compressed_cg_matches_direct_sparse_solve(precondition):
             W[lo if min(lo) >= 0 and cells[lo] else tuple(pos)] += 0.75 * w
         ref = oracles.robin_solve_direct(cells, grid.h, 2.0, 0.5, W)
         fld = solve_inner(model, grid, mask,
-                          SolverConfig(tol=1e-12, precondition=precondition))
+                          SolverConfig(tol=1e-12))
         err = np.max(np.abs(fld.values - ref)) / np.max(np.abs(ref))
         assert err <= 1e-9
 

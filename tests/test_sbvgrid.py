@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from robinshape.model import IntegrandModel
-from robinshape.pdesolve import SolverConfig, solve_inner
+from robinshape.pdesolve import SolverConfig, energy_of, solve_inner
 from robinshape.radial import RadialSolution
 from robinshape.sbvgrid import (Grid, SbvField, ShapeMask, boundary_faces,
                                 bv_norm, eval_free_discontinuity,
                                 eval_shape_functional, gradient_field,
                                 perimeter, poincare_check, read_field_text,
-                                reduction_check, support_jumps,
-                                write_field_text)
+                                reduction_check, shape_energy,
+                                support_jumps, write_field_text)
 
 import oracles
 
@@ -301,6 +301,25 @@ def test_shape_functional_square_self_refinement():
     assert vals[0] == pytest.approx(vals[1], rel=0.02)
 
 
+@pytest.mark.parametrize("p, weights", [(2.0, "auto"), (2.0, "uncorrected"),
+                                        (3.0, "auto")])
+def test_reported_energy_is_the_solver_energy(p, weights):
+    # J is the solver's face energy at the solver's eta and weights, bit for
+    # bit, on every route that reports it
+    model = IntegrandModel(p=p, q=p, L=0.8, c0=0.3,
+                           f=lambda x: 1.0 + x[..., 0],
+                           beta1=lambda x: 0.5 + x[..., 0] ** 2,
+                           normalization="energy")
+    config = SolverConfig(tol=1e-6, weights=weights)
+    eta = config.resolve(model)[1]
+    for grid, cells in oracles.mask_zoo():
+        mask = ShapeMask(grid, cells)
+        J, fld = eval_shape_functional(model, mask, config)
+        E = energy_of(model, mask, fld, eta, weights)
+        assert J == E
+        assert shape_energy(model, mask, fld, weights) == E
+
+
 # ---------------------------------------------------------------- reduction
 
 def test_reduction_zero_field():
@@ -317,6 +336,20 @@ def test_reduction_minimizer_fixed_point():
     fld = solve_inner(model, grid, mask, SolverConfig())
     gap = reduction_check(model, fld)
     assert abs(gap) < 1e-10
+
+
+def test_free_discontinuity_equals_J_at_the_minimiser():
+    # without interior jumps F is the solver's energy at eta = 0 with
+    # uncorrected boundary weights, so the reduction gap closes
+    model = IntegrandModel(p=2, q=2, L=0.8, c0=0.3,
+                           f=lambda x: 1.0 + x[..., 0],
+                           beta1=lambda x: 0.5 + x[..., 0] ** 2,
+                           normalization="energy")
+    config = SolverConfig(tol=1e-12, weights="uncorrected")
+    for grid, cells in oracles.mask_zoo()[::4]:
+        mask = ShapeMask(grid, cells)
+        fld = solve_inner(model, grid, mask, config)
+        assert abs(reduction_check(model, fld, config)) <= 1e-10
 
 
 def test_reduction_random_fields_nonnegative():
@@ -385,6 +418,20 @@ def test_poincare_rejects_empty_support():
         poincare_check(SbvField.zero(grid), 1.0, 2.0, 2.0)
 
 
+def test_nonfinite_field_rejected():
+    grid = Grid(1, 8, 0.125)
+    vals = np.ones(8)
+    vals[3] = np.nan
+    fld = SbvField.from_values(grid, vals)
+    with pytest.raises(ValueError):
+        bv_norm(fld)
+    with pytest.raises(ValueError):
+        poincare_check(fld, 1.0, 2.0, 2.0)
+    vals[3] = np.inf
+    with pytest.raises(ValueError):
+        bv_norm(SbvField.from_values(grid, vals))
+
+
 # --------------------------------------------------------- BV norm and bound
 
 def test_perimeter_bounded_by_bv_over_essinf():
@@ -435,8 +482,11 @@ def test_field_header_without_origin_reads_at_zero(tmp_path):
 def test_malformed_field_files_rejected(tmp_path):
     good1 = ["1 4 0.25 0.0", "0 0.0 0", "1 1.5 1", "2 2.5 1", "3 0.0 0",
              "0 1", "0 3"]
+    # every cell at 1.0: all 16 faces of the box boundary are flagged
     good2 = ["2 4 0.25 0.0 0.0"] + [f"{i} {j} 1.0 1" for i in range(4)
-                                    for j in range(4)] + ["0 0 0", "1 3 4"]
+                                    for j in range(4)] \
+        + [f"0 {i} {j}" for i in (0, 4) for j in range(4)] \
+        + [f"1 {i} {j}" for i in range(4) for j in (0, 4)]
     cases = [
         (good1, 4, "-1 0.0 0"),    # a negative cell index
         (good1, 4, "2 2.5 1"),     # a repeated cell line
@@ -453,6 +503,8 @@ def test_malformed_field_files_rejected(tmp_path):
         (good2, 17, "2 1 1"),      # a face with a bad axis
         (good2, 18, "1 3"),        # a face line with too few tokens
         (good2, 3, "1 4 1.0 1"),   # a cell index outside the box
+        (good1[:6], 5, None),      # nonzero cells and no face lines at all
+        (good2, 32, None),         # a box face beside a nonzero cell missing
     ]
     for good in (good1, good2):
         path = tmp_path / "good.txt"

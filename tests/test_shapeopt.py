@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robinshape.model import IntegrandModel
-from robinshape.pdesolve import SolverConfig
+from robinshape.pdesolve import SolverConfig, energy_of
 from robinshape.sbvgrid import Grid, ShapeMask, boundary_faces
 from robinshape.shapeopt import (AnnealSchedule, ShapeOptError, component_count,
                                  diagnostics, optimize_shape)
@@ -155,7 +155,8 @@ def _reprs(rows):
 
 def test_small_2d_trajectory_is_pinned():
     # every column of every sweep, the repr of J, ess inf and sup included,
-    # as recorded from the tuple-based annealer and boundary walk
+    # as recorded from the tuple-based annealer and boundary walk (the J
+    # column re-recorded when J became the solver's face energy)
     model = IntegrandModel(p=2, q=2, c0=0.2, f=4.0, beta1=1.0,
                            normalization="energy")
     grid = Grid(2, 24, 1.0 / 24)
@@ -164,27 +165,27 @@ def test_small_2d_trajectory_is_pinned():
     _, _, trace = optimize_shape(model, grid,
                                  ShapeMask.disc(grid, (0.5, 0.5), 0.3), sched)
     recorded = [
-        (0, -0.30376509234101406, 0.2847222222222222, 1.8820725288970235,
+        (0, -0.3075245064281705, 0.2847222222222222, 1.8820725288970235,
          0.5980571570122625, 0.6843471480667621, 0, 1),
-        (1, -0.2937561727318819, 0.3211805555555555, 2.528656357729019,
+        (1, -0.37540666495933495, 0.3211805555555555, 2.528656357729019,
          0.0, 0.6843471480667621, 21, 4),
-        (2, -0.3696844243078023, 0.34375, 3.280871630052534,
+        (2, -0.3747331225379642, 0.34375, 3.280871630052534,
          0.041666666666666734, 0.7194118331608571, 19, 8),
-        (3, -0.3475657193588798, 0.3611111111111111, 4.4477300361347325,
+        (3, -0.3883252444290731, 0.3611111111111111, 4.4477300361347325,
          0.0, 0.7194118331608571, 24, 14),
-        (4, -0.34857778942018613, 0.3836805555555555, 6.416666666666678,
+        (4, -0.35402608362198096, 0.3836805555555555, 6.416666666666678,
          0.0416666666666667, 0.6825334541766938, 39, 25),
-        (5, -0.3501153236625616, 0.40277777777777773, 8.105409255338968,
+        (5, -0.35011532366256165, 0.40277777777777773, 8.105409255338968,
          0.0, 0.6825334541766938, 61, 35),
-        (6, -0.34767115361771694, 0.390625, 7.166666666666683,
+        (6, -0.35311944781951166, 0.390625, 7.166666666666683,
          0.04166666666666663, 0.6825334541767095, 65, 30),
-        (7, -0.34915532744914135, 0.4097222222222222, 8.772075922005625,
+        (7, -0.3491553274491413, 0.4097222222222222, 8.772075922005625,
          0.0, 0.6825334541767095, 69, 39),
-        (8, -0.34767115361771694, 0.390625, 7.166666666666683,
+        (8, -0.35311944781951166, 0.390625, 7.166666666666683,
          0.04166666666666666, 0.6825334541767081, 69, 30),
-        (9, -0.35419004967136336, 0.3802083333333333, 6.166666666666676,
+        (9, -0.35419004967136347, 0.3802083333333333, 6.166666666666676,
          0.0, 0.6825334541767081, 52, 24),
-        (10, -0.35087444461818323, 0.37152777777777773, 4.915036777365828,
+        (10, -0.35632295697222993, 0.37152777777777773, 4.915036777365828,
          0.04166666666666666, 0.6825334541767203, 39, 16),
     ]
     assert _reprs(trace.rows) == _reprs(recorded)
@@ -202,23 +203,23 @@ def test_2d_trajectory_with_varying_robin_coefficient_is_pinned():
     _, _, trace = optimize_shape(model, grid,
                                  ShapeMask.disc(grid, (0.45, 0.55), 0.3), sched)
     recorded = [
-        (0, -0.16887793760624226, 0.28, 1.8659113421525861,
+        (0, -0.1732458524093386, 0.28, 1.8659113421525861,
          0.3196344733470286, 0.46243153917754687, 0, 1),
-        (1, -0.15829639896731362, 0.31500000000000006, 1.9985215367784712,
+        (1, -0.21654080194415395, 0.31500000000000006, 1.9985215367784712,
          0.3196344733470286, 0.46243153917754687, 14, 1),
-        (2, -0.23331340072751666, 0.3475000000000001, 2.327591356085802,
+        (2, -0.23983017244538335, 0.3475000000000001, 2.327591356085802,
          0.017687375635615968, 0.5143539784938864, 13, 2),
-        (3, -0.22111284839344625, 0.36750000000000005, 3.137276043361681,
+        (3, -0.2541947990999233, 0.36750000000000005, 3.137276043361681,
          0.0, 0.5143539784938864, 10, 5),
-        (4, -0.2212695655175202, 0.38000000000000006, 3.999999999999994,
+        (4, -0.22833789591867376, 0.38000000000000006, 3.999999999999994,
          0.01708306641222389, 0.4919017911983162, 13, 9),
-        (5, -0.22746314342862126, 0.38250000000000006, 4.199999999999993,
+        (5, -0.2274631434286213, 0.38250000000000006, 4.199999999999993,
          0.0, 0.4919017911983162, 17, 10),
-        (6, -0.22122179983558743, 0.38000000000000006, 3.999999999999994,
+        (6, -0.228290130236737, 0.38000000000000006, 3.999999999999994,
          0.017941242432868588, 0.4919017911978493, 17, 9),
-        (7, -0.22967007371153747, 0.37000000000000005, 3.1999999999999966,
+        (7, -0.22967007371153736, 0.37000000000000005, 3.1999999999999966,
          0.0, 0.4919017911978493, 12, 5),
-        (8, -0.2235739784537446, 0.36500000000000005, 2.799999999999998,
+        (8, -0.2306423088549096, 0.36500000000000005, 2.799999999999998,
          0.015494867325199677, 0.4919017911979275, 6, 3),
     ]
     assert _reprs(trace.rows) == _reprs(recorded)
@@ -236,23 +237,40 @@ def test_1d_trajectory_at_exponent_three_is_pinned():
     _, _, trace = optimize_shape(model, grid,
                                  ShapeMask.interval(grid, 0.1, 0.9), sched)
     recorded = [
-        (0, -0.351307424929336, 0.8125, 2.0,
+        (0, -0.354591188965213, 0.8125, 2.0,
          0.5823852414702545, 0.8326766324361563, 0, 1),
-        (1, -0.3520330542431646, 0.8125, 2.0,
+        (1, -0.35203305424224834, 0.8125, 2.0,
          0.6039671592937963, 0.8326766324361563, 2, 1),
-        (2, -0.35393239859183906, 0.8125, 2.0,
+        (2, -0.35728201695540796, 0.8125, 2.0,
          0.6165391174878789, 0.8394049835904266, 2, 1),
-        (3, -0.34466741335133194, 0.84375, 4.0, 0.0, 0.8394049835904266, 3, 2),
-        (4, -0.34780883521572376, 0.78125, 4.0, 0.0, 0.8202996128753219, 4, 2),
-        (5, -0.36316723954061, 0.6875, 2.0,
+        (3, -0.34466741335044326, 0.84375, 4.0, 0.0, 0.8394049835904266, 3, 2),
+        (4, -0.35120178266888247, 0.78125, 4.0, 0.0, 0.8202996128753219, 4, 2),
+        (5, -0.3631672395397357, 0.6875, 2.0,
          0.6602631629893079, 0.8202996128753219, 3, 1),
-        (6, -0.34555546172739643, 0.6875, 6.0, 0.0, 0.7776838729280792, 4, 3),
-        (7, -0.3709092358037619, 0.5625, 2.0,
+        (6, -0.34889084830232237, 0.6875, 6.0, 0.0, 0.7776838729280792, 4, 3),
+        (7, -0.3709092358028876, 0.5625, 2.0,
          0.6541355345813717, 0.7776838729280792, 4, 1),
-        (8, -0.37030047351208484, 0.53125, 2.0,
+        (8, -0.37311657283709204, 0.53125, 2.0,
          0.6290023763982948, 0.7454226554254604, 1, 1),
     ]
     assert _reprs(trace.rows) == _reprs(recorded)
+
+
+def test_best_J_is_the_solver_energy_of_the_best_field():
+    # a solver eta other than the default: the annealer scores each re-solve
+    # with the eta and weights of the solver that produced the field
+    model = IntegrandModel(
+        p=3, q=3, c0=0.3, L=1.0,
+        f=lambda x: np.where((x[..., 0] > 0.3) & (x[..., 0] < 0.7), 3.0, 0.0),
+        beta1=lambda x: 0.5 + x[..., 0], normalization="energy")
+    grid = Grid(1, 32, 1.0 / 32)
+    sched = AnnealSchedule(T0=1e-2, cooling=0.8, sweeps=8, resolve_every=2,
+                           seed=4)
+    solver = SolverConfig(eta=1e-2)
+    mask, fld, trace = optimize_shape(model, grid,
+                                      ShapeMask.interval(grid, 0.1, 0.9),
+                                      sched, solver)
+    assert trace.best_J[-1] == energy_of(model, mask, fld, 1e-2, "auto")
 
 
 def test_diagnostics_fields():
