@@ -14,6 +14,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -226,6 +227,8 @@ def _float_list(raw, name, lo=None):
         raise UsageError(f"{name}: expected comma-separated floats, got {raw!r}")
     if not vals:
         raise UsageError(f"{name}: empty list")
+    if not all(math.isfinite(v) for v in vals):
+        raise UsageError(f"{name}: values must be finite, got {raw!r}")
     if lo is not None and any(v < lo for v in vals):
         raise UsageError(f"{name}: values must be >= {lo}")
     return vals

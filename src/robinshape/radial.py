@@ -2,12 +2,15 @@
 solutions, and ball energies for the quadratic energy form.
 
 For unit exponents 2/2/2 the first eigenvalue comes from shooting on the
-radial ODE -u'' - (d-1)/r u' = lam*u with u'(R) + b*u(R) = 0: one RK4
-integrator with a series start at the axis runs over a batch of columns at
-once, first for a bracket scan in lam, then for Illinois (modified regula
-falsi) refinement of every root together.  General exponents minimize the
-mesh Rayleigh quotient by projected, tridiagonally preconditioned descent
-with Armijo backtracking.
+radial ODE -u'' - (d-1)/r u' = lam*u with u'(R) + b*u(R) = 0, by RK4 with a
+series start at the axis over a batch of columns at once.  A bracket scan in
+lam steps every column through the RK4 loop; the Illinois (modified regula
+falsi) refinement of every root together instead multiplies the per-column
+2x2 step propagators, since the ODE is linear in (u, u'): a block of steps
+is built at once and reduced pairwise, and the blocks are applied in order.
+Both paths share one RK4 step body.  General exponents minimize the mesh
+Rayleigh quotient by projected, tridiagonally preconditioned descent with
+Armijo backtracking.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ class RadialEigenvalueQuery:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if not (self.R > 0.0 and self.b > 0.0):
-            raise ValueError("R and b must be positive")
+        if not (math.isfinite(self.R) and self.R > 0.0 and self.b > 0.0):
+            raise ValueError("R must be finite and positive, b positive")
         for e in (self.grad_exp, self.bdry_exp, self.denom_exp):
             if not e > 1.0:
                 raise ValueError(f"exponents must exceed 1, got {e}")
@@ -92,9 +95,25 @@ def _series_start(lam, d, h):
     return u, up
 
 
+def _rk4_step(u, v, nlam, c0, cm, c1, h, h2, h6):
+    # one RK4 step of u' = v, v' = -lam*u - c(r)*v; c0, cm, c1 are c at the
+    # start, midpoint and end of the step, h2 = h/2 and h6 = h/6
+    k1v = nlam * u - c0 * v
+    u2, v2 = u + h2 * v, v + h2 * k1v
+    k2v = nlam * u2 - cm * v2
+    u3, v3 = u + h2 * v2, v + h2 * k2v
+    k3v = nlam * u3 - cm * v3
+    u4, v4 = u + h * v3, v + h * k3v
+    k4v = nlam * u4 - c1 * v4
+    return (u + h6 * (v + 2 * v2 + 2 * v3 + v4),
+            v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
 def _rk4(lam, d, R, n, path=False):
     """RK4 for the radial ODE from the series start at r = h, one column per
-    entry of lam with its own step h = R/n (R broadcasts against lam).
+    entry of lam with its own step h = R/n (R broadcasts against lam), one
+    step at a time.  The bracket scan and the profile pass run here; the
+    Illinois refinement runs through _propagate, which takes the same steps.
 
     Returns (u(R), u'(R)); with path=True, the (n+1, ...) arrays of u and u'
     at r = 0, h, ..., R instead.  Every operation is elementwise, so a
@@ -113,19 +132,55 @@ def _rk4(lam, d, R, n, path=False):
     for i in range(2, n + 1):
         cm, re = dm1 / (r + h2), r + h
         c1 = dm1 / re
-        k1v = nlam * u - c0 * v
-        u2, v2 = u + h2 * v, v + h2 * k1v
-        k2v = nlam * u2 - cm * v2
-        u3, v3 = u + h2 * v2, v + h2 * k2v
-        k3v = nlam * u3 - cm * v3
-        u4, v4 = u + h * v3, v + h * k3v
-        k4v = nlam * u4 - c1 * v4
-        u = u + h6 * (v + 2 * v2 + 2 * v3 + v4)
-        v = v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        u, v = _rk4_step(u, v, nlam, c0, cm, c1, h, h2, h6)
         r, c0 = re, c1
         if path:
             us[i], vs[i] = u, v
     return (us, vs) if path else (u, v)
+
+
+_BLOCK = 64  # RK4 steps per propagator block; bounds the temporaries
+
+
+def _propagate(lam, d, R, n):
+    """(u(R), u'(R)) of _rk4(lam, d, R, n) by products of step propagators.
+
+    The ODE is linear in (u, u'), so each RK4 step is a 2x2 matrix per
+    column: its columns are the step applied to (1, 0) and to (0, 1).  The
+    matrices of _BLOCK steps are built at once and multiplied pairwise, and
+    each block's product is applied to (u, u') in order.  The products are
+    written out elementwise, so a column's result does not depend on the
+    batch it runs in; they only reassociate the loop's rounding.
+    """
+    lam, h = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                 np.asarray(R, dtype=float) / n)
+    h2, h6 = h / 2.0, h / 6.0
+    u, v = _series_start(lam, d, h)
+    nlam, dm1 = -lam, d - 1.0
+    r = h
+    for first in range(1, n, _BLOCK):
+        steps = min(_BLOCK, n - first)
+        # nodes r_first .. r_(first+steps), summed one h at a time as in _rk4
+        rs = np.add.accumulate(np.concatenate(
+            [r[None], np.broadcast_to(h, (steps,) + h.shape)]))
+        cr = dm1 / rs
+        step = (nlam, cr[:-1], dm1 / (rs[:-1] + h2), cr[1:], h, h2, h6)
+        a, c = _rk4_step(1.0, 0.0, *step)
+        b, e = _rk4_step(0.0, 1.0, *step)
+        while len(a) > 1:
+            # M[2k+1] @ M[2k]; an odd last matrix moves up a level unchanged
+            k = len(a) // 2 * 2
+            a1, b1, c1, e1 = a[0:k:2], b[0:k:2], c[0:k:2], e[0:k:2]
+            a2, b2, c2, e2 = a[1:k:2], b[1:k:2], c[1:k:2], e[1:k:2]
+            pa, pb = a2 * a1 + b2 * c1, a2 * b1 + b2 * e1
+            pc, pe = c2 * a1 + e2 * c1, c2 * b1 + e2 * e1
+            if k < len(a):
+                pa, pb = np.concatenate([pa, a[k:]]), np.concatenate([pb, b[k:]])
+                pc, pe = np.concatenate([pc, c[k:]]), np.concatenate([pe, e[k:]])
+            a, b, c, e = pa, pb, pc, pe
+        u, v = a[0] * u + b[0] * v, c[0] * u + e[0] * v
+        r = rs[-1]
+    return u, v
 
 
 _MAX_REFINE = 80  # Illinois steps before a root counts as not converged
@@ -172,11 +227,19 @@ def shoot_eigenvalues(d: int, R, b, mesh_n: int = 1024,
     over [0, 4*(pi/R)^2] for the first sign change (G(0) = b > 0, and the
     first eigenvalue lies below the Dirichlet one); then all roots refine
     together by batched Illinois steps, each on its own bracket, to 1e-14
-    relative.  A root still open at the step cap raises
+    relative, with G evaluated by step-propagator products.  Raises
+    ValueError unless d >= 1, every R is finite and positive, every b is
+    positive and mesh_n >= 64; a root still open at the step cap raises
     RadialConvergenceError.
     """
     R = np.atleast_1d(np.asarray(R, dtype=float))
     b = np.broadcast_to(np.atleast_1d(np.asarray(b, dtype=float)), R.shape)
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if not np.all(np.isfinite(R) & (R > 0.0) & (b > 0.0)):
+        raise ValueError("R must be finite and positive, b positive")
+    if mesh_n < 64:
+        raise ValueError(f"mesh_n must be >= 64, got {mesh_n}")
     grid = np.linspace(0.0, 1.0, scan_points)[:, None] * (4.0 * (math.pi / R) ** 2)
     u, v = _rk4(grid, d, R, mesh_n)
     G = v + b * u
@@ -188,7 +251,7 @@ def shoot_eigenvalues(d: int, R, b, mesh_n: int = 1024,
             residual=float(np.min(np.abs(G))))
 
     def Gcols(lam, idx):
-        u, v = _rk4(lam, d, R[idx], mesh_n)
+        u, v = _propagate(lam, d, R[idx], mesh_n)
         return v + b[idx] * u
 
     cols = np.arange(R.size)

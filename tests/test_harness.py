@@ -99,6 +99,14 @@ def test_range_checks_are_usage_errors(tmp_path):
     assert main(["solve", "--tol", "5.0"]) == 1
     assert main(["eig", "--R", "-1.0"]) == 1
     assert main(["optimize", "--cooling", "1.5"]) == 1
+    # non-finite list entries are usage errors, not numerical failures
+    out = str(tmp_path)
+    for bad in ("inf", "nan", "1.0,-inf"):
+        assert main(["eig", "--R", bad, "--out", out]) == 1
+        assert main(["eig", "--b", bad, "--out", out]) == 1
+    assert main(["verify", "--suite", "ball-minimality", "--ns", "8,inf",
+                 "--out", out]) == 1
+    assert main(["solve", "--f-bump", "0.4,nan,3", "--out", out]) == 1
 
 
 def test_malformed_weights_and_init_are_usage_errors(tmp_path):

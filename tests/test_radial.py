@@ -37,17 +37,19 @@ def test_disc_eigenvalue_against_bessel_root():
 def test_batched_queries_match_oracles_and_single_queries():
     # mixed radii, coefficients and dimensions in one list, plus one descent
     # query: results come back in order, each equal to its query alone
-    cases = [(1, 0.4, 3.0), (2, 1.0, 0.5), (1, 2.5, 1.0), (2, 0.7, 0.2),
-             (1, 1.6, 8.0), (2, 2.5, 1.0)]
-    queries = [RadialEigenvalueQuery(d=d, R=R, b=b, mesh_n=512)
-               for d, R, b in cases]
+    # (mesh 300 is no multiple of the propagator block length)
+    cases = [(1, 0.4, 3.0, 512), (2, 1.0, 0.5, 512), (1, 2.5, 1.0, 512),
+             (2, 0.7, 0.2, 512), (1, 1.6, 8.0, 512), (2, 2.5, 1.0, 512),
+             (2, 1.3, 2.0, 300)]
+    queries = [RadialEigenvalueQuery(d=d, R=R, b=b, mesh_n=n)
+               for d, R, b, n in cases]
     queries.insert(3, RadialEigenvalueQuery(d=2, R=1.0, b=1.0, grad_exp=3.0,
                                             bdry_exp=3.0, denom_exp=3.0,
                                             mesh_n=128))
     assert robinshape.robin_eigenvalues_ball is robin_eigenvalues_ball
     sols = robin_eigenvalues_ball(queries)
     assert [s.meta["method"] for s in sols] == ["shooting"] * 3 + \
-        ["rayleigh-descent"] + ["shooting"] * 3
+        ["rayleigh-descent"] + ["shooting"] * 4
     for q, sol in zip(queries, sols):
         single = robin_eigenvalue_ball(q)
         assert sol.lam == single.lam
@@ -72,6 +74,30 @@ def test_refinement_cap_raises(monkeypatch):
     monkeypatch.setattr(radial, "_MAX_REFINE", 3)
     with pytest.raises(RadialConvergenceError):
         shoot_eigenvalues(1, [1.0, 0.5], [1.0, 2.0], 256)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_propagator_refinement_matches_rk4_loop(monkeypatch, d):
+    # the Illinois steps evaluate G by step-propagator products, which only
+    # reassociate the RK4 loop's rounding: roots agree within 1e-13 and the
+    # end values within 1e-12 of |(u(R), u'(R))|.  A mesh of n takes n - 1
+    # steps: block - 1, block and block + 1 of them, two whole blocks, and
+    # 1023 cover the partial and the exact blocks
+    R, b = np.array([0.4, 1.0, 2.5]), np.array([3.0, 1.0, 0.2])
+    block = radial._BLOCK
+    meshes = sorted({64, 65, block, block + 1, block + 2, 2 * block + 1, 1024})
+    for n in meshes:
+        lam = np.linspace(0.0, 1.0, 64)[:, None] * (4.0 * (math.pi / R) ** 2)
+        u, v = radial._rk4(lam, d, R, n)
+        up, vp = radial._propagate(lam, d, R, n)
+        mag = np.hypot(u, v)
+        assert np.max(np.abs(up - u) / mag) < 1e-12
+        assert np.max(np.abs(vp - v) / mag) < 1e-12
+    fast = [shoot_eigenvalues(d, R, b, n) for n in meshes]
+    monkeypatch.setattr(radial, "_propagate", radial._rk4)
+    for n, lam in zip(meshes, fast):
+        loop = shoot_eigenvalues(d, R, b, n)
+        assert np.max(np.abs(lam - loop) / loop) < 1e-13
 
 
 def test_eigenvalue_monotone_in_robin_coefficient():
@@ -145,11 +171,24 @@ def test_query_validation():
     with pytest.raises(ValueError):
         RadialEigenvalueQuery(d=1, R=-1.0, b=1.0)
     with pytest.raises(ValueError):
+        RadialEigenvalueQuery(d=1, R=math.inf, b=1.0)
+    with pytest.raises(ValueError):
         RadialEigenvalueQuery(d=1, R=1.0, b=1.0, mesh_n=32)
     with pytest.raises(ValueError):
         RadialEigenvalueQuery(d=1, R=1.0, b=1.0, grad_exp=1.0, bdry_exp=1.0)
     with pytest.raises(ValueError):
         RadialEigenvalueQuery(d=1, R=1.0, b=1.0, grad_exp=2.0, bdry_exp=3.0)
+
+
+@pytest.mark.parametrize("R,b,mesh_n", [
+    ([1.0], [-0.5], 256), ([1.0], [math.nan], 256), ([-1.0], [1.0], 256),
+    ([1.0, math.inf], [1.0], 256), ([math.nan], [1.0], 256),
+    ([1.0], [0.0], 256), ([1.0], [1.0], 1)])
+def test_shoot_eigenvalues_rejects_bad_input(R, b, mesh_n):
+    # the ranges RadialEigenvalueQuery enforces; for b < 0 the first
+    # eigenvalue is negative, out of reach of the scan over lam >= 0
+    with pytest.raises(ValueError):
+        shoot_eigenvalues(1, R, b, mesh_n)
 
 
 def test_poisson_disc_values():
