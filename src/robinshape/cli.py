@@ -407,7 +407,11 @@ def cmd_verify(params):
     elif suite == "scaling":
         kwargs["rel_tol"] = params["rel_tol"]
     else:
-        kwargs["ns"] = tuple(int(v) for v in _float_list(params["ns"], "ns"))
+        ns = _float_list(params["ns"], "ns", lo=4)
+        if any(v != int(v) for v in ns):
+            raise UsageError(f"ns: grid sizes must be whole numbers, "
+                             f"got {params['ns']!r}")
+        kwargs["ns"] = tuple(int(v) for v in ns)
         if kwargs["ns"][0] == kwargs["ns"][-1]:
             raise UsageError("ns: the Richardson check compares the first and "
                              "last sizes, which must differ")

@@ -170,17 +170,18 @@ class AssumptionReport:
         return "\n".join(f"{c.id:3s} {c.status:13s} {c.detail}" for c in self.checks)
 
 
-def _sample_points(domain_volume: float, d: int, n_samples: int) -> np.ndarray:
-    # sampling lattice on a box of the given volume (the checker's stand-in for D)
+def _sample_points(domain_volume: float, d: int) -> np.ndarray:
+    # sampling lattice of about 4096 points on a box of the given volume
+    # (the checker's stand-in for D)
     side = domain_volume ** (1.0 / d)
-    per_axis = max(8, int(round(n_samples ** (1.0 / d))))
+    per_axis = max(8, int(round(4096 ** (1.0 / d))))
     axes = [np.linspace(0.0, side, per_axis) for _ in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, d)
 
 
 def check_admissible(model: IntegrandModel, domain_volume: float, d: int,
-                     eig=None, n_samples: int = 4096) -> AssumptionReport:
+                     eig=None) -> AssumptionReport:
     """Run every machine-checkable hypothesis on the model over a box of
     volume |D| = domain_volume.
 
@@ -194,7 +195,7 @@ def check_admissible(model: IntegrandModel, domain_volume: float, d: int,
     if eig is None:
         eig = radial.robin_eigenvalue_ball
 
-    pts = _sample_points(domain_volume, d, n_samples)
+    pts = _sample_points(domain_volume, d)
     f_s = sample_field(model.f, pts)
     a_s = sample_field(model.a, pts)
     b1_s = sample_field(model.beta1, pts)

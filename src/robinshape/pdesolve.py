@@ -3,16 +3,17 @@
 Every solver works on the mask's own m cells, read from the mask's
 `MaskAssembly` (sbvgrid): the cells in compressed numbering, their
 neighbour arrays with one zero sentinel for absent neighbours, and the
-boundary faces as arrays.  For p = q = 2 the face-based energy is a
-symmetric positive definite quadratic solved matrix-free by conjugate
-gradients over the m unknowns, the operator a gather stencil over the
-neighbour arrays; general exponents minimize the eta-regularized energy by
-Polak-Ribiere nonlinear CG with Armijo backtracking.  The grid eigensolver
-assembles its sparse matrix from the same arrays.  Zero initial guess
-always, and every vector reduction is a numpy add.reduce (np.sum, or
-ndarray.sum in the CG loop; BLAS calls would thread and sum in another
-order), so results are reproducible bit for bit.  The CG iteration updates
-its vectors in place and reuses the residual's r.r in the next step.
+boundary faces as arrays.  The method follows the model's exponents.  For
+p = q = 2 the face-based energy is a symmetric positive definite quadratic
+solved matrix-free by conjugate gradients over the m unknowns, the operator
+a gather stencil over the neighbour arrays; any other exponents minimize
+the eta-regularized energy by Polak-Ribiere nonlinear CG with Armijo
+backtracking.  The grid eigensolver assembles its sparse matrix from the
+same arrays.  Zero initial guess always, and every vector reduction is a
+numpy add.reduce (np.sum, or ndarray.sum in the CG loop; BLAS calls would
+thread and sum in another order), so results are reproducible bit for bit.
+The CG iteration updates its vectors in place and reuses the residual's r.r
+in the next step.
 
 The face energy (`_face_energy`, `energy_of`) is the package's one discrete
 functional: Lg ((u_hi - u_lo)^2/h^2 + eta^2)^(p/2) h^d per interior face,
@@ -42,14 +43,15 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """tol is the relative residual (linear) or relative energy-change
-    (nonlinear) tolerance; eta floors the gradient magnitude in the
-    p-Laplacian terms and must stay 0 only in linear mode."""
+    """tol is the relative residual (CG) or relative energy-change (descent)
+    tolerance; eta floors the gradient magnitude in the p-Laplacian terms.
+    The method follows the model's exponents: conjugate gradients for
+    p = q = 2, where eta defaults to 0, and the nonlinear descent otherwise,
+    where eta defaults to 1e-6 and must stay positive."""
 
     tol: float = 1e-10
     max_iter: int | None = None
     eta: float | None = None
-    mode: str = "auto"  # "linear-cg" | "nonlinear-descent" | "auto"
     weights: str = "auto"
 
     def __post_init__(self):
@@ -57,22 +59,19 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.eta is not None and self.eta < 0:
             raise ValueError("eta must be nonnegative")
-        if self.mode not in ("auto", "linear-cg", "nonlinear-descent"):
-            raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.weights not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary weights {self.weights!r}; "
                              f"choose from {', '.join(BOUNDARY_MODES)}")
 
     def resolve(self, model: IntegrandModel):
-        mode = self.mode
-        if mode == "auto":
-            mode = "linear-cg" if (model.p == 2.0 and model.q == 2.0) else "nonlinear-descent"
+        """(mode, eta): "linear-cg" for p = q = 2, else "nonlinear-descent"."""
+        linear = model.p == 2.0 and model.q == 2.0
         eta = self.eta
         if eta is None:
-            eta = 0.0 if mode == "linear-cg" else 1e-6
-        if mode == "nonlinear-descent" and eta == 0.0:
-            raise ValueError("eta = 0 is only allowed in linear mode")
-        return mode, eta
+            eta = 0.0 if linear else 1e-6
+        if not linear and eta == 0.0:
+            raise ValueError("eta = 0 is only allowed at p = q = 2")
+        return ("linear-cg" if linear else "nonlinear-descent"), eta
 
 
 def _robin_weights(model: IntegrandModel, asm: MaskAssembly, weights: str):
@@ -265,12 +264,12 @@ def energy_gradient(model: IntegrandModel, mask: ShapeMask, field: SbvField,
 
 
 def grid_robin_eigenvalue(grid: Grid, mask: ShapeMask, b: float,
-                          weights: str = "auto", tol: float = 1e-10,
                           max_iter: int = 400):
     """Smallest eigenvalue of the Robin form on the mask via inverse power
     iteration on the raw Rayleigh quotient assembly (gradient coefficient 1,
-    boundary coefficient b).  Raises SolverError when the eigenvalue has
-    not settled to relative change tol within max_iter iterations."""
+    boundary coefficient b, "auto" boundary weights).  Raises SolverError
+    when the eigenvalue has not settled to relative change 1e-10 within
+    max_iter iterations."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -286,7 +285,7 @@ def grid_robin_eigenvalue(grid: Grid, mask: ShapeMask, b: float,
     rows = np.concatenate([np.stack([lo, hi, lo, hi], axis=1).ravel(), asm.inner])
     cols = np.concatenate([np.stack([lo, hi, hi, lo], axis=1).ravel(), asm.inner])
     vals = np.concatenate([np.tile([kap, kap, -kap, -kap], len(lo)),
-                           b * asm.weights(weights)])
+                           b * asm.weights()])
     A = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
     mass = grid.cell_volume
     lu = spla.splu(A.tocsc())
@@ -298,7 +297,7 @@ def grid_robin_eigenvalue(grid: Grid, mask: ShapeMask, b: float,
         lam_new = float(np.sum(y * (A @ y))) / (mass * float(np.sum(y * y)))
         if lam is not None:
             change = abs(lam_new - lam) / abs(lam_new)
-            if change <= tol:
+            if change <= 1e-10:
                 return lam_new, asm.scatter(y)
         lam, x = lam_new, y
     raise SolverError(f"inverse iteration did not converge in {max_iter} "

@@ -219,15 +219,14 @@ def _illinois(G, a, b, Ga, Gb, tol=1e-14):
         f"Illinois steps", residual=float(np.max((b - a) / b)))
 
 
-def shoot_eigenvalues(d: int, R, b, mesh_n: int = 1024,
-                      scan_points: int = 64) -> np.ndarray:
+def shoot_eigenvalues(d: int, R, b, mesh_n: int = 1024) -> np.ndarray:
     """First Robin eigenvalues for arrays of radii/coefficients (p=q=alpha=2).
 
     One RK4 pass over every (lam, query) column scans G(lam) = u'(R) + b*u(R)
-    over [0, 4*(pi/R)^2] for the first sign change (G(0) = b > 0, and the
-    first eigenvalue lies below the Dirichlet one); then all roots refine
-    together by batched Illinois steps, each on its own bracket, to 1e-14
-    relative, with G evaluated by step-propagator products.  Raises
+    at 64 points of [0, 4*(pi/R)^2] for the first sign change (G(0) = b > 0,
+    and the first eigenvalue lies below the Dirichlet one); then all roots
+    refine together by batched Illinois steps, each on its own bracket, to
+    1e-14 relative, with G evaluated by step-propagator products.  Raises
     ValueError unless d >= 1, every R is finite and positive, every b is
     positive and mesh_n >= 64; a root still open at the step cap raises
     RadialConvergenceError.
@@ -240,7 +239,7 @@ def shoot_eigenvalues(d: int, R, b, mesh_n: int = 1024,
         raise ValueError("R must be finite and positive, b positive")
     if mesh_n < 64:
         raise ValueError(f"mesh_n must be >= 64, got {mesh_n}")
-    grid = np.linspace(0.0, 1.0, scan_points)[:, None] * (4.0 * (math.pi / R) ** 2)
+    grid = np.linspace(0.0, 1.0, 64)[:, None] * (4.0 * (math.pi / R) ** 2)
     u, v = _rk4(grid, d, R, mesh_n)
     G = v + b * u
     neg = np.signbit(G)

@@ -504,19 +504,12 @@ def shape_energy(model: IntegrandModel, mask: ShapeMask, field: SbvField,
 
 
 def eval_shape_functional(model: IntegrandModel, mask: ShapeMask, inner=None):
-    """Inner-minimize on the mask, then evaluate the shape functional with
-    the solver's eta and boundary weights.
-
-    `inner` is a SolverConfig (None for defaults) or a callable
-    (model, grid, mask) -> SbvField, whose field is scored as the default
-    solver's would be.  Returns (J, field).
-    """
+    """Inner-minimize on the mask with the SolverConfig `inner` (None for
+    defaults), then evaluate the shape functional with the solver's eta and
+    boundary weights.  Returns (J, field)."""
     from .pdesolve import SolverConfig, energy_of, solve_inner
-    if callable(inner):
-        config, field = SolverConfig(), inner(model, mask.grid, mask)
-    else:
-        config = inner if inner is not None else SolverConfig()
-        field = solve_inner(model, mask.grid, mask, config)
+    config = inner if inner is not None else SolverConfig()
+    field = solve_inner(model, mask.grid, mask, config)
     _, eta = config.resolve(model)
     return energy_of(model, mask, field, eta, config.weights), field
 

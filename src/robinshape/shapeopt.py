@@ -4,8 +4,10 @@ Every re-solve scores the mask with the solver's own face energy
 (`pdesolve.energy_of` at the solver's eta and boundary weights), the one
 functional the package reports.  Between re-solves the accept/reject
 decisions use O(1) energy deltas computed at the frozen field, with
-uncorrected face weights (a biased estimate of the true change); the trace
-J of those sweeps is the last exact J plus the accepted deltas.  Best-shape
+uncorrected face weights (a biased estimate of the true change).  An
+addition puts the cell at the mean of its mask neighbours, and a removal is
+priced as the negated addition at the cell's own value.  The trace J of
+those sweeps is the last exact J plus the accepted deltas.  Best-shape
 bookkeeping only trusts exact re-solved energies.  Proposals run on flat
 cell indices c = i*n + j: neighbours and face coefficients come from index
 arithmetic, and each delta is a sum of Python floats in a fixed order.
@@ -111,8 +113,10 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
         fld = solve_inner(model, grid, mask, solver)
         return fld, energy_of(model, mask, fld, eta, solver.weights)
 
-    def neighbors(c):
-        """(neighbour in the mask or None, face coefficient) per face of c."""
+    def delta_toggle(c, u):
+        """Frozen-energy change of flipping cell c and the new u[c].  An
+        addition puts c at the mean of its mask neighbours; a removal is the
+        negated addition at u[c], which IEEE negation keeps bit for bit."""
         if grid.d == 1:
             nbs = ((c - 1, c > 0, bcs[0].item(c)),
                    (c + 1, c < n - 1, bcs[0].item(c + 1)))
@@ -122,39 +126,29 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
                    (c + n, i < n - 1, bcs[0].item(c + n)),
                    (c - 1, j > 0, bcs[1].item(c + i)),
                    (c + 1, j < n - 1, bcs[1].item(c + i + 1)))
-        return [(nb if inbox and cf.item(nb) else None, bc)
-                for nb, inbox, bc in nbs]
-
-    def delta_toggle(c, u):
+        # (value of the neighbour in the mask or None, face coefficient)
+        nbs = [(u.item(nb) if inbox and cf.item(nb) else None, bc)
+               for nb, inbox, bc in nbs]
+        inside = cf.item(c)
+        if inside:
+            v = u.item(c)
+        else:
+            # sequential sum and division, as np.mean of at most four terms
+            v, k = 0.0, 0
+            for s, _ in nbs:
+                if s is not None:
+                    v += s
+                    k += 1
+            v = v / k if k else 0.0
         # the operand order of every term is fixed: results stay bit for bit
-        nbs = neighbors(c)
-        if cf.item(c):
-            uc = u.item(c)
-            dE = (fvals.item(c) * uc - c0) * vol
-            for nb, bc in nbs:
-                if nb is None:
-                    dE -= bc * abs(uc) ** q * wunc
-                else:
-                    s = u.item(nb)
-                    dE += bc * abs(s) ** q * wunc \
-                        - gc * (((s - uc) / h) ** 2 + e2) ** p2 * vol
-            return dE, 0.0
-        # sequential sum and division, as np.mean of at most four terms
-        u_est, k = 0.0, 0
-        for nb, _ in nbs:
-            if nb is not None:
-                u_est += u.item(nb)
-                k += 1
-        u_est = u_est / k if k else 0.0
-        dE = (-fvals.item(c) * u_est + c0) * vol
-        for nb, bc in nbs:
-            if nb is None:
-                dE += bc * abs(u_est) ** q * wunc
+        dE = (-fvals.item(c) * v + c0) * vol
+        for s, bc in nbs:
+            if s is None:
+                dE += bc * abs(v) ** q * wunc
             else:
-                s = u.item(nb)
-                dE += gc * (((s - u_est) / h) ** 2 + e2) ** p2 * vol \
+                dE += gc * (((s - v) / h) ** 2 + e2) ** p2 * vol \
                     - bc * abs(s) ** q * wunc
-        return dE, u_est
+        return (-dE, 0.0) if inside else (dE, v)
 
     def band_candidates():
         # cells with a face on the mask boundary (the box edge included)

@@ -3,7 +3,10 @@
 Each suite returns a dict with "passed", CSV-ready "rows" (header first),
 a text "summary", and optionally a "failing" payload for replay.  All
 randomness flows through Philox keyed by the suite seed, so reruns with the
-same configuration are byte-identical.
+same configuration are byte-identical.  Each battery fixes its model,
+exponents and meshes: the Poincare battery checks the exponent-2 bound
+(p = alpha = 2), the reduction battery one p = q = 2 model.  A caller sets
+only sizes, seeds, the Robin coefficient and pass thresholds.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ import numpy as np
 from .model import IntegrandModel
 from .pdesolve import SolverConfig, grid_robin_eigenvalue
 from .radial import (RadialEigenvalueQuery, RadialSolution,
-                     robin_eigenvalue_ball, robin_eigenvalues_ball,
-                     shoot_eigenvalues)
+                     robin_eigenvalues_ball, shoot_eigenvalues)
 from .sbvgrid import Grid, SbvField, ShapeMask, poincare_check, reduction_check
 
 
@@ -50,34 +52,28 @@ def _poincare_fields(rng, grid, trials):
         yield trial, fam, field
 
 
-def _cached_eig(cache, h):
-    def eig(query):
-        k = int(round(2.0 * query.R / h))
-        lam = cache.get(k)
-        if lam is None:
-            return robin_eigenvalue_ball(query)
-        return RadialSolution(lam, np.zeros((0, 2)), {"method": "cache"})
-    return eig
-
-
 def poincare_suite(trials: int = 1000, n: int = 128, seed: int = 20240501,
-                   b: float = 1.0, p: float = 2.0, alpha: float = 2.0,
-                   mesh_n: int = 768, min_ratio: float = 0.99,
+                   b: float = 1.0, min_ratio: float = 0.99,
                    eq_tol: float = 0.02) -> dict:
-    """Ball lower bound on seeded discrete fields plus the equality case."""
+    """Ball lower bound on seeded discrete fields plus the equality case, at
+    exponent 2 (p = alpha = 2) against the shooting eigenvalue on a radial
+    mesh of 768 nodes."""
     grid = Grid(1, n, 1.0 / n)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # one batched solve for every possible support size (the oracle cache)
-    counts = np.arange(1, n + 1)
-    radii = counts * grid.h / 2.0
-    lams = shoot_eigenvalues(1, radii, np.full(n, b), mesh_n)
-    cache = {int(k): float(l) for k, l in zip(counts, lams)}
-    eig = _cached_eig(cache, grid.h)
+    # every support is k whole cells, a ball of radius k*h/2: one batched
+    # solve covers every size (the oracle cache)
+    lams = shoot_eigenvalues(1, np.arange(1, n + 1) * grid.h / 2.0,
+                             np.full(n, b), 768)
+
+    def eig(query):
+        k = int(round(2.0 * query.R / grid.h))
+        return RadialSolution(float(lams[k - 1]), np.zeros((0, 2)),
+                              {"method": "cache"})
 
     rows = [("trial", "family", "m", "ratio")]
     min_seen = (np.inf, None, None)
     for trial, fam, field in _poincare_fields(rng, grid, trials):
-        ratio = poincare_check(field, b, p, alpha, eig)
+        ratio = poincare_check(field, b, 2.0, 2.0, eig)
         m = field.support_volume()
         rows.append((trial, fam, repr(m), repr(ratio)))
         if ratio < min_seen[0]:
@@ -85,14 +81,14 @@ def poincare_suite(trials: int = 1000, n: int = 128, seed: int = 20240501,
 
     # equality case: the sampled radial eigenfunction of the matched ball
     k = n // 2
-    lam = cache[k]
+    lam = float(lams[k - 1])
     x = grid.centers()[:, 0]
     i0 = (n - k) // 2
     center = (x[i0] - grid.h / 2) + k * grid.h / 2
     values = np.zeros(n)
     values[i0:i0 + k] = np.cos(math.sqrt(lam) * (x[i0:i0 + k] - center))
     eq_field = SbvField.from_values(grid, values)
-    eq_ratio = poincare_check(eq_field, b, p, alpha, eig)
+    eq_ratio = poincare_check(eq_field, b, 2.0, 2.0, eig)
     rows.append(("eq", "eigenfunction", repr(k * grid.h), repr(eq_ratio)))
 
     passed = (min_seen[0] >= min_ratio) and (abs(eq_ratio - 1.0) <= eq_tol)
@@ -108,11 +104,11 @@ def poincare_suite(trials: int = 1000, n: int = 128, seed: int = 20240501,
 
 
 def reduction_suite(trials: int = 100, n: int = 64, seed: int = 20240502,
-                    gap_floor: float = -1e-8, model: IntegrandModel | None = None) -> dict:
-    """F(u) >= J({u != 0}) on random fields over random supports."""
-    if model is None:
-        model = IntegrandModel(p=2, q=2, L=1.0, c0=1.0, f=1.0, beta1=1.0,
-                               normalization="energy")
+                    gap_floor: float = -1e-8) -> dict:
+    """F(u) >= J({u != 0}) on random fields over random supports, for the
+    p = q = 2 energy-normalized model with L = c0 = f = beta1 = 1."""
+    model = IntegrandModel(p=2, q=2, L=1.0, c0=1.0, f=1.0, beta1=1.0,
+                           normalization="energy")
     grid = Grid(1, n, 1.0 / n)
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = [("trial", "support_cells", "gap")]
@@ -135,17 +131,18 @@ def reduction_suite(trials: int = 100, n: int = 64, seed: int = 20240502,
     }
 
 
-def scaling_suite(rel_tol: float = 1e-6, mesh_shoot: int = 1024,
-                  mesh_descent: int = 192, sweep_points: int = 20) -> dict:
+def scaling_suite(rel_tol: float = 1e-6) -> dict:
     """Change-of-variables identity lam_{b,q}(tB) = t^-q lam_{b t^(q-1),q}(B)
-    plus strict radius monotonicity of the eigenvalue."""
+    (radial mesh 1024 for q = 2, 192 for the q = 3 descent) plus strict
+    radius monotonicity of the exponent-2 eigenvalue at 20 radii in
+    [0.3, 3]."""
     rows = [("check", "d", "q", "t_or_R", "value", "reference", "rel_err")]
     worst = 0.0
     ok = True
     cases = [(d, q, t) for d in (1, 2) for q in (2.0, 3.0) for t in (0.5, 2.0, 3.0)]
     queries = []
     for d, q, t in cases:
-        mesh = mesh_shoot if q == 2.0 else mesh_descent
+        mesh = 1024 if q == 2.0 else 192
         queries += [RadialEigenvalueQuery(d=d, R=t, b=1.0, grad_exp=q, bdry_exp=q,
                                           denom_exp=q, mesh_n=mesh),
                     RadialEigenvalueQuery(d=d, R=1.0, b=t ** (q - 1.0), grad_exp=q,
@@ -159,8 +156,8 @@ def scaling_suite(rel_tol: float = 1e-6, mesh_shoot: int = 1024,
         ok &= rel <= rel_tol
         rows.append(("identity", d, q, t, repr(lt), repr(ref), repr(rel)))
     for d in (1, 2):
-        radii = np.linspace(0.3, 3.0, sweep_points)
-        lams = shoot_eigenvalues(d, radii, np.ones(sweep_points), mesh_shoot)
+        radii = np.linspace(0.3, 3.0, 20)
+        lams = shoot_eigenvalues(d, radii, np.ones(20), 1024)
         mono = bool(np.all(np.diff(lams) < 0))
         ok &= mono
         for R, lam in zip(radii, lams):
@@ -177,21 +174,21 @@ def scaling_suite(rel_tol: float = 1e-6, mesh_shoot: int = 1024,
     }
 
 
-def ball_minimality_suite(ns=(128, 256), b: float = 1.0, box: float = 1.5) -> dict:
-    """Grid eigensolver comparison: the disc beats the square of equal area.
-    The Richardson check compares the first and last of ns, which must
-    differ."""
+def ball_minimality_suite(ns=(128, 256), b: float = 1.0) -> dict:
+    """Grid eigensolver comparison on a box of side 1.5: the disc beats the
+    square of equal area.  The Richardson check compares the first and last
+    of ns, which must differ."""
     if ns[0] == ns[-1]:
         raise ValueError(f"ball-minimality needs different first and last "
                          f"grid sizes, got {tuple(ns)}")
     rows = [("n", "lambda_disc", "lambda_square", "margin")]
     margins = []
     for n in ns:
-        grid = Grid(2, n, box / n)
+        grid = Grid(2, n, 1.5 / n)
         k = round(1.0 / grid.h)
         side = k * grid.h
         R = side / math.sqrt(math.pi)
-        c = (box / 2.0, box / 2.0)
+        c = (0.75, 0.75)
         i0 = (n - k) // 2
         sq = ShapeMask(grid, np.zeros((n, n), dtype=bool))
         sq.cells[i0:i0 + k, i0:i0 + k] = True

@@ -6,7 +6,8 @@ import pytest
 
 from robinshape.cli import main
 from robinshape.sbvgrid import read_field_text
-from robinshape.suites import ball_minimality_suite
+from robinshape.radial import RadialEigenvalueQuery, robin_eigenvalue_ball
+from robinshape.suites import ball_minimality_suite, poincare_suite
 
 import oracles
 
@@ -106,6 +107,10 @@ def test_range_checks_are_usage_errors(tmp_path):
         assert main(["eig", "--b", bad, "--out", out]) == 1
     assert main(["verify", "--suite", "ball-minimality", "--ns", "8,inf",
                  "--out", out]) == 1
+    # ball-minimality grid sizes are whole numbers >= 4, the smallest Grid
+    for bad in ("0,8", "2,8", "8.5,16"):
+        assert main(["verify", "--suite", "ball-minimality", "--ns", bad,
+                     "--out", out]) == 1
     assert main(["solve", "--f-bump", "0.4,nan,3", "--out", out]) == 1
 
 
@@ -172,6 +177,24 @@ def test_ball_minimality_needs_two_sizes(tmp_path):
                  "--out", str(tmp_path)]) == 1
     with pytest.raises(ValueError):
         ball_minimality_suite(ns=(8,))
+
+
+@pytest.mark.parametrize("b", [1.0, 2.5])
+def test_poincare_suite_uses_the_eigenvalue_of_each_support(b):
+    # a plateau of height v on m = k*h cells has two jumps of v and no
+    # gradient, so its ratio is 2b v^2 / (lam v^2 m): each rect row gives
+    # back the eigenvalue the suite used for its own support size
+    result = poincare_suite(trials=40, n=32, seed=7, b=b)
+    rects = [row for row in result["rows"][1:] if row[1] == "rect"]
+    assert len(rects) >= 5
+    for _, _, m, ratio in rects:
+        m, ratio = float(m), float(ratio)
+        lam = 2.0 * b / (ratio * m)
+        ref = robin_eigenvalue_ball(RadialEigenvalueQuery(
+            d=1, R=m / 2.0, b=b, mesh_n=768)).lam
+        assert lam == pytest.approx(ref, rel=1e-12)
+        assert lam == pytest.approx(oracles.robin_lambda_interval(m / 2.0, b),
+                                    rel=1e-9)
 
 
 def test_optimize_reproducible_outputs(tmp_path):

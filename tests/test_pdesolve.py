@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from robinshape import pdesolve
 from robinshape.model import IntegrandModel
 from robinshape.pdesolve import (SolverConfig, SolverError, energy_gradient,
                                  energy_of, grid_robin_eigenvalue, solve_inner)
-from robinshape.sbvgrid import Grid, ShapeMask
+from robinshape.sbvgrid import Grid, ShapeMask, mask_assembly
 
 import oracles
 
@@ -176,15 +177,21 @@ def test_nonlinear_gradient_matches_finite_differences():
 
 
 def test_nonlinear_agrees_with_cg_at_p2():
+    # p = q = 2 solves by CG; the descent, run directly on the same energy,
+    # lands on the same minimiser
     n = 64
     grid = Grid(1, n, 1.0 / n)
     model = slab_model()
     mask = ShapeMask.interval(grid, 0.15, 0.9)
-    lin = solve_inner(model, grid, mask, SolverConfig(mode="linear-cg"))
-    non = solve_inner(model, grid, mask,
-                      SolverConfig(mode="nonlinear-descent", eta=1e-8,
-                                   tol=1e-13, max_iter=20000))
-    assert np.max(np.abs(lin.values - non.values)) < 1e-5
+    lin, info = solve_inner(model, grid, mask, return_info=True)
+    assert info["mode"] == "linear-cg"
+    asm = mask_assembly(mask)
+    fc = asm.gather(model.f_at(grid.centers()))
+    bcw = pdesolve._robin_weights(model, asm, "auto")
+    x, info = pdesolve._solve_descent(model, asm, fc, bcw, 1e-8,
+                                      SolverConfig(tol=1e-13), 20000)
+    assert info["mode"] == "nonlinear-descent"
+    assert np.max(np.abs(lin.values - asm.scatter(x))) < 1e-5
 
 
 def test_subquadratic_boundary_exponent_runs():
@@ -222,11 +229,13 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(eta=-1.0)
+    # the method follows the exponents: there is no mode to set
+    with pytest.raises(TypeError):
+        SolverConfig(mode="linear-cg")
+    cfg = SolverConfig(eta=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(mode="magic")
-    cfg = SolverConfig(mode="nonlinear-descent", eta=0.0)
-    with pytest.raises(ValueError):
-        cfg.resolve(slab_model())
+        cfg.resolve(slab_model(p=3.0, q=3.0))
+    assert cfg.resolve(slab_model()) == ("linear-cg", 0.0)
 
 
 def test_empty_mask_returns_zero_field():

@@ -273,21 +273,6 @@ def test_shape_functional_full_slab():
     assert J == pytest.approx(-7.0 / 24.0, rel=0.01)
 
 
-def test_shape_functional_accepts_solver_handle():
-    n = 64
-    grid = Grid(1, n, 1.0 / n)
-    calls = []
-
-    def handle(model, g, mask):
-        calls.append(mask.count())
-        return solve_inner(model, g, mask, SolverConfig())
-
-    J, _ = eval_shape_functional(slab_model(), ShapeMask.full(grid), handle)
-    J_ref, _ = eval_shape_functional(slab_model(), ShapeMask.full(grid))
-    assert calls == [n]
-    assert J == J_ref
-
-
 def test_shape_functional_square_self_refinement():
     m = slab_model()
     vals = []
