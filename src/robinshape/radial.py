@@ -3,14 +3,14 @@ solutions, and ball energies for the quadratic energy form.
 
 For unit exponents 2/2/2 the first eigenvalue comes from shooting on the
 radial ODE -u'' - (d-1)/r u' = lam*u with u'(R) + b*u(R) = 0, by RK4 with a
-series start at the axis over a batch of columns at once.  A bracket scan in
-lam steps every column through the RK4 loop; the Illinois (modified regula
-falsi) refinement of every root together instead multiplies the per-column
-2x2 step propagators, since the ODE is linear in (u, u'): a block of steps
-is built at once and reduced pairwise, and the blocks are applied in order.
-Both paths share one RK4 step body.  General exponents minimize the mesh
-Rayleigh quotient by projected, tridiagonally preconditioned descent with
-Armijo backtracking.
+series start at the axis over a batch of columns at once.  The bracket scan
+in lam, which drops each column at its first sign change, and the Illinois
+(modified regula falsi) refinement of every root together multiply the
+per-column 2x2 step propagators, since the ODE is linear in (u, u'): a block
+of steps is built at once and reduced pairwise, and the blocks are applied
+in order.  The profile pass shares their RK4 step body.  General exponents
+minimize the mesh Rayleigh quotient by projected, tridiagonally
+preconditioned descent with Armijo backtracking on the quotient alone.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ def _rk4_step(u, v, nlam, c0, cm, c1, h, h2, h6):
 def _rk4(lam, d, R, n, path=False):
     """RK4 for the radial ODE from the series start at r = h, one column per
     entry of lam with its own step h = R/n (R broadcasts against lam), one
-    step at a time.  The bracket scan and the profile pass run here; the
-    Illinois refinement runs through _propagate, which takes the same steps.
+    step at a time.  The profile pass runs here; the bracket scan and the
+    Illinois refinement run through _propagate, which takes the same steps.
 
     Returns (u(R), u'(R)); with path=True, the (n+1, ...) arrays of u and u'
     at r = 0, h, ..., R instead.  Every operation is elementwise, so a
@@ -140,6 +140,7 @@ def _rk4(lam, d, R, n, path=False):
 
 
 _BLOCK = 64  # RK4 steps per propagator block; bounds the temporaries
+_SCAN_VALUES = 2048  # (lam, column) pairs per scan chunk, unless a row is wider
 
 
 def _propagate(lam, d, R, n):
@@ -222,13 +223,15 @@ def _illinois(G, a, b, Ga, Gb, tol=1e-14):
 def shoot_eigenvalues(d: int, R, b, mesh_n: int = 1024) -> np.ndarray:
     """First Robin eigenvalues for arrays of radii/coefficients (p=q=alpha=2).
 
-    One RK4 pass over every (lam, query) column scans G(lam) = u'(R) + b*u(R)
-    at 64 points of [0, 4*(pi/R)^2] for the first sign change (G(0) = b > 0,
-    and the first eigenvalue lies below the Dirichlet one); then all roots
-    refine together by batched Illinois steps, each on its own bracket, to
-    1e-14 relative, with G evaluated by step-propagator products.  Raises
-    ValueError unless d >= 1, every R is finite and positive, every b is
-    positive and mesh_n >= 64; a root still open at the step cap raises
+    A scan of G(lam) = u'(R) + b*u(R) at lam_k = k*4(pi/R)^2/63, k = 1, 2, ...
+    in chunks of 1, 2, 4, ... rows (at most _SCAN_VALUES values unless a row
+    is wider), drops each column at its first sign change (G(0) = b > 0) and
+    stops at the first row above d(d+4)/(2R^2): the quotient of R^2 - r^2
+    bounds the Dirichlet and so the first Robin eigenvalue.  Then all roots
+    refine together by batched Illinois steps to 1e-14 relative; both stages
+    evaluate G by step-propagator products.  Raises ValueError unless d >= 1,
+    every R is finite and positive, every b is positive and mesh_n >= 64; no
+    sign change, or a root still open at the step cap, raises
     RadialConvergenceError.
     """
     R = np.atleast_1d(np.asarray(R, dtype=float))
@@ -239,23 +242,32 @@ def shoot_eigenvalues(d: int, R, b, mesh_n: int = 1024) -> np.ndarray:
         raise ValueError("R must be finite and positive, b positive")
     if mesh_n < 64:
         raise ValueError(f"mesh_n must be >= 64, got {mesh_n}")
-    grid = np.linspace(0.0, 1.0, 64)[:, None] * (4.0 * (math.pi / R) ** 2)
-    u, v = _rk4(grid, d, R, mesh_n)
-    G = v + b * u
-    neg = np.signbit(G)
-    first = np.argmax(neg != neg[0], axis=0)  # 0 when no change at all
-    if np.any(first == 0):
-        raise RadialConvergenceError(
-            "no sign change of the shooting function inside the bracket",
-            residual=float(np.min(np.abs(G))))
 
     def Gcols(lam, idx):
         u, v = _propagate(lam, d, R[idx], mesh_n)
         return v + b[idx] * u
 
-    cols = np.arange(R.size)
-    return _illinois(Gcols, grid[first - 1, cols], grid[first, cols],
-                     G[first - 1, cols], G[first, cols])
+    spacing = 4.0 * (math.pi / R) ** 2 / 63.0
+    # last row: both bounds scale as 1/R^2, so one row index serves every R
+    top = max(63, int(63.0 * d * (d + 4) / (8.0 * math.pi**2)) + 1)
+    lo, Glo = np.zeros(R.size), b.copy()      # last row scanned, no change yet
+    hi, Ghi = np.empty(R.size), np.empty(R.size)
+    idx, k = np.arange(R.size), 1
+    while idx.size and k <= top:
+        width = min(k, top + 1 - k, max(1, _SCAN_VALUES // idx.size))
+        rows = np.arange(k, k + width)
+        lam = np.concatenate([lo[None, idx], rows[:, None] * spacing[idx]])
+        G = np.concatenate([Glo[None, idx], Gcols(lam[1:], idx)])
+        first = np.argmax(np.signbit(G), axis=0)  # 0 while no change
+        last, cols = np.where(first > 0, first - 1, len(G) - 1), np.arange(idx.size)
+        lo[idx], Glo[idx] = lam[last, cols], G[last, cols]
+        hi[idx], Ghi[idx] = lam[first, cols], G[first, cols]
+        idx, k = idx[first == 0], k + width
+    if idx.size:
+        raise RadialConvergenceError(
+            "no sign change of the shooting function inside the bracket",
+            residual=float(np.min(np.abs(Glo[idx]))))
+    return _illinois(Gcols, lo, hi, Glo, Ghi)
 
 
 def _quotient_of_profile(d, R, b, r, u, v):
@@ -275,11 +287,12 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
     Directions come from a tridiagonal solve against the frozen linearization
     of the quotient (plain gradient steps stall far beyond the iteration cap
     on fine meshes), are l2-normalized, and pass an Armijo backtracking line
-    search; iterates re-project to unit nodal l^alpha norm.  Three restarts
-    guard against spurious critical points; the smallest quotient wins, ties
-    by restart index.
+    search on the quotient alone; iterates re-project to unit nodal l^alpha
+    norm.  Three restarts guard against spurious critical points; the
+    smallest quotient wins, ties by restart index.  A winner that diverged,
+    or stopped at max_iter with a last relative change >= tol, raises.
     """
-    from scipy.linalg import solveh_banded
+    from scipy.linalg.lapack import dptsv
 
     N = mesh_n
     h = R / N
@@ -292,20 +305,22 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
     bR = b * R ** (d - 1)
     spow = sigma ** (1.0 - pg / alpha)
 
-    def quotient_and_grad(u):
+    def quotient(u):  # Q and the parts its gradient reuses
         du = np.diff(u) / h
         num = np.sum(np.abs(du) ** pg * rbar) * h + bR * np.abs(u[-1]) ** pg
         dint = np.sum(dw * np.abs(u) ** alpha)
         den = dint ** (pg / alpha)
-        Q = spow * num / den
+        return spow * num / den, (du, num, dint, den)
+
+    def gradient(u, parts):
+        du, num, dint, den = parts
         t = pg * np.abs(du) ** (pg - 1.0) * np.sign(du) * rbar
         gn = np.zeros_like(u)
         gn[:-1] -= t
         gn[1:] += t
         gn[-1] += bR * pg * np.abs(u[-1]) ** (pg - 1.0) * np.sign(u[-1])
         gd = pg * dint ** (pg / alpha - 1.0) * dw * np.abs(u) ** (alpha - 1.0) * np.sign(u)
-        grad = spow * (gn * den - num * gd) / den**2
-        return Q, grad
+        return spow * (gn * den - num * gd) / den**2
 
     def precondition(u, Q, g):
         # frozen tridiagonal model: p-Laplacian linearization plus a mass
@@ -319,10 +334,10 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
         diag[1:] += c
         diag[-1] += bR * (u[-1] ** 2 + eps2) ** ((pg - 2.0) / 2.0)
         diag += max(Q, 1e-30) * mass + 1e-300
-        band = np.zeros((2, N + 1))
-        band[0, 1:] = -c
-        band[1] = diag
-        return solveh_banded(band, -g)
+        x, info = dptsv(diag, -c, -g, 1, 1, 1)[2:]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"preconditioner: LAPACK ptsv info {info}")
+        return x
 
     def project(u):
         nrm = np.sum(np.abs(u) ** alpha) ** (1.0 / alpha)
@@ -331,9 +346,11 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
     starts = [np.ones(N + 1), 1.0 - 0.5 * r / R,
               np.random.Generator(np.random.Philox(key=0xA11CE)).uniform(0.5, 1.5, N + 1)]
     best = None
+    restart_iters = []
     for idx, u0 in enumerate(starts):
         u = project(u0.copy())
-        Q, g = quotient_and_grad(u)
+        Q, parts = quotient(u)
+        g = gradient(u, parts)
         step = 1.0
         iters = 0
         last_change = np.inf
@@ -354,7 +371,7 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
             accepted = False
             for _ in range(60):
                 u_try = project(u + s * dhat)
-                Q_try, g_try = quotient_and_grad(u_try)
+                Q_try, parts = quotient(u_try)
                 if Q_try <= Q + 1e-4 * s * slope:
                     accepted = True
                     break
@@ -363,12 +380,14 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
                 break
             step = s
             last_change = abs(Q - Q_try) / max(abs(Q_try), 1e-300)
-            u, Q, g = u_try, Q_try, g_try
+            u, Q = u_try, Q_try
             if last_change < tol:
                 break
+            g = gradient(u, parts)
+        restart_iters.append(iters)
         # flipping signs never raises the quotient; keep the positive profile
         u_abs = project(np.abs(u))
-        Q_abs, _ = quotient_and_grad(u_abs)
+        Q_abs = quotient(u_abs)[0]
         if Q_abs <= Q:
             u, Q = u_abs, Q_abs
         if best is None or Q < best[0]:
@@ -376,11 +395,12 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
     Q, u, iters, change, idx = best
     if not math.isfinite(Q):
         raise RadialConvergenceError("Rayleigh descent diverged", residual=change)
-    if iters >= max_iter and change > 1e-6:
+    if iters >= max_iter and change >= tol:
         raise RadialConvergenceError(
             f"Rayleigh descent hit the {max_iter}-iteration cap",
             residual=change)
-    return Q, r, u, {"iterations": iters, "residual": change, "restart": idx}
+    return Q, r, u, {"iterations": iters, "residual": change, "restart": idx,
+                     "restart_iterations": tuple(restart_iters)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Nothing here calls into robinshape's solvers: eigenvalues come from
 transcendental root-finding on the known radial solutions (cosine in 1d,
-Bessel J0 in 2d), thresholds from extended-precision formula evaluation,
-inner solves from LAPACK banded factorizations and sparse direct solves,
-staircase boundary faces from a face-by-face walk over Python tuples, and
-gradients, face differences and jump sums of SBV fields from loops over
-single cells and faces.
+Bessel J0 in 2d, sin(kr)/r in 3d), thresholds from extended-precision
+formula evaluation, inner solves from LAPACK banded factorizations and
+sparse direct solves, staircase boundary faces from a face-by-face walk
+over Python tuples, and gradients, face differences and jump sums of SBV
+fields from loops over single cells and faces.
 """
 
 import math
@@ -32,6 +32,14 @@ def robin_lambda_disc(R, b):
     f = lambda k: k * j1(k) - b * R * j0(k)
     k = brentq(f, 1e-9, 2.404825557695772, xtol=1e-14, rtol=1e-15)
     return (k / R) ** 2
+
+
+def robin_lambda_ball3(R, b):
+    """First Robin eigenvalue of the 3-ball of radius R: for u = sin(kr)/r,
+    x*cos(x) = (1 - b*R)*sin(x) at x = k*R, lam = k^2."""
+    f = lambda x: x * math.cos(x) + (b * R - 1.0) * math.sin(x)
+    x = brentq(f, 1e-9, math.pi, xtol=1e-14, rtol=1e-15)
+    return (x / R) ** 2
 
 
 def threshold_formula(p, d, dps=40):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 
 import robinshape
 from robinshape import radial
@@ -70,6 +71,34 @@ def test_first_root_below_tiny_lambda_is_found():
                                     rel=1e-6)
 
 
+def test_scan_chunks_match_oracles():
+    # b from 1e-6 to 1e6 puts the first sign change of G in every scan
+    # chunk up to the 16-row one (rows 1, 2-3, 4-7, 8-15, 16-31)
+    bs = 10.0 ** np.arange(-6.0, 6.5, 0.5)
+    chunks = set()
+    for d, oracle in ((1, oracles.robin_lambda_interval),
+                      (2, oracles.robin_lambda_disc),
+                      (3, oracles.robin_lambda_ball3)):
+        lam = shoot_eigenvalues(d, np.ones(bs.size), bs, 1024)
+        ref = [oracle(1.0, b) for b in bs]
+        assert lam == pytest.approx(ref, rel=1e-9)
+        rows = np.ceil(lam / (4.0 * math.pi**2 / 63.0)).astype(int)
+        chunks |= set(np.floor(np.log2(rows)).astype(int).tolist())
+    assert chunks == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("d", [8, 10, 12])
+def test_high_dimension_shoots_below_dirichlet(d):
+    # the Dirichlet eigenvalue j_{d/2-1,1}^2 lies above 4 pi^2 from d = 8 on;
+    # the scan runs on to d(d+4)/2, the quotient of 1 - r^2
+    dirichlet = jn_zeros(d // 2 - 1, 1)[0] ** 2
+    lam = shoot_eigenvalues(d, np.ones(3), [1.0, 1e3, 1e6], 1024)
+    assert np.all(np.diff(lam) > 0) and np.all(lam < dirichlet)
+    assert lam[2] == pytest.approx(dirichlet, rel=1e-5)
+    sol = robin_eigenvalue_ball(RadialEigenvalueQuery(d=d, R=1.0, b=1e3))
+    assert sol.lam == lam[1]
+
+
 def test_refinement_cap_raises(monkeypatch):
     monkeypatch.setattr(radial, "_MAX_REFINE", 3)
     with pytest.raises(RadialConvergenceError):
@@ -78,9 +107,10 @@ def test_refinement_cap_raises(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_propagator_refinement_matches_rk4_loop(monkeypatch, d):
-    # the Illinois steps evaluate G by step-propagator products, which only
-    # reassociate the RK4 loop's rounding: roots agree within 1e-13 and the
-    # end values within 1e-12 of |(u(R), u'(R))|.  A mesh of n takes n - 1
+    # the bracket scan and the Illinois steps evaluate G by step-propagator
+    # products, which only reassociate the RK4 loop's rounding; with the
+    # loop patched in for both, roots agree within 1e-13 and the end values
+    # within 1e-12 of |(u(R), u'(R))|.  A mesh of n takes n - 1
     # steps: block - 1, block and block + 1 of them, two whole blocks, and
     # 1023 cover the partial and the exact blocks
     R, b = np.array([0.4, 1.0, 2.5]), np.array([3.0, 1.0, 0.2])
@@ -163,6 +193,35 @@ def test_shooting_and_descent_agree_at_two():
                                                            mesh_n=2048)).lam
         desc, _, _, info = _rayleigh_min(d, 1.0, 1.0, 2.0, 2.0, 512)
         assert desc == pytest.approx(shot, rel=1e-5)
+
+
+@pytest.mark.parametrize("query,lam,iterations", [
+    ((2, 1.0, 0.5, 3.0, 3.0, 256), "0.6670169867336883", 29),
+    ((1, 2.0, 1.0, 3.0, 3.0, 192), "0.1330883367885695", 13),
+    ((2, 1.0, 1.0, 2.0, 1.5, 160), "1.0848924514311002", 11)])
+def test_descent_results_are_pinned(query, lam, iterations):
+    # pinned bit for bit: pricing the line search's trial points by the
+    # quotient alone must not move any accepted step
+    Q, _, _, info = _rayleigh_min(*query)
+    assert repr(float(Q)) == lam and info["iterations"] == iterations
+    assert len(info["restart_iterations"]) == 3
+    assert info["restart_iterations"][info["restart"]] == iterations
+
+
+def test_descent_iteration_cap_raises():
+    # stopped after 8 iterations with a last relative change of 1.4e-7,
+    # far above the 1e-10 tolerance
+    with pytest.raises(RadialConvergenceError):
+        _rayleigh_min(2, 1.0, 0.5, 3.0, 3.0, 256, max_iter=8)
+
+
+def test_descent_preconditioner_failure_raises(monkeypatch):
+    # a tridiagonal factorization that reports failure must not be used
+    import scipy.linalg.lapack as lapack
+    ptsv = lapack.dptsv
+    monkeypatch.setattr(lapack, "dptsv", lambda *a: ptsv(*a)[:3] + (1,))
+    with pytest.raises(np.linalg.LinAlgError):
+        _rayleigh_min(2, 1.0, 0.5, 3.0, 3.0, 128)
 
 
 def test_query_validation():
