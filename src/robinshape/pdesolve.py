@@ -6,10 +6,13 @@ neighbour arrays with one zero sentinel for absent neighbours, and the
 boundary faces as arrays.  The method follows the model's exponents.  For
 p = q = 2 the face-based energy is a symmetric positive definite quadratic
 solved matrix-free by conjugate gradients over the m unknowns, the operator
-a gather stencil over the neighbour arrays; any other exponents minimize
-the eta-regularized energy by Polak-Ribiere nonlinear CG with Armijo
-backtracking.  The grid eigensolver assembles its sparse matrix from the
-same arrays.  Zero initial guess always, and every vector reduction is a
+a gather stencil over the neighbour arrays.  Any other exponents minimize
+the eta-regularized energy by damped Newton: one sparse factorization of
+the Hessian per iteration, Armijo backtracking, and a stop when half the
+squared Newton decrement is at most tol |E|, which bounds the energy gap to
+the minimiser.  The Hessian and the grid eigensolver's matrix are one face
+form (`_face_matrix`), factorized by SuperLU with the MMD_AT_PLUS_A
+ordering.  Zero initial guess always, and every vector reduction is a
 numpy add.reduce (np.sum, or ndarray.sum in the CG loop; BLAS calls would
 thread and sum in another order), so results are reproducible bit for bit.
 The CG iteration updates its vectors in place and reuses the residual's r.r
@@ -43,11 +46,12 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """tol is the relative residual (CG) or relative energy-change (descent)
-    tolerance; eta floors the gradient magnitude in the p-Laplacian terms.
-    The method follows the model's exponents: conjugate gradients for
-    p = q = 2, where eta defaults to 0, and the nonlinear descent otherwise,
-    where eta defaults to 1e-6 and must stay positive."""
+    """The method follows the model's exponents: conjugate gradients for
+    p = q = 2, where tol bounds the relative residual and eta defaults to 0,
+    and damped Newton otherwise, where tol bounds half the squared Newton
+    decrement relative to |E| and eta, which floors the gradient magnitude
+    in the p-Laplacian terms, defaults to 1e-6 and must stay positive.
+    max_iter caps the CG or Newton iterations (default 10 n^d)."""
 
     tol: float = 1e-10
     max_iter: int | None = None
@@ -64,14 +68,14 @@ class SolverConfig:
                              f"choose from {', '.join(BOUNDARY_MODES)}")
 
     def resolve(self, model: IntegrandModel):
-        """(mode, eta): "linear-cg" for p = q = 2, else "nonlinear-descent"."""
+        """(mode, eta): "linear-cg" for p = q = 2, else "newton"."""
         linear = model.p == 2.0 and model.q == 2.0
         eta = self.eta
         if eta is None:
             eta = 0.0 if linear else 1e-6
         if not linear and eta == 0.0:
             raise ValueError("eta = 0 is only allowed at p = q = 2")
-        return ("linear-cg" if linear else "nonlinear-descent"), eta
+        return ("linear-cg" if linear else "newton"), eta
 
 
 def _robin_weights(model: IntegrandModel, asm: MaskAssembly, weights: str):
@@ -105,7 +109,7 @@ def solve_inner(model: IntegrandModel, grid: Grid, mask: ShapeMask,
     if mode == "linear-cg":
         x, info = _solve_cg(model, asm, fc, bcw, config, cap)
     else:
-        x, info = _solve_descent(model, asm, fc, bcw, eta, config, cap)
+        x, info = _solve_newton(model, asm, fc, bcw, eta, config, cap)
     field = SbvField(grid, asm.scatter(x), support_jumps(grid, mask.cells))
     return (field, info) if return_info else field
 
@@ -149,8 +153,8 @@ def _solve_cg(model, asm, fc, bcw, config, cap):
 
 
 def _face_energy(model, asm, fc, bcw, eta):
-    """Energy and gradient callables of the eta-regularized face energy over
-    the mask's cells, without the volume term."""
+    """Energy, gradient and Hessian callables of the eta-regularized face
+    energy over the mask's cells, without the volume term."""
     gc = model.grad_coeff
     p, q = model.p, model.q
     h = asm.grid.h
@@ -176,69 +180,74 @@ def _face_energy(model, asm, fc, bcw, eta):
         s = x[asm.inner]
         return g + asm.cell_sum(bcw * q * (s * s + e2) ** (q / 2.0 - 1.0) * s)
 
-    return energy, gradient
+    def hessian(x):
+        link_w = []
+        for lo, hi in asm.links:
+            dd2 = ((x[hi] - x[lo]) / h) ** 2
+            link_w.append(gc * p * (dd2 + e2) ** (p / 2.0 - 2.0)
+                          * ((p - 1.0) * dd2 + e2) * vol / (h * h))
+        s2 = x[asm.inner] ** 2
+        return _face_matrix(asm, np.concatenate(link_w),
+                            bcw * q * (s2 + e2) ** (q / 2.0 - 2.0)
+                            * ((q - 1.0) * s2 + e2))
+
+    return energy, gradient, hessian
 
 
-def _solve_descent(model, asm, fc, bcw, eta, config, cap):
-    energy, gradient = _face_energy(model, asm, fc, bcw, eta)
+def _face_matrix(asm, link_w, bdry_w):
+    """Sparse m x m matrix (CSC) of the face form: link_w (one value per
+    interior face, axis by axis as in asm.links, or one for all) times
+    (e_lo - e_hi)(e_lo - e_hi)^T, plus bdry_w on the diagonal of each
+    boundary face's mask cell."""
+    import scipy.sparse as sp
+
+    lo = np.concatenate([lo for lo, _ in asm.links])
+    hi = np.concatenate([hi for _, hi in asm.links])
+    w = np.broadcast_to(link_w, lo.shape)[:, None]
+    rows = np.concatenate([np.stack([lo, hi, lo, hi], axis=1).ravel(), asm.inner])
+    cols = np.concatenate([np.stack([lo, hi, hi, lo], axis=1).ravel(), asm.inner])
+    vals = np.concatenate([(w * [1.0, 1.0, -1.0, -1.0]).ravel(), bdry_w])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(asm.m, asm.m))
+
+
+def _solve_newton(model, asm, fc, bcw, eta, config, cap):
+    """Damped Newton with Armijo backtracking (Boyd and Vandenberghe,
+    Convex Optimization, 9.5), stopped when half the squared Newton
+    decrement is at most tol |E|."""
+    import scipy.sparse.linalg as spla
+
+    energy, gradient, hessian = _face_energy(model, asm, fc, bcw, eta)
     u = np.zeros(asm.m)
     E = energy(u)
-    g = gradient(u)
-    direction = -g
-    g_prev = g
-    step = 1.0
     trace = [E]
-    it = 0
-    change = np.inf
-    while it < cap:
-        it += 1
-        slope = float(np.sum(g * direction))
-        if slope >= 0.0:
-            direction = -g
-            slope = float(np.sum(g * direction))
-            if slope >= 0.0:
-                break
-        s = min(1.0, 4.0 * step) if it > 1 else step
-        accepted = False
+    for it in range(cap + 1):
+        g = gradient(u)
+        if not np.any(g):
+            res = 0.0
+            break
+        du = spla.splu(hessian(u), permc_spec="MMD_AT_PLUS_A").solve(-g)
+        slope = float(np.sum(g * du))  # minus the squared decrement
+        res = -0.5 * slope / abs(E)
+        if res <= config.tol:
+            break
+        if it == cap:
+            raise SolverError(f"Newton did not converge in {cap} iterations",
+                              residual=res, iterations=cap)
+        s = 1.0
         for _ in range(60):
-            u_try = u + s * direction
-            E_try = energy(u_try)
-            if E_try <= E + 1e-4 * s * slope:
-                accepted = True
+            E_try = energy(u + s * du)
+            if E_try <= E + 0.25 * s * slope:
                 break
             s *= 0.5
-        if not accepted:
-            break
-        # polish with the one-dimensional quadratic model through
-        # (0, E), slope, (s, E_try); exact for the p = 2 energy
-        curv = E_try - E - slope * s
-        if curv > 0.0:
-            s_q = -slope * s * s / (2.0 * curv)
-            if 0.0 < s_q <= 16.0 * s:
-                u_q = u + s_q * direction
-                E_q = energy(u_q)
-                if E_q < E_try:
-                    s, u_try, E_try = s_q, u_q, E_q
-        step = s
-        change = abs(E - E_try) / max(abs(E_try), 1e-300)
-        u = u_try
+        else:
+            raise SolverError(f"Newton step {it + 1} found no decrease "
+                              f"(residual {res:.3e})",
+                              residual=res, iterations=it)
+        u = u + s * du
         E = E_try
         trace.append(E)
-        g_new = gradient(u)
-        beta = max(0.0, float(np.sum(g_new * (g_new - g_prev)))
-                   / max(float(np.sum(g_prev * g_prev)), 1e-300))
-        if it % 50 == 0:
-            beta = 0.0
-        direction = -g_new + beta * direction
-        g, g_prev = g_new, g_new
-        if change < config.tol:
-            return u, {"iterations": it, "residual": change,
-                       "mode": "nonlinear-descent", "energy_trace": trace}
-    if change < max(config.tol, 1e-8) or it == 0:
-        return u, {"iterations": it, "residual": change,
-                   "mode": "nonlinear-descent", "energy_trace": trace}
-    raise SolverError(f"descent did not reach tolerance in {it} iterations",
-                      residual=change, iterations=it)
+    return u, {"iterations": it, "residual": res, "mode": "newton",
+               "energy_trace": trace}
 
 
 def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField,
@@ -248,8 +257,8 @@ def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField,
     functional J when eta and weights are the solver's."""
     asm = mask_assembly(mask)
     fc = asm.gather(model.f_at(field.grid.centers()))
-    energy, _ = _face_energy(model, asm, fc,
-                             _robin_weights(model, asm, weights), eta)
+    energy, _, _ = _face_energy(model, asm, fc,
+                                _robin_weights(model, asm, weights), eta)
     return energy(asm.gather(field.values)) + model.c0 * mask.volume()
 
 
@@ -258,8 +267,8 @@ def energy_gradient(model: IntegrandModel, mask: ShapeMask, field: SbvField,
     """Assembled residual of the nonlinear objective at the given field."""
     asm = mask_assembly(mask)
     fc = asm.gather(model.f_at(field.grid.centers()))
-    _, gradient = _face_energy(model, asm, fc,
-                               _robin_weights(model, asm, weights), eta)
+    _, gradient, _ = _face_energy(model, asm, fc,
+                                  _robin_weights(model, asm, weights), eta)
     return asm.scatter(gradient(asm.gather(field.values)))
 
 
@@ -270,25 +279,15 @@ def grid_robin_eigenvalue(grid: Grid, mask: ShapeMask, b: float,
     boundary coefficient b, "auto" boundary weights).  Raises SolverError
     when the eigenvalue has not settled to relative change 1e-10 within
     max_iter iterations."""
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     asm = mask_assembly(mask)
     m = asm.m
     if m == 0:
         raise ValueError("empty mask has no eigenvalue")
-    kap = grid.h ** (grid.d - 2)
-    lo = np.concatenate([lo for lo, _ in asm.links])
-    hi = np.concatenate([hi for _, hi in asm.links])
-    # per interior face, in order: kap on both diagonals, -kap off them;
-    # then b*w on the diagonal per boundary face
-    rows = np.concatenate([np.stack([lo, hi, lo, hi], axis=1).ravel(), asm.inner])
-    cols = np.concatenate([np.stack([lo, hi, hi, lo], axis=1).ravel(), asm.inner])
-    vals = np.concatenate([np.tile([kap, kap, -kap, -kap], len(lo)),
-                           b * asm.weights()])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    A = _face_matrix(asm, grid.h ** (grid.d - 2), b * asm.weights())
     mass = grid.cell_volume
-    lu = spla.splu(A.tocsc())
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     x = np.ones(m)
     lam, change = None, np.inf
     for _ in range(max_iter):

@@ -383,3 +383,72 @@ def sbv_sums_reference(model, field, b, p):
             bv += abs(ta - tb) * g.face_weight
             lhs += b * (abs(ta) ** p + abs(tb) ** p) * g.face_weight
     return F, bv, lhs
+
+
+def face_newton_reference(model, cells, h, eta):
+    """Minimiser and energy (volume term included) of the eta-regularized
+    face energy on a 1d mask, solved to rounding by dense damped Newton.
+    Energy, gradient and Hessian are summed one face and one cell at a
+    time: gc ((u[i+1] - u[i])^2/h^2 + eta^2)^(p/2) h per pair of adjacent
+    mask cells, -f u h per mask cell, and bdry_coeff(face) (u^2 +
+    eta^2)^(q/2) per face between a mask cell and a cell outside the mask
+    or the box; the grid origin is 0."""
+    n = len(cells)
+    gc, p, q, e2 = model.grad_coeff, model.p, model.q, eta * eta
+    idx = [int(i) for i in np.flatnonzero(cells)]
+    pos = {c: k for k, c in enumerate(idx)}
+    f = [float(model.f_at(np.array([(c + 0.5) * h]))) for c in idx]
+    links = [(pos[c], pos[c + 1]) for c in idx if c + 1 in pos]
+    # face k lies between cells k - 1 and k
+    bdry = [(pos[c], float(model.bdry_coeff(np.array([face * h]))))
+            for c in idx for face, nb in ((c, c - 1), (c + 1, c + 1))
+            if not (0 <= nb < n and cells[nb])]
+
+    def energy(u):
+        E = 0.0
+        for a, b in links:
+            E += gc * (((u[b] - u[a]) / h) ** 2 + e2) ** (p / 2) * h
+        for k in range(len(idx)):
+            E -= f[k] * u[k] * h
+        for k, beta in bdry:
+            E += beta * (u[k] ** 2 + e2) ** (q / 2)
+        return E
+
+    def derivatives(u):
+        g = np.array([-fk * h for fk in f])
+        H = np.zeros((len(idx), len(idx)))
+        for a, b in links:
+            dd = (u[b] - u[a]) / h
+            s = dd * dd + e2
+            t = gc * p * s ** (p / 2 - 1) * dd
+            c = gc * p * s ** (p / 2 - 2) * ((p - 1) * dd * dd + e2) / h
+            g[a] -= t
+            g[b] += t
+            H[a, a] += c
+            H[b, b] += c
+            H[a, b] -= c
+            H[b, a] -= c
+        for k, beta in bdry:
+            s = u[k] ** 2 + e2
+            g[k] += beta * q * s ** (q / 2 - 1) * u[k]
+            H[k, k] += beta * q * s ** (q / 2 - 2) * ((q - 1) * u[k] ** 2 + e2)
+        return g, H
+
+    u = np.zeros(len(idx))
+    E = energy(u)
+    for _ in range(200):
+        g, H = derivatives(u)
+        du = -np.linalg.solve(H, g)
+        slope = float(g @ du)
+        if -0.5 * slope <= 1e-28 * abs(E):
+            break
+        s = 1.0
+        while s > 1e-18 and energy(u + s * du) > E + 0.25 * s * slope:
+            s /= 2
+        if energy(u + s * du) >= E:
+            break  # no decrease left: the minimiser to rounding
+        u = u + s * du
+        E = energy(u)
+    out = np.zeros(n)
+    out[idx] = u
+    return out, E + model.c0 * len(idx) * h

@@ -145,6 +145,26 @@ def test_numerical_failure_exit_code(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_zero_source_solve_at_exponent_three(tmp_path):
+    assert main(["solve", "--d", "1", "--n", "16", "--p", "3", "--q", "3",
+                 "--f-const", "0", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("p,q,n", [
+    (1.5, 1.25, 16), (1.5, 1.25, 32), (1.5, 1.25, 64), (1.5, 1.25, 128),
+    (1.5, 1.5, 64), (1.2, 1.1, 64),
+])
+def test_subquadratic_solves_succeed(tmp_path, p, q, n):
+    assert main(["solve", "--d", "1", "--n", str(n), "--p", str(p),
+                 "--q", str(q), "--f-const", "1", "--out", str(tmp_path)]) == 0
+
+
+def test_subquadratic_optimize_succeeds(tmp_path):
+    assert main(["optimize", "--d", "1", "--n", "64", "--p", "1.5",
+                 "--q", "1.25", "--f-bump", "0.4,0.6,3",
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_verify_failure_exit_code_and_replay(tmp_path):
     out = str(tmp_path)
     # an impossible gap floor forces the reduction suite to fail and

@@ -148,7 +148,7 @@ def test_nonlinear_energy_trace_monotone():
                             return_info=True)
     trace = info["energy_trace"]
     assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
-    assert info["mode"] == "nonlinear-descent"
+    assert info["mode"] == "newton"
 
 
 def test_nonlinear_gradient_matches_finite_differences():
@@ -177,8 +177,8 @@ def test_nonlinear_gradient_matches_finite_differences():
 
 
 def test_nonlinear_agrees_with_cg_at_p2():
-    # p = q = 2 solves by CG; the descent, run directly on the same energy,
-    # lands on the same minimiser
+    # p = q = 2 solves by CG; Newton, run directly on the same energy
+    # (eta 1e-8 moves it by about eta^2), lands on the same minimiser
     n = 64
     grid = Grid(1, n, 1.0 / n)
     model = slab_model()
@@ -188,21 +188,98 @@ def test_nonlinear_agrees_with_cg_at_p2():
     asm = mask_assembly(mask)
     fc = asm.gather(model.f_at(grid.centers()))
     bcw = pdesolve._robin_weights(model, asm, "auto")
-    x, info = pdesolve._solve_descent(model, asm, fc, bcw, 1e-8,
-                                      SolverConfig(tol=1e-13), 20000)
-    assert info["mode"] == "nonlinear-descent"
-    assert np.max(np.abs(lin.values - asm.scatter(x))) < 1e-5
+    x, info = pdesolve._solve_newton(model, asm, fc, bcw, 1e-8,
+                                     SolverConfig(tol=1e-13), 20000)
+    assert info["mode"] == "newton"
+    assert info["iterations"] == 1  # one full step minimises a quadratic
+    assert np.max(np.abs(lin.values - asm.scatter(x))) < 1e-12
+
+
+def test_zero_source_at_exponent_three_returns_zero_without_iterations():
+    # the zero start is the exact minimiser: a zero gradient returns at once
+    grid = Grid(1, 16, 1.0 / 16)
+    fld, info = solve_inner(slab_model(f=0.0, p=3.0, q=3.0), grid,
+                            ShapeMask.full(grid), return_info=True)
+    assert np.all(fld.values == 0.0)
+    assert info["iterations"] == 0
+    assert info["residual"] == 0.0
+
+
+def _bump_model(p, q, c0=0.2):
+    # the 1d optimize source of --f-bump 0.4,0.6,3 with --f-const 0
+    return IntegrandModel(
+        p=p, q=q, L=1.0, c0=c0, beta1=1.0, normalization="energy",
+        f=lambda x: np.where((x[..., 0] > 0.4) & (x[..., 0] < 0.6), 3.0, 0.0))
+
+
+def test_newton_converges_across_the_eta_kink():
+    # at p = 1.5 the full Newton step crosses the eta-kink at the maximum of
+    # u; a sufficient-decrease constant of 1e-4 accepts these steps with a
+    # sliver of the predicted decrease and stalls on this interval
+    grid = Grid(1, 64, 1.0 / 64)
+    mask = ShapeMask.interval(grid, 11 / 64, 37 / 64)
+    fld, info = solve_inner(_bump_model(1.5, 1.25), grid, mask,
+                            return_info=True)
+    assert info["mode"] == "newton"
+    assert info["residual"] <= 1e-10
+    assert info["iterations"] <= 12
+
+
+@pytest.mark.parametrize("p,q,cells,model", [
+    (3.0, 3.0, (0.2, 0.8), "slab"),
+    (1.5, 1.25, (0.0, 1.0), "slab"),
+    (1.5, 1.25, (11 / 64, 37 / 64), "bump"),
+    (3.0, 3.0, (26 / 64, 38 / 64), "bump"),
+])
+def test_newton_matches_dense_reference_within_its_certificate(p, q, cells,
+                                                               model):
+    # half the squared Newton decrement bounds the energy gap to the
+    # minimiser, which the dense reference gives to rounding
+    grid = Grid(1, 64, 1.0 / 64)
+    model = slab_model(c0=0.2, p=p, q=q) if model == "slab" \
+        else _bump_model(p, q)
+    mask = ShapeMask.interval(grid, *cells)
+    fld, info = solve_inner(model, grid, mask, return_info=True)
+    J = energy_of(model, mask, fld, eta=1e-6)
+    _, J_ref = oracles.face_newton_reference(model, mask.cells, grid.h, 1e-6)
+    E = J - model.c0 * mask.volume()
+    assert J == pytest.approx(J_ref, rel=2e-12)
+    assert J - J_ref <= info["residual"] * abs(E) + 1e-15 * abs(J_ref)
+
+
+def test_newton_iteration_cap_raises_with_residual():
+    grid = Grid(1, 64, 1.0 / 64)
+    with pytest.raises(SolverError) as err:
+        solve_inner(slab_model(p=3.0, q=3.0), grid, ShapeMask.full(grid),
+                    SolverConfig(max_iter=1))
+    assert err.value.iterations == 1
+    assert err.value.residual > 1e-10
+
+
+def test_newton_step_without_decrease_raises(monkeypatch):
+    # an energy that every step raises: 60 halvings find no decrease
+    face_energy = pdesolve._face_energy
+
+    def rigged(*args):
+        energy, gradient, hessian = face_energy(*args)
+        return (lambda x: energy(x) + float(np.any(x)), gradient, hessian)
+    monkeypatch.setattr(pdesolve, "_face_energy", rigged)
+    grid = Grid(1, 16, 1.0 / 16)
+    with pytest.raises(SolverError) as err:
+        solve_inner(slab_model(p=3.0, q=3.0), grid, ShapeMask.full(grid))
+    assert err.value.iterations == 0
+    assert err.value.residual > 0
 
 
 def test_subquadratic_boundary_exponent_runs():
     # q < 2 makes the boundary term non-smooth at 0; the eta floor keeps the
-    # descent going (values reported, not asserted against a reference)
+    # Hessian finite (values reported, not asserted against a reference)
     grid = Grid(1, 48, 1.0 / 48)
     model = slab_model(p=2.5, q=1.5)
     mask = ShapeMask.interval(grid, 0.2, 0.8)
     fld, info = solve_inner(model, grid, mask,
                             SolverConfig(tol=1e-8, eta=1e-4), return_info=True)
-    assert info["mode"] == "nonlinear-descent"
+    assert info["mode"] == "newton"
     assert np.all(np.isfinite(fld.values))
     assert float(np.max(fld.values)) > 0
 
@@ -236,6 +313,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         cfg.resolve(slab_model(p=3.0, q=3.0))
     assert cfg.resolve(slab_model()) == ("linear-cg", 0.0)
+    assert SolverConfig().resolve(slab_model(p=3.0, q=3.0)) == ("newton", 1e-6)
 
 
 def test_empty_mask_returns_zero_field():
