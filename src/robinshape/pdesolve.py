@@ -10,13 +10,13 @@ a gather stencil over the neighbour arrays.  Any other exponents minimize
 the eta-regularized energy by damped Newton: one sparse factorization of
 the Hessian per iteration, Armijo backtracking, and a stop when half the
 squared Newton decrement is at most tol |E|, which bounds the energy gap to
-the minimiser.  The Hessian and the grid eigensolver's matrix are one face
-form (`_face_matrix`), factorized by SuperLU with the MMD_AT_PLUS_A
-ordering.  Zero initial guess always, and every vector reduction is a
-numpy add.reduce (np.sum, or ndarray.sum in the CG loop; BLAS calls would
-thread and sum in another order), so results are reproducible bit for bit.
-The CG iteration updates its vectors in place and reuses the residual's r.r
-in the next step.
+the minimiser, or once a step no longer changes E.  The Hessian and the
+grid eigensolver's matrix are one face form (`_face_matrix`), factorized by
+SuperLU with the MMD_AT_PLUS_A ordering.  Zero initial guess always, and
+every vector reduction is a numpy add.reduce (np.sum, or ndarray.sum in the
+CG loop; BLAS calls would thread and sum in another order), so results are
+reproducible bit for bit.  The CG iteration updates its vectors in place
+and reuses the residual's r.r in the next step.
 
 The face energy (`_face_energy`, `energy_of`) is the package's one discrete
 functional: Lg ((u_hi - u_lo)^2/h^2 + eta^2)^(p/2) h^d per interior face,
@@ -181,15 +181,12 @@ def _face_energy(model, asm, fc, bcw, eta):
         return g + asm.cell_sum(bcw * q * (s * s + e2) ** (q / 2.0 - 1.0) * s)
 
     def hessian(x):
-        link_w = []
-        for lo, hi in asm.links:
-            dd2 = ((x[hi] - x[lo]) / h) ** 2
-            link_w.append(gc * p * (dd2 + e2) ** (p / 2.0 - 2.0)
-                          * ((p - 1.0) * dd2 + e2) * vol / (h * h))
+        dd2 = np.concatenate([((x[hi] - x[lo]) / h) ** 2 for lo, hi in asm.links])
         s2 = x[asm.inner] ** 2
-        return _face_matrix(asm, np.concatenate(link_w),
-                            bcw * q * (s2 + e2) ** (q / 2.0 - 2.0)
-                            * ((q - 1.0) * s2 + e2))
+        return _face_matrix(
+            asm, gc * p * (dd2 + e2) ** (p / 2.0 - 2.0) * ((p - 1.0) * dd2 + e2)
+            * vol / (h * h),
+            bcw * q * (s2 + e2) ** (q / 2.0 - 2.0) * ((q - 1.0) * s2 + e2))
 
     return energy, gradient, hessian
 
@@ -212,8 +209,8 @@ def _face_matrix(asm, link_w, bdry_w):
 
 def _solve_newton(model, asm, fc, bcw, eta, config, cap):
     """Damped Newton with Armijo backtracking (Boyd and Vandenberghe,
-    Convex Optimization, 9.5), stopped when half the squared Newton
-    decrement is at most tol |E|."""
+    Convex Optimization, 9.5).  At the zero start H is of order eta^(p-2),
+    so for large p the first step takes hundreds of halvings."""
     import scipy.sparse.linalg as spla
 
     energy, gradient, hessian = _face_energy(model, asm, fc, bcw, eta)
@@ -228,23 +225,25 @@ def _solve_newton(model, asm, fc, bcw, eta, config, cap):
         du = spla.splu(hessian(u), permc_spec="MMD_AT_PLUS_A").solve(-g)
         slope = float(np.sum(g * du))  # minus the squared decrement
         res = -0.5 * slope / abs(E)
+        if not slope < 0:  # flat faces make H singular to rounding
+            raise SolverError(f"Newton step {it + 1} is no descent direction",
+                              residual=res, iterations=it)
         if res <= config.tol:
             break
         if it == cap:
             raise SolverError(f"Newton did not converge in {cap} iterations",
                               residual=res, iterations=cap)
-        s = 1.0
-        for _ in range(60):
-            E_try = energy(u + s * du)
-            if E_try <= E + 0.25 * s * slope:
-                break
-            s *= 0.5
-        else:
-            raise SolverError(f"Newton step {it + 1} found no decrease "
-                              f"(residual {res:.3e})",
-                              residual=res, iterations=it)
-        u = u + s * du
-        E = E_try
+        s, u_try = 1.0, u + du
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is inf
+            while not (E_try := energy(u_try)) <= E + 0.25 * s * slope:
+                s *= 0.5
+                u_try = u + s * du
+                if np.array_equal(u_try, u):  # the step no longer moves u
+                    raise SolverError(f"Newton step {it + 1} found no decrease",
+                                      residual=res, iterations=it)
+        if E_try == E:  # E cannot resolve a smaller gain
+            break
+        u, E = u_try, E_try
         trace.append(E)
     return u, {"iterations": it, "residual": res, "mode": "newton",
                "energy_trace": trace}

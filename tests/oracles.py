@@ -440,15 +440,22 @@ def face_newton_reference(model, cells, h, eta):
         g, H = derivatives(u)
         du = -np.linalg.solve(H, g)
         slope = float(g @ du)
+        if not slope < 0:
+            raise FloatingPointError("Hessian singular to rounding")
         if -0.5 * slope <= 1e-28 * abs(E):
             break
         s = 1.0
-        while s > 1e-18 and energy(u + s * du) > E + 0.25 * s * slope:
-            s /= 2
-        if energy(u + s * du) >= E:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # halve until the energy drops enough or the step stops moving
+            # u; a trial energy that overflows is inf or nan and is halved
+            while np.any(u + s * du != u) and \
+                    not energy(u + s * du) <= E + 0.25 * s * slope:
+                s /= 2
+            E_new = energy(u + s * du)
+        if not E_new < E:
             break  # no decrease left: the minimiser to rounding
         u = u + s * du
-        E = energy(u)
+        E = E_new
     out = np.zeros(n)
     out[idx] = u
     return out, E + model.c0 * len(idx) * h

@@ -153,8 +153,10 @@ def test_zero_source_solve_at_exponent_three(tmp_path):
 @pytest.mark.parametrize("p,q,n", [
     (1.5, 1.25, 16), (1.5, 1.25, 32), (1.5, 1.25, 64), (1.5, 1.25, 128),
     (1.5, 1.5, 64), (1.2, 1.1, 64),
+    (6, 6, 16), (6, 6, 64), (8, 8, 16), (8, 8, 64), (8, 3, 16), (8, 3, 64),
+    (16, 16, 64), (16, 1.1, 64),
 ])
-def test_subquadratic_solves_succeed(tmp_path, p, q, n):
+def test_nonquadratic_solves_succeed(tmp_path, p, q, n):
     assert main(["solve", "--d", "1", "--n", str(n), "--p", str(p),
                  "--q", str(q), "--f-const", "1", "--out", str(tmp_path)]) == 0
 

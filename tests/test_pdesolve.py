@@ -230,16 +230,23 @@ def test_newton_converges_across_the_eta_kink():
     (1.5, 1.25, (0.0, 1.0), "slab"),
     (1.5, 1.25, (11 / 64, 37 / 64), "bump"),
     (3.0, 3.0, (26 / 64, 38 / 64), "bump"),
+    # at the zero start the Hessian is of order eta^(p-2): the first step
+    # takes some 80 to 120 halvings
+    (6.0, 6.0, (0.0, 1.0), "slab"),
+    (8.0, 3.0, (0.0, 1.0), "slab"),
+    (8.0, 8.0, (26 / 64, 38 / 64), "bump"),
 ])
 def test_newton_matches_dense_reference_within_its_certificate(p, q, cells,
                                                                model):
     # half the squared Newton decrement bounds the energy gap to the
-    # minimiser, which the dense reference gives to rounding
+    # minimiser, which the dense reference gives to rounding; at tol 1e-13
+    # J must match it whether or not the last step overshoots the tolerance
     grid = Grid(1, 64, 1.0 / 64)
     model = slab_model(c0=0.2, p=p, q=q) if model == "slab" \
         else _bump_model(p, q)
     mask = ShapeMask.interval(grid, *cells)
-    fld, info = solve_inner(model, grid, mask, return_info=True)
+    fld, info = solve_inner(model, grid, mask, SolverConfig(tol=1e-13),
+                            return_info=True)
     J = energy_of(model, mask, fld, eta=1e-6)
     _, J_ref = oracles.face_newton_reference(model, mask.cells, grid.h, 1e-6)
     E = J - model.c0 * mask.volume()
@@ -247,28 +254,49 @@ def test_newton_matches_dense_reference_within_its_certificate(p, q, cells,
     assert J - J_ref <= info["residual"] * abs(E) + 1e-15 * abs(J_ref)
 
 
-def test_newton_iteration_cap_raises_with_residual():
+def test_tight_tolerance_stops_at_the_rounding_floor():
+    # at tol 1e-15 the Armijo demand falls below the rounding of E; the
+    # solve returns once a step no longer changes E instead of running to
+    # max_iter on steps whose gain is rounding noise
     grid = Grid(1, 64, 1.0 / 64)
-    with pytest.raises(SolverError) as err:
-        solve_inner(slab_model(p=3.0, q=3.0), grid, ShapeMask.full(grid),
-                    SolverConfig(max_iter=1))
-    assert err.value.iterations == 1
-    assert err.value.residual > 1e-10
+    model = _bump_model(1.5, 1.25)
+    mask = ShapeMask.interval(grid, 1 / 64, 40 / 64)
+    fld, info = solve_inner(model, grid, mask, SolverConfig(tol=1e-15),
+                            return_info=True)
+    assert info["iterations"] <= 12
+    assert info["residual"] <= 1e-14
+    _, J_ref = oracles.face_newton_reference(model, mask.cells, grid.h, 1e-6)
+    assert energy_of(model, mask, fld, eta=1e-6) == pytest.approx(J_ref,
+                                                                 rel=1e-13)
+    grid = Grid(2, 48, 1.0 / 48)
+    _, info = solve_inner(slab_model(p=3.0, q=3.0), grid,
+                          ShapeMask.disc(grid, (0.5, 0.5), 0.4),
+                          SolverConfig(tol=1e-15), return_info=True)
+    assert info["iterations"] <= 12
+    assert info["residual"] <= 1e-14
 
 
-def test_newton_step_without_decrease_raises(monkeypatch):
-    # an energy that every step raises: 60 halvings find no decrease
+@pytest.mark.parametrize("rig", ["energy", "hessian"])
+def test_newton_step_without_decrease_raises(monkeypatch, rig):
+    # an energy that every step raises: backtracking finds no decrease
+    # before the step stops moving u; a negated Hessian gives an ascent
+    # direction, which must raise rather than pass the decrement test
     face_energy = pdesolve._face_energy
 
     def rigged(*args):
         energy, gradient, hessian = face_energy(*args)
-        return (lambda x: energy(x) + float(np.any(x)), gradient, hessian)
+        if rig == "energy":
+            return (lambda x: energy(x) + float(np.any(x)), gradient, hessian)
+        return energy, gradient, lambda x: -hessian(x)
     monkeypatch.setattr(pdesolve, "_face_energy", rigged)
     grid = Grid(1, 16, 1.0 / 16)
     with pytest.raises(SolverError) as err:
         solve_inner(slab_model(p=3.0, q=3.0), grid, ShapeMask.full(grid))
     assert err.value.iterations == 0
-    assert err.value.residual > 0
+    if rig == "energy":
+        assert err.value.residual > 0
+    else:  # minus half of g.du, negative for an ascent direction
+        assert err.value.residual < 0
 
 
 def test_subquadratic_boundary_exponent_runs():
@@ -286,11 +314,12 @@ def test_subquadratic_boundary_exponent_runs():
 
 def test_nonconvergence_raises_with_residual():
     grid = Grid(1, 64, 1.0 / 64)
-    with pytest.raises(SolverError) as err:
-        solve_inner(slab_model(), grid, ShapeMask.full(grid),
-                    SolverConfig(max_iter=2))
-    assert err.value.residual is not None
-    assert err.value.residual > 0
+    for p, max_iter in ((2.0, 2), (3.0, 1)):  # CG, then Newton
+        with pytest.raises(SolverError) as err:
+            solve_inner(slab_model(p=p, q=p), grid, ShapeMask.full(grid),
+                        SolverConfig(max_iter=max_iter))
+        assert err.value.iterations == max_iter
+        assert err.value.residual > 1e-10
 
 
 def test_negative_robin_coefficient_rejected():
