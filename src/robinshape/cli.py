@@ -49,6 +49,8 @@ class Key:
             val = self.typ(raw)
         except (TypeError, ValueError):
             raise UsageError(f"{name}: cannot parse {self.typ.__name__} from {raw!r}")
+        if self.typ is float and not math.isfinite(val):
+            raise UsageError(f"{name}: value must be finite, got {raw!r}")
         if self.typ in (int, float):
             if self.lo is not None and val < self.lo:
                 raise UsageError(f"{name}={val} below minimum {self.lo}")
@@ -281,6 +283,8 @@ def _init_mask(grid, init):
         vals = [float(v) for v in args]
     except ValueError:
         vals = None
+    if vals is not None and not all(math.isfinite(v) for v in vals):
+        raise UsageError(f"init: values must be finite, got {init!r}")
     if vals is None or len(vals) != {"full": 0, "empty": 0, "interval": 2,
                                      "disc": 3}.get(kind):
         raise UsageError(f"init: expected full | empty | interval:a:b | "

@@ -13,6 +13,13 @@ cell indices c = i*n + j: neighbours and face coefficients come from index
 arithmetic, and each delta is a sum of Python floats in a fixed order.
 All randomness flows through one counter-based Philox generator keyed by
 the schedule seed: runs are bit-reproducible.
+
+No solve and no move price is computed twice.  A re-solve sweep with no flip accepted since
+the last solve keeps that solve's field and J, since the mask is the one it
+solved.  A move price depends on the frozen field and the mask at the cell
+and its axis neighbours only, so each call keeps the prices it computed
+until a flip at the cell or a neighbour, or a new solve, makes them stale.
+Both give bit for bit the trajectory that recomputing everything gives.
 """
 
 from __future__ import annotations
@@ -90,7 +97,9 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
                    sched: AnnealSchedule, solver: SolverConfig | None = None):
     """Anneal cell flips over boundary-adjacent cells plus a small random
     teleport set; returns (best mask, its inner field, trace).  Deterministic
-    for a fixed seed and configuration."""
+    for a fixed seed and configuration.  Every resolve_every-th sweep, and the
+    last, reports an exact J; it solves only if a flip was accepted since the
+    previous solve, and repeats that solve's J otherwise."""
     if solver is None:
         solver = SolverConfig()
     rng = np.random.Generator(np.random.Philox(key=sched.seed))
@@ -162,6 +171,12 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
     except SolverError as exc:
         raise ShapeOptError(f"initial inner solve failed: {exc}", trace) from exc
     u = field.values.flatten()
+    # prices[c] is delta_toggle(c, u) at the current u and mask; a flip at c
+    # makes stale the prices of c and its axis neighbours (keys across a row
+    # end are dropped too, harmlessly), and a solve makes stale all of them
+    prices = {}
+    near = (0, -1, 1) if grid.d == 1 else (0, -1, 1, -n, n)
+    flips = 0  # accepted since the last solve
     best = (J_exact, mask.copy(), field)
     trace.best_J.append(J_exact)
     E_frozen = J_exact
@@ -180,7 +195,10 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
         rng.shuffle(order)
         accepted = 0
         for c in order:
-            dE, u_new = delta_toggle(c, u)
+            price = prices.get(c)
+            if price is None:
+                price = prices[c] = delta_toggle(c, u)
+            dE, u_new = price
             if dE < 0.0:
                 ok = True
             elif dE == 0.0:
@@ -194,17 +212,24 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
                 u[c] = u_new
                 E_frozen += dE
                 accepted += 1
+                for off in near:
+                    prices.pop(c + off, None)
+        flips += accepted
         J_report = E_frozen
         if sweep % sched.resolve_every == 0 or sweep == sched.sweeps:
-            try:
-                field, J_exact = resolve()
-            except SolverError as exc:
-                raise ShapeOptError(f"inner solve failed at sweep {sweep}: {exc}",
-                                    trace) from exc
-            u = field.values.flatten()
-            E_frozen = J_exact
-            if J_exact < best[0]:
-                best = (J_exact, mask.copy(), field)
+            if flips:
+                try:
+                    field, J_exact = resolve()
+                except SolverError as exc:
+                    raise ShapeOptError(
+                        f"inner solve failed at sweep {sweep}: {exc}",
+                        trace) from exc
+                u = field.values.flatten()
+                prices.clear()
+                flips = 0
+                E_frozen = J_exact
+                if J_exact < best[0]:
+                    best = (J_exact, mask.copy(), field)
             trace.best_J.append(min(trace.best_J[-1], J_exact))
             J_report = J_exact
         trace.add(sweep, J_report, mask.volume(),

@@ -112,6 +112,23 @@ def test_range_checks_are_usage_errors(tmp_path):
         assert main(["verify", "--suite", "ball-minimality", "--ns", bad,
                      "--out", out]) == 1
     assert main(["solve", "--f-bump", "0.4,nan,3", "--out", out]) == 1
+    # non-finite scalars fail the range checks too, as flags and in a config
+    # file alike; nan passes both comparisons with a bound
+    for cmd, key, bad in (("optimize", "c0", "nan"), ("solve", "c0", "nan"),
+                          ("optimize", "t0", "nan"),
+                          ("solve", "f_const", "nan"),
+                          ("optimize", "f_const", "nan"),
+                          ("solve", "beta", "inf"), ("optimize", "beta", "inf"),
+                          ("solve", "L", "nan"), ("optimize", "L", "nan")):
+        assert main([cmd, "--" + key.replace("_", "-"), bad, "--out", out]) == 1
+        cfg = tmp_path / f"{cmd}_{key}.cfg"
+        cfg.write_text(f"{key} = {bad}\n")
+        assert main([cmd, "--config", str(cfg), "--out", out]) == 1
+    cfg = tmp_path / "init.cfg"
+    cfg.write_text("d = 2\ninit = disc:0.5:nan:0.3\n")
+    assert main(["optimize", "--config", str(cfg), "--out", out]) == 1
+    assert main(["optimize", "--d", "2", "--init", "disc:0.5:nan:0.3",
+                 "--out", out]) == 1
 
 
 def test_malformed_weights_and_init_are_usage_errors(tmp_path):

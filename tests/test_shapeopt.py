@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from robinshape.model import IntegrandModel
-from robinshape.pdesolve import SolverConfig, energy_of
-from robinshape.sbvgrid import Grid, ShapeMask, boundary_faces
+from robinshape import shapeopt
+from robinshape.pdesolve import SolverConfig, energy_of, solve_inner
+from robinshape.sbvgrid import Grid, ShapeMask, boundary_faces, write_field_text
 from robinshape.shapeopt import (AnnealSchedule, ShapeOptError, component_count,
                                  diagnostics, optimize_shape)
 
@@ -29,7 +32,8 @@ def test_zero_source_collapses_to_empty():
     assert np.all(fld.values == 0.0)
 
 
-def test_empty_shape_is_fixed_point_at_zero_temperature():
+def test_empty_shape_is_fixed_point_at_zero_temperature(monkeypatch):
+    calls = _count_solves(monkeypatch)
     model = IntegrandModel(p=2, q=2, c0=0.5, f=0.0, beta1=1.0,
                            normalization="energy")
     grid = Grid(1, 32, 1.0 / 32)
@@ -39,6 +43,7 @@ def test_empty_shape_is_fixed_point_at_zero_temperature():
     assert mask.count() == 0
     accepted = [row[6] for row in trace.rows[1:]]
     assert all(a == 0 for a in accepted)
+    assert len(calls) == 1  # no flip, so no re-solve after the first
 
 
 def test_same_seed_is_bit_identical():
@@ -257,6 +262,172 @@ def test_1d_trajectory_at_exponent_three_is_pinned():
     ]
     assert _reprs(trace.rows) == _reprs(recorded)
 
+
+def _field_digest(tmp_path, fld, mask):
+    path = tmp_path / "best_field.txt"
+    write_field_text(path, fld, mask)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _frozen_2d_run():
+    # freezes after sweep 4; sweeps 5-20 run at T > 0 with no accepted flip,
+    # so the Metropolis draws meet unchanged prices and the re-solve sweeps
+    # 9, 12, 15, 18 and 20 find the mask of the sweep-6 solve
+    model = IntegrandModel(p=2, q=2, c0=0.2, f=4.0, beta1=1.0,
+                           normalization="energy")
+    grid = Grid(2, 20, 1.0 / 20)
+    sched = AnnealSchedule(T0=3e-5, cooling=0.9, sweeps=20, resolve_every=3,
+                           seed=3)
+    return model, grid, ShapeMask.disc(grid, (0.5, 0.5), 0.3), sched
+
+
+def _hot_2d_run():
+    # hot enough that most accepted flips sit on the box edges, many at row
+    # ends (j = 0 or n - 1), and four sweeps share each exact solve
+    model = IntegrandModel(p=2, q=2, c0=0.2, f=4.0, beta1=1.0,
+                           normalization="energy")
+    grid = Grid(2, 12, 1.0 / 12)
+    sched = AnnealSchedule(T0=3e-3, cooling=0.9, sweeps=12, resolve_every=4,
+                           seed=6, teleport_frac=0.2)
+    return model, grid, ShapeMask.disc(grid, (0.5, 0.5), 0.3), sched
+
+
+def _frozen_1d_run():
+    # flips and teleports up to sweep 11, then a frozen tail whose re-solve
+    # sweeps 15 and 18 find the mask of the sweep-12 solve
+    model = bump_model()
+    grid = Grid(1, 32, 1.0 / 32)
+    sched = AnnealSchedule(T0=1e-2, cooling=0.7, sweeps=18, resolve_every=3,
+                           seed=17, teleport_frac=0.1)
+    return model, grid, ShapeMask.interval(grid, 0.2, 0.8), sched
+
+
+def test_frozen_2d_trajectory_is_pinned(tmp_path):
+    model, grid, init, sched = _frozen_2d_run()
+    mask, fld, trace = optimize_shape(model, grid, init, sched)
+    recorded = [
+        (0, -0.2983831780109025, 0.28, 1.8659113421525861, 0.5952957315478252,
+         0.6759499750425486, 0, 1),
+        (1, -0.38613515050466723, 0.32000000000000006, 2.0212031071399594,
+         0.5952957315478252, 0.6759499750425486, 16, 1),
+        (2, -0.43539782873974897, 0.3425000000000001, 2.1163904536772313,
+         0.5952957315478252, 0.6759499750425486, 9, 1),
+        (3, -0.40277006302399815, 0.3550000000000001, 2.274552086723368,
+         0.5718804457774243, 0.7241840106160273, 5, 1),
+        (4, -0.41408412853842486, 0.3600000000000001, 2.3999999999999995,
+         0.5718804457774243, 0.7241840106160273, 2, 1),
+        (5, -0.41408412853842486, 0.3600000000000001, 2.3999999999999995,
+         0.5718804457774243, 0.7241840106160273, 0, 1),
+        (6, -0.39224572569678, 0.3600000000000001, 2.3999999999999995,
+         0.558384311938616, 0.7025412767581498, 0, 1),
+    ]
+    recorded += [(s, -0.39224572569678, 0.3600000000000001,
+                  2.3999999999999995, 0.558384311938616, 0.7025412767581498,
+                  0, 1) for s in range(7, 21)]
+    assert _reprs(trace.rows) == _reprs(recorded)
+    assert _field_digest(tmp_path, fld, mask) == (
+        "b18c51f631d852af1908ee1a7c9ce8a033c0bbe062bf84f1447890109db6989e")
+
+
+def test_hot_2d_trajectory_is_pinned(tmp_path):
+    model, grid, init, sched = _hot_2d_run()
+    mask, fld, trace = optimize_shape(model, grid, init, sched)
+    recorded = [
+        (0, -0.3387028572423698, 0.3055555555555555, 1.9530983168055591,
+         0.6159870971220973, 0.6990474102709741, 0, 1),
+        (1, -0.5208223160806003, 0.4375, 4.38753977200306, 0.0,
+         0.6990474102709741, 19, 7),
+        (2, -0.5948193632884069, 0.5, 5.868530448165458, 0.0,
+         0.6990474102709741, 23, 10),
+        (3, -0.6224111577991702, 0.5347222222222222, 6.907138681573768, 0.0,
+         0.6990474102709741, 27, 13),
+        (4, -0.5466032317323287, 0.5, 5.407138681573773, 0.08333333333333333,
+         0.7945610461336785, 23, 9),
+        (5, -0.5598530862523275, 0.5625, 7.166666666666658, 0.0,
+         0.7945610461336785, 21, 11),
+        (6, -0.5603160492152908, 0.548611111111111, 6.833333333333326, 0.0,
+         0.7945610461336785, 22, 11),
+        (7, -0.5544132714375127, 0.5347222222222222, 6.66666666666666, 0.0,
+         0.7945610461336785, 26, 12),
+        (8, -0.5443821836351704, 0.5069444444444444, 5.499999999999997,
+         0.0833333333333333, 0.78250199969989, 22, 9),
+        (9, -0.5410273096639774, 0.5625, 6.999999999999992, 0.0,
+         0.78250199969989, 22, 11),
+        (10, -0.5422731301372283, 0.5277777777777778, 5.999999999999996, 0.0,
+         0.78250199969989, 23, 9),
+        (11, -0.5492465097668583, 0.548611111111111, 5.419151844011223,
+         0.0833333333333333, 0.78250199969989, 15, 4),
+        (12, -0.547060660841404, 0.5138888888888888, 5.377485177344556,
+         0.08333333333333331, 0.7825019996998932, 19, 8),
+    ]
+    assert _reprs(trace.rows) == _reprs(recorded)
+    assert _field_digest(tmp_path, fld, mask) == (
+        "908867342a803839a21bd4484847b337eebc4d110488f83f58c8825f558969de")
+
+
+def test_1d_trajectory_with_frozen_tail_is_pinned(tmp_path):
+    model, grid, init, sched = _frozen_1d_run()
+    mask, fld, trace = optimize_shape(model, grid, init, sched)
+    recorded = [
+        (0, 0.027221679687500014, 0.625, 2.0, 0.2812500000000002,
+         0.3515625000000002, 0, 1),
+        (1, 0.034746265411376966, 0.65625, 4.0, 0.0, 0.3515625000000002, 3, 2),
+        (2, 0.03609809875488283, 0.65625, 8.0, 0.0, 0.3515625000000002, 6, 4),
+        (3, 0.007228107693829144, 0.5, 2.0, 0.2741297468354422,
+         0.3338731210443025, 5, 1),
+        (4, 0.014818046314940618, 0.53125, 4.0, 0.0, 0.3338731210443025, 3, 2),
+        (5, -0.0025108066626684453, 0.4375, 2.0, 0.2741297468354422,
+         0.3338731210443025, 3, 1),
+        (6, -0.012626953124999979, 0.375, 2.0, 0.2662499999999994,
+         0.31570312499999914, 2, 1),
+        (7, -0.022570530700683586, 0.3125, 2.0, 0.2745703124999994,
+         0.31570312499999914, 2, 1),
+        (8, -0.027609047698974605, 0.28125, 2.0, 0.28289062499999934,
+         0.31570312499999914, 1, 1),
+        (9, -0.0328771456866197, 0.25, 2.0, 0.2733274647887332,
+         0.29870433538732477, 1, 1),
+        (10, -0.03792335623385672, 0.21875, 2.0, 0.2818689480633812,
+         0.29870433538732477, 1, 1),
+        (11, -0.042896609844562644, 0.1875, 2.0, 0.28917253521126834,
+         0.29870433538732477, 1, 1),
+        (12, -0.042974853515624994, 0.1875, 2.0, 0.28125, 0.2900390625, 0, 1),
+    ]
+    recorded += [(s, -0.042974853515624994, 0.1875, 2.0, 0.28125,
+                  0.2900390625, 0, 1) for s in range(13, 19)]
+    assert _reprs(trace.rows) == _reprs(recorded)
+    assert _field_digest(tmp_path, fld, mask) == (
+        "c56771f72aee43a0d6ec8dd332395d6cc5f5a64da3125d550096f3a17546fb7f")
+
+
+def _expected_solves(trace, sched):
+    """1 for the initial solve, plus each re-solve sweep that follows at
+    least one accepted flip since the previous solve."""
+    solves, pending = 1, 0
+    for sweep, *_, accepted, _ in trace.rows[1:]:
+        pending += accepted
+        if (sweep % sched.resolve_every == 0 or sweep == sched.sweeps) \
+                and pending:
+            solves, pending = solves + 1, 0
+    return solves
+
+
+def _count_solves(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_inner(*args, **kwargs)
+    monkeypatch.setattr(shapeopt, "solve_inner", counting)
+    return calls
+
+
+@pytest.mark.parametrize("run,solves", [
+    (_frozen_2d_run, 3), (_hot_2d_run, 4), (_frozen_1d_run, 5)])
+def test_unchanged_mask_is_not_resolved(run, solves, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    model, grid, init, sched = run()
+    _, _, trace = optimize_shape(model, grid, init, sched)
+    assert len(calls) == _expected_solves(trace, sched) == solves
 
 def test_best_J_is_the_solver_energy_of_the_best_field():
     # a solver eta other than the default: the annealer scores each re-solve
