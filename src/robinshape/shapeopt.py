@@ -14,12 +14,13 @@ arithmetic, and each delta is a sum of Python floats in a fixed order.
 All randomness flows through one counter-based Philox generator keyed by
 the schedule seed: runs are bit-reproducible.
 
-No solve and no move price is computed twice.  A re-solve sweep with no flip accepted since
-the last solve keeps that solve's field and J, since the mask is the one it
-solved.  A move price depends on the frozen field and the mask at the cell
-and its axis neighbours only, so each call keeps the prices it computed
-until a flip at the cell or a neighbour, or a new solve, makes them stale.
-Both give bit for bit the trajectory that recomputing everything gives.
+No solve and no move price is recomputed from unchanged inputs.  A
+re-solve sweep with no flip accepted since the last solve keeps that
+solve's field and J, since the mask is the one it solved.  A move price
+depends on the frozen field and the mask at the cell and its axis
+neighbours only, so each call keeps the prices it computed until a flip
+at the cell or a neighbour, or a new solve, makes them stale.  Both give
+bit for bit the trajectory that recomputing everything gives.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ import pytest
 from robinshape.model import IntegrandModel
 from robinshape import shapeopt
 from robinshape.pdesolve import SolverConfig, energy_of, solve_inner
-from robinshape.sbvgrid import Grid, ShapeMask, boundary_faces, write_field_text
+from robinshape.sbvgrid import (Grid, ShapeMask, boundary_faces,
+                                write_field_text)
 from robinshape.shapeopt import (AnnealSchedule, ShapeOptError, component_count,
                                  diagnostics, optimize_shape)
 
