@@ -125,7 +125,7 @@ SCHEMAS = {
         "cooling": Key(float, 0.95, 1e-9, 0.999999, "cooling factor per sweep"),
         "sweeps": Key(int, 300, 0, 1 << 20),
         "resolve_every": Key(int, 2, 1, 1 << 20),
-        "seed": Key(int, 0, 0, None),
+        "seed": Key(int, 0, 0, 2**128 - 1),
         "teleport_frac": Key(float, 0.01, 0.0, 1.0),
         "init": Key(str, "full", help="full | empty | interval:a:b | disc:cx:cy:r"),
         "weights": Key(str, "auto"),
@@ -136,7 +136,7 @@ SCHEMAS = {
         "suite": Key(str, None, help="poincare | reduction | scaling | ball-minimality"),
         "trials": Key(int, None, 1, 1 << 20),
         "n": Key(int, None, 4, 4096),
-        "seed": Key(int, None, 0, None),
+        "seed": Key(int, None, 0, 2**128 - 1),
         "b": Key(float, 1.0, 1e-12, None),
         "min_ratio": Key(float, 0.99, 0.0, None),
         "eq_tol": Key(float, 0.02, 0.0, None),

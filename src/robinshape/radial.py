@@ -3,14 +3,14 @@ solutions, and ball energies for the quadratic energy form.
 
 For unit exponents 2/2/2 the first eigenvalue comes from shooting on the
 radial ODE -u'' - (d-1)/r u' = lam*u with u'(R) + b*u(R) = 0, by RK4 with a
-series start at the axis over a batch of columns at once.  The bracket scan
-in lam, which drops each column at its first sign change, and the Illinois
-(modified regula falsi) refinement of every root together multiply the
-per-column 2x2 step propagators, since the ODE is linear in (u, u'): a block
-of steps is built at once and reduced pairwise, and the blocks are applied
-in order.  The profile pass shares their RK4 step body.  General exponents
-minimize the mesh Rayleigh quotient by projected, tridiagonally
-preconditioned descent with Armijo backtracking on the quotient alone.
+series start at the axis over a batch of columns at once.  Since the ODE is
+linear in (u, u'), every pass multiplies per-column 2x2 step propagators,
+built a block of steps at a time: the bracket scan in lam and the Illinois
+(modified regula falsi) refinement reduce each block pairwise, and the
+profile pass takes the block's prefix products.  General exponents minimize
+the mesh Rayleigh quotient by projected, tridiagonally preconditioned
+descent with Armijo backtracking on the quotient alone, every query and
+restart of a batch in lockstep.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class RadialSolution:
 
 
 class RadialConvergenceError(RuntimeError):
-    def __init__(self, msg, residual=None):
+    def __init__(self, msg, residual=None, query=None):
         super().__init__(msg)
-        self.residual = residual
+        self.residual, self.query = residual, query
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +95,10 @@ def _series_start(lam, d, h):
     return u, up
 
 
-def _rk4_step(u, v, nlam, c0, cm, c1, h, h2, h6):
-    # one RK4 step of u' = v, v' = -lam*u - c(r)*v; c0, cm, c1 are c at the
-    # start, midpoint and end of the step, h2 = h/2 and h6 = h/6
+def _rk4_increment(u, v, nlam, c0, cm, c1, h, h2, h6):
+    # the change of (u, v) over one RK4 step of u' = v, v' = -lam*u - c(r)*v;
+    # c0, cm, c1 are c at the start, midpoint and end of the step, h2 = h/2
+    # and h6 = h/6
     k1v = nlam * u - c0 * v
     u2, v2 = u + h2 * v, v + h2 * k1v
     k2v = nlam * u2 - cm * v2
@@ -105,83 +106,72 @@ def _rk4_step(u, v, nlam, c0, cm, c1, h, h2, h6):
     k3v = nlam * u3 - cm * v3
     u4, v4 = u + h * v3, v + h * k3v
     k4v = nlam * u4 - c1 * v4
-    return (u + h6 * (v + 2 * v2 + 2 * v3 + v4),
-            v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v))
-
-
-def _rk4(lam, d, R, n, path=False):
-    """RK4 for the radial ODE from the series start at r = h, one column per
-    entry of lam with its own step h = R/n (R broadcasts against lam), one
-    step at a time.  The profile pass runs here; the bracket scan and the
-    Illinois refinement run through _propagate, which takes the same steps.
-
-    Returns (u(R), u'(R)); with path=True, the (n+1, ...) arrays of u and u'
-    at r = 0, h, ..., R instead.  Every operation is elementwise, so a
-    column's result does not depend on the batch it runs in.
-    """
-    lam = np.asarray(lam, dtype=float)
-    h = np.asarray(R, dtype=float) / n
-    h2, h6 = h / 2.0, h / 6.0
-    u, v = _series_start(lam, d, h)
-    nlam, dm1 = -lam, d - 1.0
-    if path:
-        us, vs = np.empty((2, n + 1) + u.shape)
-        us[0], vs[0], us[1], vs[1] = 1.0, 0.0, u, v
-    r = h
-    c0 = dm1 / r
-    for i in range(2, n + 1):
-        cm, re = dm1 / (r + h2), r + h
-        c1 = dm1 / re
-        u, v = _rk4_step(u, v, nlam, c0, cm, c1, h, h2, h6)
-        r, c0 = re, c1
-        if path:
-            us[i], vs[i] = u, v
-    return (us, vs) if path else (u, v)
+    return h6 * (v + 2 * v2 + 2 * v3 + v4), h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
 
 
 _BLOCK = 64  # RK4 steps per propagator block; bounds the temporaries
 _SCAN_VALUES = 2048  # (lam, column) pairs per scan chunk, unless a row is wider
 
 
-def _propagate(lam, d, R, n):
-    """(u(R), u'(R)) of _rk4(lam, d, R, n) by products of step propagators.
+def _propagate(lam, d, R, n, path=False):
+    """(u(R), u'(R)) of the radial ODE by RK4 from the series start at r = h,
+    one column per entry of lam with its own step h = R/n (R broadcasts).
 
-    The ODE is linear in (u, u'), so each RK4 step is a 2x2 matrix per
-    column: its columns are the step applied to (1, 0) and to (0, 1).  The
+    The ODE is linear in (u, u'), so each step is a 2x2 matrix I + D per
+    column; D's columns are the step's increments of (1, 0) and (0, 1).  The
     matrices of _BLOCK steps are built at once and multiplied pairwise, and
-    each block's product is applied to (u, u') in order.  The products are
-    written out elementwise, so a column's result does not depend on the
-    batch it runs in; they only reassociate the loop's rounding.
+    each block's product is applied in order.  With path=True the (n+1, ...)
+    arrays of u and u' at r = 0, h, ..., R come back instead: a Hillis-Steele
+    scan turns a block's matrices into their prefix products, kept as I + D
+    so the increments keep their own rounding, which take the carried state
+    to each node.  All products are elementwise, so a column's result does
+    not depend on the batch it runs in.
     """
     lam, h = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                  np.asarray(R, dtype=float) / n)
     h2, h6 = h / 2.0, h / 6.0
     u, v = _series_start(lam, d, h)
     nlam, dm1 = -lam, d - 1.0
+    us, vs = [np.ones((1,) + u.shape), u[None]], [np.zeros((1,) + v.shape), v[None]]
     r = h
     for first in range(1, n, _BLOCK):
         steps = min(_BLOCK, n - first)
-        # nodes r_first .. r_(first+steps), summed one h at a time as in _rk4
+        # nodes r_first .. r_(first+steps), summed one h at a time
         rs = np.add.accumulate(np.concatenate(
             [r[None], np.broadcast_to(h, (steps,) + h.shape)]))
         cr = dm1 / rs
         step = (nlam, cr[:-1], dm1 / (rs[:-1] + h2), cr[1:], h, h2, h6)
-        a, c = _rk4_step(1.0, 0.0, *step)
-        b, e = _rk4_step(0.0, 1.0, *step)
-        while len(a) > 1:
-            # M[2k+1] @ M[2k]; an odd last matrix moves up a level unchanged
-            k = len(a) // 2 * 2
-            a1, b1, c1, e1 = a[0:k:2], b[0:k:2], c[0:k:2], e[0:k:2]
-            a2, b2, c2, e2 = a[1:k:2], b[1:k:2], c[1:k:2], e[1:k:2]
-            pa, pb = a2 * a1 + b2 * c1, a2 * b1 + b2 * e1
-            pc, pe = c2 * a1 + e2 * c1, c2 * b1 + e2 * e1
-            if k < len(a):
-                pa, pb = np.concatenate([pa, a[k:]]), np.concatenate([pb, b[k:]])
-                pc, pe = np.concatenate([pc, c[k:]]), np.concatenate([pe, e[k:]])
-            a, b, c, e = pa, pb, pc, pe
-        u, v = a[0] * u + b[0] * v, c[0] * u + e[0] * v
+        a, c = _rk4_increment(1.0, 0.0, *step)
+        b, e = _rk4_increment(0.0, 1.0, *step)
+        if path:
+            k = 1
+            while k < steps:
+                # (I + D2)(I + D1) = I + D1 + D2 + D2 D1, D2 the k steps after D1
+                a1, b1, c1, e1 = a[:-k], b[:-k], c[:-k], e[:-k]
+                a2, b2, c2, e2 = a[k:], b[k:], c[k:], e[k:]
+                a[k:], b[k:], c[k:], e[k:] = (
+                    a1 + a2 + (a2 * a1 + b2 * c1), b1 + b2 + (a2 * b1 + b2 * e1),
+                    c1 + c2 + (c2 * a1 + e2 * c1), e1 + e2 + (c2 * b1 + e2 * e1))
+                k *= 2
+            us.append(u + (a * u + b * v))
+            vs.append(v + (c * u + e * v))
+            u, v = us[-1][-1], vs[-1][-1]
+        else:
+            a, b, c, e = 1.0 + a, 0.0 + b, 0.0 + c, 1.0 + e
+            while len(a) > 1:
+                # M[2k+1] @ M[2k]; an odd last matrix moves up a level unchanged
+                k = len(a) // 2 * 2
+                a1, b1, c1, e1 = a[0:k:2], b[0:k:2], c[0:k:2], e[0:k:2]
+                a2, b2, c2, e2 = a[1:k:2], b[1:k:2], c[1:k:2], e[1:k:2]
+                pa, pb = a2 * a1 + b2 * c1, a2 * b1 + b2 * e1
+                pc, pe = c2 * a1 + e2 * c1, c2 * b1 + e2 * e1
+                if k < len(a):
+                    pa, pb = np.concatenate([pa, a[k:]]), np.concatenate([pb, b[k:]])
+                    pc, pe = np.concatenate([pc, c[k:]]), np.concatenate([pe, e[k:]])
+                a, b, c, e = pa, pb, pc, pe
+            u, v = a[0] * u + b[0] * v, c[0] * u + e[0] * v
         r = rs[-1]
-    return u, v
+    return (np.concatenate(us), np.concatenate(vs)) if path else (u, v)
 
 
 _MAX_REFINE = 80  # Illinois steps before a root counts as not converged
@@ -281,164 +271,207 @@ def _quotient_of_profile(d, R, b, r, u, v):
 # ---------------------------------------------------------------------------
 # Rayleigh-descent branch (general exponents)
 
+def _spow(x, e):
+    # x**e elementwise by numpy's scalar power, which an array power can miss
+    # by an ulp: each query must round as it does alone
+    return np.array([v ** e for v in x.flat]).reshape(x.shape)
+
+
 def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
-    """Minimize the mesh Rayleigh quotient by projected preconditioned descent.
+    """Minimize the mesh Rayleigh quotient by projected preconditioned descent,
+    for arrays R and b of queries that share (d, pg, alpha, mesh_n).
 
     Directions come from a tridiagonal solve against the frozen linearization
     of the quotient (plain gradient steps stall far beyond the iteration cap
     on fine meshes), are l2-normalized, and pass an Armijo backtracking line
     search on the quotient alone; iterates re-project to unit nodal l^alpha
     norm.  Three restarts guard against spurious critical points; the
-    smallest quotient wins, ties by restart index.  A winner that diverged,
-    or stopped at max_iter with a last relative change >= tol, raises.
+    smallest quotient wins, ties by restart index.  Each query x restart is a
+    row; rows step in lockstep, leave as they stop and round as they would
+    alone.  Returns (lam, r, u, infos), one entry per query.  A winner that
+    diverged, or stopped at max_iter with a last relative change >= tol,
+    raises; the first such query in order does, with its index as .query.
     """
     from scipy.linalg.lapack import dptsv
 
-    N = mesh_n
+    R = np.atleast_1d(np.asarray(R, dtype=float))
+    b = np.broadcast_to(np.atleast_1d(np.asarray(b, dtype=float)), R.shape)
+    N, m = mesh_n, R.size
     h = R / N
-    r = np.linspace(0.0, R, N + 1)
-    rbar = (r[:-1] + h / 2) ** (d - 1)            # face weights for the gradient term
-    tw = np.full(N + 1, h)                        # trapezoid weights
-    tw[0] = tw[-1] = h / 2
-    dw = tw * r ** (d - 1)                        # measure weights, r^{d-1} dr
-    sigma = sphere_area(d)
-    bR = b * R ** (d - 1)
-    spow = sigma ** (1.0 - pg / alpha)
+    r = np.array([np.linspace(0.0, Rj, N + 1) for Rj in R])
+    rbar = (r[:, :-1] + h[:, None] / 2) ** (d - 1)  # face weights, gradient term
+    tw = np.repeat(h[:, None], N + 1, axis=1)       # trapezoid weights
+    tw[:, 0] = tw[:, -1] = h / 2
+    dw = tw * r ** (d - 1)                          # measure weights, r^{d-1} dr
+    spow = sphere_area(d) ** (1.0 - pg / alpha)
+    bR = np.array([bj * Rj ** (d - 1) for bj, Rj in zip(b.tolist(), R.tolist())])
 
-    def quotient(u):  # Q and the parts its gradient reuses
-        du = np.diff(u) / h
-        num = np.sum(np.abs(du) ** pg * rbar) * h + bR * np.abs(u[-1]) ** pg
-        dint = np.sum(dw * np.abs(u) ** alpha)
-        den = dint ** (pg / alpha)
-        return spow * num / den, (du, num, dint, den)
+    def quotient(u, h, rbar, dw, bR):  # Q and the parts its gradient reuses
+        du = (u[..., 1:] - u[..., :-1]) / h[..., None]
+        num = ((np.abs(du) ** pg * rbar).sum(axis=-1) * h
+               + bR * _spow(np.abs(u[..., -1]), pg))
+        dint = (dw * np.abs(u) ** alpha).sum(axis=-1)
+        den = _spow(dint, pg / alpha)
+        return spow * num / den, du, num, dint, den
 
-    def gradient(u, parts):
-        du, num, dint, den = parts
+    def gradient(u, du, num, dint, den, h, rbar, dw, bR):
         t = pg * np.abs(du) ** (pg - 1.0) * np.sign(du) * rbar
         gn = np.zeros_like(u)
-        gn[:-1] -= t
-        gn[1:] += t
-        gn[-1] += bR * pg * np.abs(u[-1]) ** (pg - 1.0) * np.sign(u[-1])
-        gd = pg * dint ** (pg / alpha - 1.0) * dw * np.abs(u) ** (alpha - 1.0) * np.sign(u)
-        return spow * (gn * den - num * gd) / den**2
+        gn[:, :-1] -= t
+        gn[:, 1:] += t
+        gn[:, -1] += bR * pg * _spow(np.abs(u[:, -1]), pg - 1.0) * np.sign(u[:, -1])
+        gd = ((pg * _spow(dint, pg / alpha - 1.0))[:, None] * dw
+              * np.abs(u) ** (alpha - 1.0) * np.sign(u))
+        return (spow * (gn * den[:, None] - num[:, None] * gd)
+                / _spow(den, 2)[:, None])
 
-    def precondition(u, Q, g):
+    def precondition(u, Q, g, h, rbar, dw, bR):
         # frozen tridiagonal model: p-Laplacian linearization plus a mass
         # shift; SPD, so the preconditioned direction is always descent
-        du = np.diff(u) / h
-        eps2 = (1e-8 * max(float(np.max(np.abs(du))), 1.0)) ** 2
-        c = (du * du + eps2) ** ((pg - 2.0) / 2.0) * rbar / h
-        mass = (u * u + eps2 * h * h) ** ((alpha - 2.0) / 2.0) * dw
-        diag = np.zeros(N + 1)
-        diag[:-1] += c
-        diag[1:] += c
-        diag[-1] += bR * (u[-1] ** 2 + eps2) ** ((pg - 2.0) / 2.0)
-        diag += max(Q, 1e-30) * mass + 1e-300
-        x, info = dptsv(diag, -c, -g, 1, 1, 1)[2:]
-        if info != 0:
-            raise np.linalg.LinAlgError(f"preconditioner: LAPACK ptsv info {info}")
+        du = (u[:, 1:] - u[:, :-1]) / h[:, None]
+        eps2 = np.array([(1e-8 * max(float(x), 1.0)) ** 2
+                         for x in np.abs(du).max(axis=1)])
+        c = (du * du + eps2[:, None]) ** ((pg - 2.0) / 2.0) * rbar / h[:, None]
+        mass = (u * u + (eps2 * h * h)[:, None]) ** ((alpha - 2.0) / 2.0) * dw
+        diag = np.zeros_like(u)
+        diag[:, :-1] += c
+        diag[:, 1:] += c
+        diag[:, -1] += bR * _spow(_spow(u[:, -1], 2) + eps2, (pg - 2.0) / 2.0)
+        diag += np.maximum(Q, 1e-30)[:, None] * mass + 1e-300
+        # all rows in one solve, kept apart by zero off-diagonal entries; a
+        # non-finite row spills over, so such rows are solved again alone
+        off = np.concatenate([-c, np.zeros((len(c), 1))], axis=1).ravel()[:-1]
+        x, info = dptsv(diag.ravel(), off, -g.ravel())[2:]
+        if info != 0:  # numbered within the failing row, as when solved alone
+            raise np.linalg.LinAlgError(
+                f"preconditioner: LAPACK ptsv info {(info - 1) % (N + 1) + 1}")
+        x = x.reshape(u.shape)
+        for j in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+            x[j] = dptsv(diag[j], -c[j], -g[j])[2]
         return x
 
     def project(u):
-        nrm = np.sum(np.abs(u) ** alpha) ** (1.0 / alpha)
-        return u / nrm
+        return u / _spow((np.abs(u) ** alpha).sum(axis=-1), 1.0 / alpha)[..., None]
 
-    starts = [np.ones(N + 1), 1.0 - 0.5 * r / R,
-              np.random.Generator(np.random.Philox(key=0xA11CE)).uniform(0.5, 1.5, N + 1)]
-    best = None
-    restart_iters = []
-    for idx, u0 in enumerate(starts):
-        u = project(u0.copy())
-        Q, parts = quotient(u)
-        g = gradient(u, parts)
-        step = 1.0
-        iters = 0
-        last_change = np.inf
-        while iters < max_iter:
-            iters += 1
-            direction = precondition(u, Q, g)
-            dn = np.linalg.norm(direction)
-            if dn == 0.0:
-                break
-            dhat = direction / dn
-            slope = float(np.dot(g, dhat))
-            if slope >= 0.0:
-                dhat = -g / np.linalg.norm(g)
-                slope = float(np.dot(g, dhat))
-                if slope >= 0.0:
-                    break
-            s = min(1.0, 4.0 * step)
-            accepted = False
-            for _ in range(60):
-                u_try = project(u + s * dhat)
-                Q_try, parts = quotient(u_try)
-                if Q_try <= Q + 1e-4 * s * slope:
-                    accepted = True
-                    break
-                s *= 0.5
-            if not accepted:
-                break
-            step = s
-            last_change = abs(Q - Q_try) / max(abs(Q_try), 1e-300)
-            u, Q = u_try, Q_try
-            if last_change < tol:
-                break
-            g = gradient(u, parts)
-        restart_iters.append(iters)
-        # flipping signs never raises the quotient; keep the positive profile
-        u_abs = project(np.abs(u))
-        Q_abs = quotient(u_abs)[0]
-        if Q_abs <= Q:
-            u, Q = u_abs, Q_abs
-        if best is None or Q < best[0]:
-            best = (Q, u, iters, last_change, idx)
-    Q, u, iters, change, idx = best
-    if not math.isfinite(Q):
-        raise RadialConvergenceError("Rayleigh descent diverged", residual=change)
-    if iters >= max_iter and change >= tol:
-        raise RadialConvergenceError(
-            f"Rayleigh descent hit the {max_iter}-iteration cap",
-            residual=change)
-    return Q, r, u, {"iterations": iters, "residual": change, "restart": idx,
-                     "restart_iterations": tuple(restart_iters)}
+    # row 3i + k starts query i from the k-th start
+    start = np.random.Generator(np.random.Philox(key=0xA11CE)).uniform(0.5, 1.5, N + 1)
+    U = project(np.stack([np.ones((m, N + 1)), 1.0 - 0.5 * r / R[:, None],
+                          np.broadcast_to(start, (m, N + 1))], 1).reshape(3 * m, N + 1))
+    consts = C = [np.repeat(a, 3, axis=0) for a in (h, rbar, dw, bR)]
+    Q, *parts = quotient(U, *C)
+    G = gradient(U, *parts, *C)
+    rows, step, change = np.arange(3 * m), np.ones(3 * m), np.full(3 * m, np.inf)
+    Uf, Qf, change_f, iters_f = U.copy(), Q.copy(), change.copy(), np.zeros(3 * m, int)
+
+    def retire(stop, it, *extra):
+        # record the rows that stop at iteration it and drop them
+        nonlocal rows, U, Q, G, step, change, C
+        if not stop.any():
+            return extra
+        j, keep = rows[stop], ~stop
+        Uf[j], Qf[j], change_f[j], iters_f[j] = U[stop], Q[stop], change[stop], it
+        rows, U, Q, G, step, change, *C = (a[keep] for a in (rows, U, Q, G, step, change, *C))
+        return [a[keep] for a in extra]
+
+    for it in range(1, max_iter + 1):
+        if not rows.size:
+            break
+        x = precondition(U, Q, G, *C)
+        dn = np.sqrt(np.vecdot(x, x))
+        x, dn = retire(dn == 0.0, it, x, dn)
+        dhat = x / dn[:, None]
+        slope = np.vecdot(G, dhat)
+        up = slope >= 0.0
+        if up.any():  # not a descent direction: steepest descent instead
+            dhat[up] = -G[up] / np.sqrt(np.vecdot(G[up], G[up]))[:, None]
+            slope[up] = np.vecdot(G[up], dhat[up])
+            dhat, slope = retire(slope >= 0.0, it, dhat, slope)
+        # Armijo from min(1, 4 step) with up to 60 halvings, priced three at
+        # a time; a row takes its first passing trial, and acc holds its
+        # (step, u, Q, du, num, dint, den)
+        s, pend, tried = np.minimum(1.0, 4.0 * step), np.arange(rows.size), 0
+        acc = [np.empty(Q.shape + sh) for sh in ((), (N + 1,), (), (N,), (), (), ())]
+        while pend.size and tried < 60:
+            T = np.array([s, s * 0.5, s * 0.5 * 0.5])
+            u_try = project(U[pend] + T[..., None] * dhat[pend])
+            trial = (T, u_try) + quotient(u_try, *(a[pend] for a in C))
+            ok = trial[2] <= Q[pend] + 1e-4 * T * slope[pend]
+            hit = ok.any(axis=0)
+            took = pend[hit], ok.argmax(axis=0)[hit], np.flatnonzero(hit)
+            for dst, src in zip(acc, trial):
+                dst[took[0]] = src[took[1:]]
+            s, pend, tried = T[-1, ~hit] * 0.5, pend[~hit], tried + 3
+        failed = np.zeros(rows.size, dtype=bool)
+        failed[pend] = True
+        step, U_new, Q_new, *parts = retire(failed, it, *acc)
+        change = np.abs(Q - Q_new) / np.maximum(np.abs(Q_new), 1e-300)
+        U, Q = U_new, Q_new
+        parts = retire(change < tol, it, *parts)
+        G = gradient(U, *parts, *C)
+    retire(np.ones(rows.size, dtype=bool), max_iter)
+
+    # flipping signs never raises the quotient; keep the positive profile
+    U_abs = project(np.abs(Uf))
+    Q_abs = quotient(U_abs, *consts)[0]
+    flip = Q_abs <= Qf
+    Uf[flip], Qf[flip] = U_abs[flip], Q_abs[flip]
+    win = [min(range(3 * i, 3 * i + 3), key=Qf.__getitem__) for i in range(m)]
+    for i, j in enumerate(win):
+        if not math.isfinite(Qf[j]):
+            raise RadialConvergenceError("Rayleigh descent diverged",
+                                         float(change_f[j]), i)
+        if iters_f[j] >= max_iter and change_f[j] >= tol:
+            raise RadialConvergenceError(
+                f"Rayleigh descent hit the {max_iter}-iteration cap",
+                float(change_f[j]), i)
+    infos = [{"iterations": int(iters_f[j]), "residual": float(change_f[j]),
+              "restart": j % 3, "restart_iterations": tuple(iters_f[j - j % 3:][:3].tolist())}
+             for j in win]
+    return Qf[win], r, Uf[win], infos
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
-def _shoots(q: RadialEigenvalueQuery) -> bool:
-    return q.grad_exp == q.bdry_exp == q.denom_exp == 2.0
-
-
 def robin_eigenvalue_ball(query: RadialEigenvalueQuery) -> RadialSolution:
     """First Robin eigenvalue (and radial eigenfunction profile) of a ball."""
-    q = query
-    if _shoots(q):
-        return robin_eigenvalues_ball([q])[0]
-    lam, r, u, info = _rayleigh_min(q.d, q.R, q.b, q.grad_exp, q.denom_exp, q.mesh_n)
-    meta = {"method": "rayleigh-descent", **info}
-    return RadialSolution(float(lam), np.column_stack([r, u]), meta)
+    return robin_eigenvalues_ball([query])[0]
 
 
 def robin_eigenvalues_ball(queries) -> list[RadialSolution]:
     """robin_eigenvalue_ball for a sequence of queries, results in order.
 
-    Unit-exponent queries that share (d, mesh_n) are shot in one batch, which
-    costs little more than one of them alone; descent queries run one at a
-    time.  Each result equals that of its query on its own.
+    Unit-exponent queries that share (d, mesh_n) are shot in one batch, and
+    descent queries that share (d, exponents, mesh_n) descend in lockstep;
+    either costs little more than one query alone.  Each result equals that
+    of its query on its own, and of several failing queries the first in
+    order raises.
     """
     out = [None] * len(queries)
-    batches = {}
+    shots, descents, failed = {}, {}, []
     for i, q in enumerate(queries):
-        if _shoots(q):
-            batches.setdefault((q.d, q.mesh_n), []).append(i)
+        if q.grad_exp == q.bdry_exp == q.denom_exp == 2.0:
+            shots.setdefault((q.d, q.mesh_n), []).append(i)
         else:
-            out[i] = robin_eigenvalue_ball(q)
-    for (d, n), idx in batches.items():
+            descents.setdefault((q.d, q.grad_exp, q.denom_exp, q.mesh_n),
+                                []).append(i)
+    for (d, pg, alpha, n), idx in descents.items():
+        try:
+            lam, r, u, infos = _rayleigh_min(d, [queries[i].R for i in idx],
+                                             [queries[i].b for i in idx], pg, alpha, n)
+        except RadialConvergenceError as exc:
+            failed.append((idx[exc.query], exc))
+            continue
+        for j, i in enumerate(idx):
+            out[i] = RadialSolution(float(lam[j]), np.column_stack([r[j], u[j]]),
+                                    {"method": "rayleigh-descent", **infos[j]})
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    for (d, n), idx in shots.items():
         R = np.array([queries[i].R for i in idx])
         b = np.array([queries[i].b for i in idx])
         lam = shoot_eigenvalues(d, R, b, n)
-        us, vs = _rk4(lam, d, R, n, path=True)
+        us, vs = _propagate(lam, d, R, n, path=True)
         for j, i in enumerate(idx):
             r = np.linspace(0.0, R[j], n + 1)
             quot = _quotient_of_profile(d, R[j], b[j], r, us[:, j], vs[:, j])

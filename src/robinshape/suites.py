@@ -133,34 +133,37 @@ def reduction_suite(trials: int = 100, n: int = 64, seed: int = 20240502,
 
 def scaling_suite(rel_tol: float = 1e-6) -> dict:
     """Change-of-variables identity lam_{b,q}(tB) = t^-q lam_{b t^(q-1),q}(B)
-    (radial mesh 1024 for q = 2, 192 for the q = 3 descent) plus strict
-    radius monotonicity of the exponent-2 eigenvalue at 20 radii in
-    [0.3, 3]."""
+    plus strict radius monotonicity of the exponent-2 eigenvalue at 20 radii
+    in [0.3, 3].  Per dimension, eigenvalues only: one shooting batch (mesh
+    1024) for q = 2 and the radii, one lockstep descent (mesh 192) for q = 3."""
     rows = [("check", "d", "q", "t_or_R", "value", "reference", "rel_err")]
     worst = 0.0
     ok = True
-    cases = [(d, q, t) for d in (1, 2) for q in (2.0, 3.0) for t in (0.5, 2.0, 3.0)]
-    queries = []
-    for d, q, t in cases:
-        mesh = 1024 if q == 2.0 else 192
-        queries += [RadialEigenvalueQuery(d=d, R=t, b=1.0, grad_exp=q, bdry_exp=q,
-                                          denom_exp=q, mesh_n=mesh),
-                    RadialEigenvalueQuery(d=d, R=1.0, b=t ** (q - 1.0), grad_exp=q,
-                                          bdry_exp=q, denom_exp=q, mesh_n=mesh)]
-    sols = robin_eigenvalues_ball(queries)
+    ts, radii = (0.5, 2.0, 3.0), np.linspace(0.3, 3.0, 20)
+    cases = [(d, q, t) for d in (1, 2) for q in (2.0, 3.0) for t in ts]
+    # per t, the ball tB at b = 1 and the ball B at b = t^(q-1)
+    balls = {q: [(R, b) for t in ts for R, b in ((t, 1.0), (1.0, t ** (q - 1.0)))]
+             for q in (2.0, 3.0)}
+    R2, b2 = np.array(balls[2.0]).T
+    shot = {d: shoot_eigenvalues(d, np.concatenate([R2, radii]),
+                                 np.concatenate([b2, np.ones(20)]), 1024)
+            for d in (1, 2)}
+    sols = robin_eigenvalues_ball([RadialEigenvalueQuery(
+        d=d, R=R, b=b, grad_exp=3.0, bdry_exp=3.0, denom_exp=3.0, mesh_n=192)
+        for d in (1, 2) for R, b in balls[3.0]])
+    lams = [lam for d in (1, 2) for lam in  # in the order of cases
+            shot[d][:6].tolist() + [s.lam for s in sols[6 * d - 6:6 * d]]]
     for k, (d, q, t) in enumerate(cases):
-        lt, lb = sols[2 * k].lam, sols[2 * k + 1].lam
+        lt, lb = lams[2 * k], lams[2 * k + 1]
         ref = t ** (-q) * lb
         rel = abs(lt - ref) / abs(ref)
         worst = max(worst, rel)
         ok &= rel <= rel_tol
         rows.append(("identity", d, q, t, repr(lt), repr(ref), repr(rel)))
     for d in (1, 2):
-        radii = np.linspace(0.3, 3.0, 20)
-        lams = shoot_eigenvalues(d, radii, np.ones(20), 1024)
-        mono = bool(np.all(np.diff(lams) < 0))
+        mono = bool(np.all(np.diff(shot[d][6:]) < 0))
         ok &= mono
-        for R, lam in zip(radii, lams):
+        for R, lam in zip(radii, shot[d][6:]):
             rows.append(("monotone", d, 2.0, repr(float(R)), repr(float(lam)),
                          "", ""))
         rows.append(("monotone-strict", d, 2.0, "", str(mono), "", ""))

@@ -2,11 +2,12 @@
 
 Nothing here calls into robinshape's solvers: eigenvalues come from
 transcendental root-finding on the known radial solutions (cosine in 1d,
-Bessel J0 in 2d, sin(kr)/r in 3d), thresholds from extended-precision
-formula evaluation, inner solves from LAPACK banded factorizations and
-sparse direct solves, staircase boundary faces from a face-by-face walk
-over Python tuples, and gradients, face differences and jump sums of SBV
-fields from loops over single cells and faces.
+Bessel J0 in 2d, sin(kr)/r in 3d), radial ODE values from an RK4 loop one
+step at a time, thresholds from extended-precision formula evaluation,
+inner solves from LAPACK banded factorizations and sparse direct solves,
+staircase boundary faces from a face-by-face walk over Python tuples, and
+gradients, face differences and jump sums of SBV fields from loops over
+single cells and faces.
 """
 
 import math
@@ -40,6 +41,44 @@ def robin_lambda_ball3(R, b):
     f = lambda x: x * math.cos(x) + (b * R - 1.0) * math.sin(x)
     x = brentq(f, 1e-9, math.pi, xtol=1e-14, rtol=1e-15)
     return (x / R) ** 2
+
+
+def rk4_radial(lam, d, R, n, path=False):
+    """RK4 for the radial ODE u'' = -lam*u - (d-1)/r u', one column per entry
+    of lam with its own step h = R/n (R broadcasts against lam), one step at
+    a time from the regular series start at r = h.
+
+    Returns (u(R), u'(R)); with path=True, the (n+1, ...) arrays of u and u'
+    at r = 0, h, ..., R instead.
+    """
+    lam = np.asarray(lam, dtype=float)
+    h = np.asarray(R, dtype=float) / n
+    h2, h6 = h / 2.0, h / 6.0
+    t, d2, d4 = lam * h * h, d + 2.0, d + 4.0
+    u = 1.0 - t / (2 * d) + t * t / (8 * d * d2) - t * t * t / (48 * d * d2 * d4)
+    v = (t / h) * (-1.0 / d + t / (2 * d * d2) - t * t / (8 * d * d2 * d4))
+    nlam, dm1 = -lam, d - 1.0
+    if path:
+        us, vs = np.empty((2, n + 1) + u.shape)
+        us[0], vs[0], us[1], vs[1] = 1.0, 0.0, u, v
+    r = h
+    c0 = dm1 / r
+    for i in range(2, n + 1):
+        cm, re = dm1 / (r + h2), r + h
+        c1 = dm1 / re
+        k1v = nlam * u - c0 * v
+        u2, v2 = u + h2 * v, v + h2 * k1v
+        k2v = nlam * u2 - cm * v2
+        u3, v3 = u + h2 * v2, v + h2 * k2v
+        k3v = nlam * u3 - cm * v3
+        u4, v4 = u + h * v3, v + h * k3v
+        k4v = nlam * u4 - c1 * v4
+        u, v = (u + h6 * (v + 2 * v2 + 2 * v3 + v4),
+                v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v))
+        r, c0 = re, c1
+        if path:
+            us[i], vs[i] = u, v
+    return (us, vs) if path else (u, v)
 
 
 def threshold_formula(p, d, dps=40):

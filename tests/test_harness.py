@@ -124,6 +124,15 @@ def test_range_checks_are_usage_errors(tmp_path):
         cfg = tmp_path / f"{cmd}_{key}.cfg"
         cfg.write_text(f"{key} = {bad}\n")
         assert main([cmd, "--config", str(cfg), "--out", out]) == 1
+    # Philox takes keys below 2**128; a larger seed is a usage error, as a
+    # flag and in a config file alike, and the largest key still runs
+    for cmd in (["optimize", "--n", "8", "--sweeps", "2"],
+                ["verify", "--suite", "poincare", "--trials", "5", "--n", "64"]):
+        assert main(cmd + ["--seed", str(2**128), "--out", out]) == 1
+        cfg = tmp_path / f"{cmd[0]}_seed.cfg"
+        cfg.write_text(f"seed = {2**128}\n")
+        assert main(cmd + ["--config", str(cfg), "--out", out]) == 1
+        assert main(cmd + ["--seed", str(2**128 - 1), "--out", out]) == 0
     cfg = tmp_path / "init.cfg"
     cfg.write_text("d = 2\ninit = disc:0.5:nan:0.3\n")
     assert main(["optimize", "--config", str(cfg), "--out", out]) == 1

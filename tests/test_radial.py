@@ -118,16 +118,37 @@ def test_propagator_refinement_matches_rk4_loop(monkeypatch, d):
     meshes = sorted({64, 65, block, block + 1, block + 2, 2 * block + 1, 1024})
     for n in meshes:
         lam = np.linspace(0.0, 1.0, 64)[:, None] * (4.0 * (math.pi / R) ** 2)
-        u, v = radial._rk4(lam, d, R, n)
+        u, v = oracles.rk4_radial(lam, d, R, n)
         up, vp = radial._propagate(lam, d, R, n)
         mag = np.hypot(u, v)
         assert np.max(np.abs(up - u) / mag) < 1e-12
         assert np.max(np.abs(vp - v) / mag) < 1e-12
     fast = [shoot_eigenvalues(d, R, b, n) for n in meshes]
-    monkeypatch.setattr(radial, "_propagate", radial._rk4)
+    monkeypatch.setattr(radial, "_propagate", oracles.rk4_radial)
     for n, lam in zip(meshes, fast):
         loop = shoot_eigenvalues(d, R, b, n)
         assert np.max(np.abs(lam - loop) / loop) < 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_profile_scan_matches_rk4_loop(d):
+    # the profile pass takes the nodes of each block from prefix products of
+    # its step propagators; at shot eigenvalues the profile stays within
+    # 1e-13 of each column's maximum of the one-step-at-a-time loop, for
+    # partial, exact and multiple blocks and for 1 to 128 columns
+    block = radial._BLOCK
+    rng = np.random.Generator(np.random.Philox(key=d))
+    for cols in (1, 16, 128):
+        R = rng.uniform(0.3, 2.5, cols)
+        lam = shoot_eigenvalues(d, R, 10.0 ** rng.uniform(-3.0, 3.0, cols), 1024)
+        for n in (64, 65, block - 1, block + 1, 2 * block + 1, 1024):
+            u, v = radial._propagate(lam, d, R, n, path=True)
+            u_ref, v_ref = oracles.rk4_radial(lam, d, R, n, path=True)
+            assert u.shape == v.shape == (n + 1, cols)
+            scale = 1e-13 * np.max(np.abs(u_ref), axis=0)
+            assert np.all(np.abs(u - u_ref) <= scale)
+            # the last node agrees with the pairwise product of the blocks
+            assert np.all(np.abs(u[-1] - radial._propagate(lam, d, R, n)[0]) <= scale)
 
 
 def test_eigenvalue_monotone_in_robin_coefficient():
@@ -191,7 +212,7 @@ def test_shooting_and_descent_agree_at_two():
     for d in (1, 2):
         shot = robin_eigenvalue_ball(RadialEigenvalueQuery(d=d, R=1.0, b=1.0,
                                                            mesh_n=2048)).lam
-        desc, _, _, info = _rayleigh_min(d, 1.0, 1.0, 2.0, 2.0, 512)
+        (desc,), _, _, _ = _rayleigh_min(d, [1.0], [1.0], 2.0, 2.0, 512)
         assert desc == pytest.approx(shot, rel=1e-5)
 
 
@@ -202,7 +223,8 @@ def test_shooting_and_descent_agree_at_two():
 def test_descent_results_are_pinned(query, lam, iterations):
     # pinned bit for bit: pricing the line search's trial points by the
     # quotient alone must not move any accepted step
-    Q, _, _, info = _rayleigh_min(*query)
+    d, R, b, p, alpha, mesh = query
+    (Q,), _, _, (info,) = _rayleigh_min(d, [R], [b], p, alpha, mesh)
     assert repr(float(Q)) == lam and info["iterations"] == iterations
     assert len(info["restart_iterations"]) == 3
     assert info["restart_iterations"][info["restart"]] == iterations
@@ -215,13 +237,89 @@ def test_descent_iteration_cap_raises():
         _rayleigh_min(2, 1.0, 0.5, 3.0, 3.0, 256, max_iter=8)
 
 
+def _descent_query(d, R, b, p, alpha, mesh):
+    return RadialEigenvalueQuery(d=d, R=R, b=b, grad_exp=p, bdry_exp=p,
+                                 denom_exp=alpha, mesh_n=mesh)
+
+
+def test_descent_results_do_not_depend_on_the_batch():
+    # descent queries of two keys and two meshes interleaved with shooting
+    # queries: each result equals its query run alone, bit for bit
+    queries = [_descent_query(1, 1.0, 1.0, 3.0, 3.0, 128),
+               RadialEigenvalueQuery(d=2, R=1.0, b=1.0, mesh_n=256),
+               _descent_query(2, 1.3, 0.7, 2.5, 1.5, 192),
+               _descent_query(1, 2.0, 0.5, 3.0, 3.0, 128),
+               RadialEigenvalueQuery(d=1, R=0.7, b=2.0, mesh_n=256),
+               _descent_query(2, 0.6, 3.0, 2.5, 1.5, 192),
+               _descent_query(2, 1.0, 1.0, 3.0, 3.0, 128),
+               _descent_query(1, 1.5, 2.0, 3.0, 3.0, 128),
+               _descent_query(2, 2.0, 0.3, 2.5, 1.5, 192)]
+    sols = robin_eigenvalues_ball(queries)
+    keys = ("iterations", "residual", "restart", "restart_iterations")
+    for q, sol in zip(queries, sols):
+        alone = robin_eigenvalue_ball(q)
+        assert repr(sol.lam) == repr(alone.lam)
+        assert np.array_equal(sol.profile, alone.profile)
+        assert sol.meta["method"] == alone.meta["method"]
+        if q.grad_exp != 2.0:
+            assert sol.meta["method"] == "rayleigh-descent"
+            assert all(sol.meta[k] == alone.meta[k] for k in keys)
+
+
+def test_descent_failure_inside_a_batch_raises_its_own_residual():
+    # at a cap of 11 iterations (R, b) = (1, 2) and (1.5, 1) converge, while
+    # (0.8, 1) and (2, 2) stop at the cap with their winner still moving: a
+    # batch raises for its first failing query, with the residual that query
+    # raises alone, although the other queries converge
+    def descend(R, b):
+        return _rayleigh_min(2, R, b, 3.0, 3.0, 256, max_iter=11)
+
+    converged = descend([1.0, 1.5], [2.0, 1.0])[3]
+    assert [info["restart"] for info in converged] == [1, 1]
+    alone = {}
+    for R, b in ((0.8, 1.0), (2.0, 2.0)):
+        with pytest.raises(RadialConvergenceError) as exc:
+            descend([R], [b])
+        alone[R] = exc.value
+    for R, b, first in (([1.0, 1.5, 0.8, 2.0], [2.0, 1.0, 1.0, 2.0], 0.8),
+                        ([2.0, 1.0, 0.8], [2.0, 2.0, 1.0], 2.0)):
+        with pytest.raises(RadialConvergenceError) as exc:
+            descend(R, b)
+        assert str(exc.value) == str(alone[first])
+        assert exc.value.residual == alone[first].residual
+
+
+def test_first_failing_descent_query_of_a_list_raises(monkeypatch):
+    # with the cap at 11 iterations, query 1 (the second key) and query 3
+    # (the first key) both fail: the list raises for query 1, as running the
+    # queries one at a time in order would
+    import functools
+    monkeypatch.setattr(radial, "_rayleigh_min",
+                        functools.partial(_rayleigh_min, max_iter=11))
+    queries = [_descent_query(2, 1.0, 2.0, 3.0, 3.0, 256),
+               _descent_query(1, 0.6, 3.0, 3.0, 3.0, 128),
+               RadialEigenvalueQuery(d=1, R=1.0, b=1.0, mesh_n=256),
+               _descent_query(2, 0.8, 1.0, 3.0, 3.0, 256)]
+    with pytest.raises(RadialConvergenceError) as alone:
+        robin_eigenvalue_ball(queries[1])
+    with pytest.raises(RadialConvergenceError) as batched:
+        robin_eigenvalues_ball(queries)
+    assert batched.value.residual == alone.value.residual
+    with pytest.raises(RadialConvergenceError) as other:
+        robin_eigenvalue_ball(queries[3])
+    assert other.value.residual != alone.value.residual
+
+
 def test_descent_preconditioner_failure_raises(monkeypatch):
-    # a tridiagonal factorization that reports failure must not be used
+    # a tridiagonal factorization that reports failure must not be used,
+    # for one query and for a batch of several
     import scipy.linalg.lapack as lapack
     ptsv = lapack.dptsv
     monkeypatch.setattr(lapack, "dptsv", lambda *a: ptsv(*a)[:3] + (1,))
     with pytest.raises(np.linalg.LinAlgError):
         _rayleigh_min(2, 1.0, 0.5, 3.0, 3.0, 128)
+    with pytest.raises(np.linalg.LinAlgError):
+        _rayleigh_min(2, [1.0, 2.0, 0.7], [0.5, 2.0, 1.0], 3.0, 3.0, 128)
 
 
 def test_query_validation():
