@@ -13,7 +13,7 @@ from .sbvgrid import (Grid, SbvField, ShapeMask, boundary_faces, bv_norm,
                       gradient_field, perimeter, poincare_check,
                       read_field_text, reduction_check, shape_energy,
                       support_jumps, write_field_text)
-from .pdesolve import (SolverConfig, SolverError, energy_gradient, energy_of,
+from .pdesolve import (SolverConfig, SolverError, energy_of,
                        grid_robin_eigenvalue, solve_inner)
 from .shapeopt import (AnnealSchedule, OptimizationTrace, ShapeOptError,
                        component_count, diagnostics, optimize_shape)

@@ -21,8 +21,9 @@ and reuses the residual's r.r in the next step.
 The face energy (`_face_energy`, `energy_of`) is the package's one discrete
 functional: Lg ((u_hi - u_lo)^2/h^2 + eta^2)^(p/2) h^d per interior face,
 -f u h^d per cell, and Bg (u^2 + eta^2)^(q/2) times the boundary weight
-per boundary face, plus c0 |mask|.  The reported J is this energy with the
-solver's eta and boundary weights.
+per boundary face, plus c0 |mask|.  eta is no setting but a fact of the
+exponents (`_eta`): 0 at p = q = 2 and 1e-6 otherwise.  The reported J is
+this energy with the solver's boundary weights.
 """
 
 from __future__ import annotations
@@ -46,36 +47,29 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """The method follows the model's exponents: conjugate gradients for
-    p = q = 2, where tol bounds the relative residual and eta defaults to 0,
-    and damped Newton otherwise, where tol bounds half the squared Newton
-    decrement relative to |E| and eta, which floors the gradient magnitude
-    in the p-Laplacian terms, defaults to 1e-6 and must stay positive.
-    max_iter caps the CG or Newton iterations (default 10 n^d)."""
+    """The method and eta follow the model's exponents (`_eta`): conjugate
+    gradients for p = q = 2, where tol bounds the relative residual, and
+    damped Newton otherwise, where tol bounds half the squared Newton
+    decrement relative to |E|.  max_iter caps the CG or Newton iterations
+    (default 10 n^d); weights picks the boundary weights."""
 
     tol: float = 1e-10
     max_iter: int | None = None
-    eta: float | None = None
     weights: str = "auto"
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if self.eta is not None and self.eta < 0:
-            raise ValueError("eta must be nonnegative")
         if self.weights not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary weights {self.weights!r}; "
                              f"choose from {', '.join(BOUNDARY_MODES)}")
 
-    def resolve(self, model: IntegrandModel):
-        """(mode, eta): "linear-cg" for p = q = 2, else "newton"."""
-        linear = model.p == 2.0 and model.q == 2.0
-        eta = self.eta
-        if eta is None:
-            eta = 0.0 if linear else 1e-6
-        if not linear and eta == 0.0:
-            raise ValueError("eta = 0 is only allowed at p = q = 2")
-        return ("linear-cg" if linear else "newton"), eta
+
+def _eta(model: IntegrandModel) -> float:
+    """The floor of the gradient magnitude and boundary trace in the
+    p-Laplacian terms: 0 at p = q = 2, where the energy is quadratic, and
+    1e-6 otherwise, where it keeps the Newton Hessian finite."""
+    return 0.0 if model.p == 2.0 and model.q == 2.0 else 1e-6
 
 
 def _robin_weights(model: IntegrandModel, asm: MaskAssembly, weights: str):
@@ -97,7 +91,7 @@ def solve_inner(model: IntegrandModel, grid: Grid, mask: ShapeMask,
         return (field, {"iterations": 0, "residual": 0.0, "mode": "empty"}) \
             if return_info else field
 
-    mode, eta = config.resolve(model)
+    eta = _eta(model)
     fvals = model.f_at(grid.centers())
     if np.min(fvals) < 0:
         warnings.warn("source term changes sign: model flagged, solver proceeds")
@@ -106,7 +100,7 @@ def solve_inner(model: IntegrandModel, grid: Grid, mask: ShapeMask,
     bcw = _robin_weights(model, asm, config.weights)
     cap = config.max_iter if config.max_iter is not None else 10 * grid.n**grid.d
 
-    if mode == "linear-cg":
+    if eta == 0.0:  # p = q = 2
         x, info = _solve_cg(model, asm, fc, bcw, config, cap)
     else:
         x, info = _solve_newton(model, asm, fc, bcw, eta, config, cap)
@@ -250,25 +244,15 @@ def _solve_newton(model, asm, fc, bcw, eta, config, cap):
 
 
 def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField,
-              eta: float = 0.0, weights: str = "auto") -> float:
-    """Face-based fixed-support energy of a field, including the volume term
-    c0*|mask|: the solver's objective up to that constant, and the shape
-    functional J when eta and weights are the solver's."""
+              weights: str = "auto") -> float:
+    """Face-based fixed-support energy of a field at the model's eta,
+    including the volume term c0*|mask|: the solver's objective up to that
+    constant, and the shape functional J when weights are the solver's."""
     asm = mask_assembly(mask)
     fc = asm.gather(model.f_at(field.grid.centers()))
     energy, _, _ = _face_energy(model, asm, fc,
-                                _robin_weights(model, asm, weights), eta)
+                                _robin_weights(model, asm, weights), _eta(model))
     return energy(asm.gather(field.values)) + model.c0 * mask.volume()
-
-
-def energy_gradient(model: IntegrandModel, mask: ShapeMask, field: SbvField,
-                    eta: float = 0.0, weights: str = "auto") -> np.ndarray:
-    """Assembled residual of the nonlinear objective at the given field."""
-    asm = mask_assembly(mask)
-    fc = asm.gather(model.f_at(field.grid.centers()))
-    _, gradient, _ = _face_energy(model, asm, fc,
-                                  _robin_weights(model, asm, weights), eta)
-    return asm.scatter(gradient(asm.gather(field.values)))
 
 
 def grid_robin_eigenvalue(grid: Grid, mask: ShapeMask, b: float,

@@ -288,9 +288,12 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
     norm.  Three restarts guard against spurious critical points; the
     smallest quotient wins, ties by restart index.  Each query x restart is a
     row; rows step in lockstep, leave as they stop and round as they would
-    alone.  Returns (lam, r, u, infos), one entry per query.  A winner that
-    diverged, or stopped at max_iter with a last relative change >= tol,
-    raises; the first such query in order does, with its index as .query.
+    alone.  A row stops once the relative change of Q falls below tol, or
+    when its direction does not descend, its line search fails or it
+    reaches max_iter.  Returns (lam, r, u, infos), one entry per query.
+    Any winner whose last relative change is not below tol raises, a
+    non-finite one included; the first such query in order does, with its
+    index as .query.
     """
     from scipy.linalg.lapack import dptsv
 
@@ -377,15 +380,12 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
         if not rows.size:
             break
         x = precondition(U, Q, G, *C)
-        dn = np.sqrt(np.vecdot(x, x))
-        x, dn = retire(dn == 0.0, it, x, dn)
-        dhat = x / dn[:, None]
-        slope = np.vecdot(G, dhat)
-        up = slope >= 0.0
-        if up.any():  # not a descent direction: steepest descent instead
-            dhat[up] = -G[up] / np.sqrt(np.vecdot(G[up], G[up]))[:, None]
-            slope[up] = np.vecdot(G[up], dhat[up])
-            dhat, slope = retire(slope >= 0.0, it, dhat, slope)
+        # a zero or non-finite direction has a nan slope: it stops here with
+        # every row whose direction does not descend
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dhat = x / np.sqrt(np.vecdot(x, x))[:, None]
+            slope = np.vecdot(G, dhat)
+        dhat, slope = retire(~(slope < 0.0), it, dhat, slope)
         # Armijo from min(1, 4 step) with up to 60 halvings, priced three at
         # a time; a row takes its first passing trial, and acc holds its
         # (step, u, Q, du, num, dint, den)
@@ -417,12 +417,10 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
     Uf[flip], Qf[flip] = U_abs[flip], Q_abs[flip]
     win = [min(range(3 * i, 3 * i + 3), key=Qf.__getitem__) for i in range(m)]
     for i, j in enumerate(win):
-        if not math.isfinite(Qf[j]):
-            raise RadialConvergenceError("Rayleigh descent diverged",
-                                         float(change_f[j]), i)
-        if iters_f[j] >= max_iter and change_f[j] >= tol:
+        if not change_f[j] < tol:  # a non-finite Q has a non-finite change
             raise RadialConvergenceError(
-                f"Rayleigh descent hit the {max_iter}-iteration cap",
+                f"Rayleigh descent did not converge: stopped after "
+                f"{iters_f[j]} iterations (cap {max_iter})",
                 float(change_f[j]), i)
     infos = [{"iterations": int(iters_f[j]), "residual": float(change_f[j]),
               "restart": j % 3, "restart_iterations": tuple(iters_f[j - j % 3:][:3].tolist())}

@@ -21,12 +21,13 @@ as (face tuple, weight) pairs.
 
 One discrete functional scores a shape: the solver's face energy
 (`pdesolve.energy_of`), with face differences (u_hi - u_lo)/h between
-neighbouring mask cells, the solver's boundary weights and the solver's eta.
-`shape_energy`, `eval_shape_functional` and the annealer's re-solves all
-report it.  The free-discontinuity functional F uses the same face
-differences on unflagged faces, so F(u) = J({u != 0}) at the minimiser
-when u has no interior jumps (uncorrected weights, eta = 0).  The
-cell-centred `gradient_field` serves only `poincare_check` and `bv_norm`.
+neighbouring mask cells, the solver's boundary weights and the eta the
+exponents fix (0 at p = q = 2, else 1e-6).  `shape_energy`,
+`eval_shape_functional` and the annealer's re-solves all report it.  The
+free-discontinuity functional F uses the same face differences on
+unflagged faces, so F(u) = J({u != 0}) at the minimiser when u has no
+interior jumps (p = q = 2, uncorrected weights).  The cell-centred
+`gradient_field` serves only `poincare_check` and `bv_norm`.
 """
 
 from __future__ import annotations
@@ -495,23 +496,20 @@ def perimeter(mask: ShapeMask, mode: str = "auto") -> float:
 def shape_energy(model: IntegrandModel, mask: ShapeMask, field: SbvField,
                  mode: str = "auto") -> float:
     """Shape functional at a given inner field: the solver's face energy
-    `pdesolve.energy_of` with boundary weights `mode` and eta as the default
-    solver resolves it (0 for p = q = 2, else 1e-6)."""
-    from .pdesolve import SolverConfig, energy_of
+    `pdesolve.energy_of` with boundary weights `mode`."""
+    from .pdesolve import energy_of
     _check_finite(field)
-    _, eta = SolverConfig(weights=mode).resolve(model)
-    return energy_of(model, mask, field, eta, mode)
+    return energy_of(model, mask, field, mode)
 
 
 def eval_shape_functional(model: IntegrandModel, mask: ShapeMask, inner=None):
     """Inner-minimize on the mask with the SolverConfig `inner` (None for
-    defaults), then evaluate the shape functional with the solver's eta and
-    boundary weights.  Returns (J, field)."""
+    defaults), then evaluate the shape functional with the solver's boundary
+    weights.  Returns (J, field)."""
     from .pdesolve import SolverConfig, energy_of, solve_inner
     config = inner if inner is not None else SolverConfig()
     field = solve_inner(model, mask.grid, mask, config)
-    _, eta = config.resolve(model)
-    return energy_of(model, mask, field, eta, config.weights), field
+    return energy_of(model, mask, field, config.weights), field
 
 
 def reduction_check(model: IntegrandModel, field: SbvField, solver=None) -> float:

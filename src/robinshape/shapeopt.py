@@ -1,9 +1,9 @@
 """Outer minimization over shapes by seeded cell-flip annealing.
 
 Every re-solve scores the mask with the solver's own face energy
-(`pdesolve.energy_of` at the solver's eta and boundary weights), the one
-functional the package reports.  Between re-solves the accept/reject
-decisions use O(1) energy deltas computed at the frozen field, with
+(`pdesolve.energy_of` at the solver's boundary weights), the one functional
+the package reports.  Between re-solves the accept/reject decisions use
+O(1) energy deltas computed at the frozen field, at the same eta but with
 uncorrected face weights (a biased estimate of the true change).  An
 addition puts the cell at the mean of its mask neighbours, and a removal is
 priced as the negated addition at the cell's own value.  The trace J of
@@ -32,7 +32,7 @@ import numpy as np
 from scipy import ndimage
 
 from .model import IntegrandModel
-from .pdesolve import SolverConfig, SolverError, energy_of, solve_inner
+from .pdesolve import SolverConfig, SolverError, _eta, energy_of, solve_inner
 from .sbvgrid import (Grid, SbvField, ShapeMask, _face_centers, _face_shapes,
                       _lower, _upper, bv_norm, perimeter, shape_energy,
                       support_jumps)
@@ -104,7 +104,7 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
     if solver is None:
         solver = SolverConfig()
     rng = np.random.Generator(np.random.Philox(key=sched.seed))
-    _, eta = solver.resolve(model)
+    eta = _eta(model)
     gc = model.grad_coeff
     p, q = model.p, model.q
     h, vol, wunc = grid.h, grid.cell_volume, grid.face_weight
@@ -121,7 +121,7 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
 
     def resolve():
         fld = solve_inner(model, grid, mask, solver)
-        return fld, energy_of(model, mask, fld, eta, solver.weights)
+        return fld, energy_of(model, mask, fld, solver.weights)
 
     def delta_toggle(c, u):
         """Frozen-energy change of flipping cell c and the new u[c].  An

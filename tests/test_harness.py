@@ -219,6 +219,58 @@ def test_verify_needs_suite():
     assert main(["verify", "--suite", "nonsense"]) == 1
 
 
+@pytest.mark.parametrize("suite,key,value", [
+    ("poincare", "gap_floor", "-1e-8"), ("reduction", "b", "7"),
+    ("scaling", "seed", "5"), ("ball-minimality", "min_ratio", "5")])
+def test_verify_rejects_keys_of_other_suites(tmp_path, capsys, suite, key,
+                                             value):
+    # a key the suite does not take is a usage error, as a flag and in a
+    # config file alike, and nothing runs
+    out = str(tmp_path)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    for how in (["--" + key.replace("_", "-"), value], ["--config", str(cfg)]):
+        assert main(["verify", "--suite", suite, *how, "--out", out]) == 1
+        assert key in capsys.readouterr().err
+    assert not any(name.startswith("verify_") for name in os.listdir(out))
+
+
+def test_verify_keys_survive_a_wrapped_suite(tmp_path, monkeypatch):
+    # a profiler may swap a suite for a (*args, **kwargs) wrapper; the keys
+    # come from the signatures read at import, so they still pass and a
+    # foreign key is still rejected
+    from robinshape import cli
+    run = cli.SUITES["reduction"]
+    monkeypatch.setitem(cli.SUITES, "reduction", lambda *a, **k: run(*a, **k))
+    out = str(tmp_path)
+    assert main(["verify", "--suite", "reduction", "--trials", "3", "--n",
+                 "32", "--out", out]) == 0
+    assert main(["verify", "--suite", "reduction", "--b", "7",
+                 "--out", out]) == 1
+
+
+def test_verify_grid_is_large_enough_for_the_battery(tmp_path):
+    # the Poincare battery draws supports of 3 to n - 3 cells, so n = 6 is
+    # its smallest grid; smaller n are usage errors, not numerical failures
+    out = str(tmp_path)
+    for n in ("4", "5"):
+        assert main(["verify", "--suite", "poincare", "--n", n, "--trials",
+                     "5", "--out", out]) == 1
+    assert main(["verify", "--suite", "poincare", "--n", "6", "--trials",
+                 "5", "--out", out]) in (0, 3)
+
+
+def test_unconverged_descent_is_a_numerical_failure(tmp_path):
+    # the quotient overflows at R = 1e8 in 6d: the descent stops after one
+    # iteration with an infinite change, which must not be written as lambda
+    with pytest.warns(RuntimeWarning):
+        code = main(["eig", "--d", "6", "--R", "1e8", "--b", "1e-12",
+                     "--grad-exp", "16", "--bdry-exp", "16", "--denom-exp",
+                     "2", "--mesh-n", "64", "--out", str(tmp_path)])
+    assert code == 2
+    assert not os.path.exists(tmp_path / "eig.csv")
+
+
 def test_ball_minimality_needs_two_sizes(tmp_path):
     # one size leaves the Richardson check nothing to compare
     assert main(["verify", "--suite", "ball-minimality", "--ns", "8",

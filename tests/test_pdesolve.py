@@ -5,8 +5,8 @@ import pytest
 
 from robinshape import pdesolve
 from robinshape.model import IntegrandModel
-from robinshape.pdesolve import (SolverConfig, SolverError, energy_gradient,
-                                 energy_of, grid_robin_eigenvalue, solve_inner)
+from robinshape.pdesolve import (SolverConfig, SolverError, energy_of,
+                                 grid_robin_eigenvalue, solve_inner)
 from robinshape.sbvgrid import Grid, ShapeMask, mask_assembly
 
 import oracles
@@ -143,8 +143,7 @@ def test_nonlinear_energy_trace_monotone():
     grid = Grid(1, 48, 1.0 / 48)
     model = slab_model(p=3.0, q=2.5)
     mask = ShapeMask.interval(grid, 0.2, 0.8)
-    fld, info = solve_inner(model, grid, mask,
-                            SolverConfig(tol=1e-9, eta=1e-4),
+    fld, info = solve_inner(model, grid, mask, SolverConfig(tol=1e-9),
                             return_info=True)
     trace = info["energy_trace"]
     assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
@@ -152,26 +151,23 @@ def test_nonlinear_energy_trace_monotone():
 
 
 def test_nonlinear_gradient_matches_finite_differences():
+    # at eta = 1e-2, so that the eta terms of the gradient are checked too
     rng = np.random.default_rng(23)
     n = 24
     grid = Grid(1, n, 1.0 / n)
     model = slab_model(p=3.0, q=2.5)
     mask = ShapeMask.interval(grid, 0.2, 0.85)
-    eta = 1e-2
-    from robinshape.sbvgrid import SbvField
-    base = np.where(mask.cells, rng.uniform(0.3, 1.0, n), 0.0)
-    fld = SbvField.from_values(grid, base)
-    g = energy_gradient(model, mask, fld, eta=eta)
-    E0 = energy_of(model, mask, fld, eta=eta)
+    asm = mask_assembly(mask)
+    energy, gradient, _ = pdesolve._face_energy(
+        model, asm, asm.gather(model.f_at(grid.centers())),
+        pdesolve._robin_weights(model, asm, "auto"), 1e-2)
+    base = asm.gather(rng.uniform(0.3, 1.0, n))
+    g = gradient(base)
     for _ in range(20):
-        dvec = np.where(mask.cells, rng.normal(size=n), 0.0)
+        dvec = asm.gather(rng.normal(size=n))
         dvec /= np.linalg.norm(dvec)
         step = 1e-6
-        Ep = energy_of(model, mask,
-                       SbvField(grid, base + step * dvec, fld.jumps), eta=eta)
-        Em = energy_of(model, mask,
-                       SbvField(grid, base - step * dvec, fld.jumps), eta=eta)
-        fd = (Ep - Em) / (2 * step)
+        fd = (energy(base + step * dvec) - energy(base - step * dvec)) / (2 * step)
         an = float(np.sum(g * dvec))
         assert an == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
@@ -247,7 +243,7 @@ def test_newton_matches_dense_reference_within_its_certificate(p, q, cells,
     mask = ShapeMask.interval(grid, *cells)
     fld, info = solve_inner(model, grid, mask, SolverConfig(tol=1e-13),
                             return_info=True)
-    J = energy_of(model, mask, fld, eta=1e-6)
+    J = energy_of(model, mask, fld)
     _, J_ref = oracles.face_newton_reference(model, mask.cells, grid.h, 1e-6)
     E = J - model.c0 * mask.volume()
     assert J == pytest.approx(J_ref, rel=2e-12)
@@ -266,8 +262,7 @@ def test_tight_tolerance_stops_at_the_rounding_floor():
     assert info["iterations"] <= 12
     assert info["residual"] <= 1e-14
     _, J_ref = oracles.face_newton_reference(model, mask.cells, grid.h, 1e-6)
-    assert energy_of(model, mask, fld, eta=1e-6) == pytest.approx(J_ref,
-                                                                 rel=1e-13)
+    assert energy_of(model, mask, fld) == pytest.approx(J_ref, rel=1e-13)
     grid = Grid(2, 48, 1.0 / 48)
     _, info = solve_inner(slab_model(p=3.0, q=3.0), grid,
                           ShapeMask.disc(grid, (0.5, 0.5), 0.4),
@@ -305,8 +300,8 @@ def test_subquadratic_boundary_exponent_runs():
     grid = Grid(1, 48, 1.0 / 48)
     model = slab_model(p=2.5, q=1.5)
     mask = ShapeMask.interval(grid, 0.2, 0.8)
-    fld, info = solve_inner(model, grid, mask,
-                            SolverConfig(tol=1e-8, eta=1e-4), return_info=True)
+    fld, info = solve_inner(model, grid, mask, SolverConfig(tol=1e-8),
+                            return_info=True)
     assert info["mode"] == "newton"
     assert np.all(np.isfinite(fld.values))
     assert float(np.max(fld.values)) > 0
@@ -333,16 +328,12 @@ def test_negative_robin_coefficient_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(eta=-1.0)
-    # the method follows the exponents: there is no mode to set
+    # the method and eta follow the exponents: neither is a setting
     with pytest.raises(TypeError):
         SolverConfig(mode="linear-cg")
-    cfg = SolverConfig(eta=0.0)
-    with pytest.raises(ValueError):
-        cfg.resolve(slab_model(p=3.0, q=3.0))
-    assert cfg.resolve(slab_model()) == ("linear-cg", 0.0)
-    assert SolverConfig().resolve(slab_model(p=3.0, q=3.0)) == ("newton", 1e-6)
+    with pytest.raises(TypeError):
+        SolverConfig(eta=1e-2)
+    assert not hasattr(SolverConfig(), "resolve")
 
 
 def test_empty_mask_returns_zero_field():

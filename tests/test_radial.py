@@ -237,6 +237,26 @@ def test_descent_iteration_cap_raises():
         _rayleigh_min(2, 1.0, 0.5, 3.0, 3.0, 256, max_iter=8)
 
 
+def test_stalled_descent_winner_raises():
+    # at R = 1e8 in 6d the quotient overflows and every restart stops after
+    # one iteration, far below the cap, with an infinite change: the winner
+    # raises, alone and behind a query of the same key that converges
+    def descend(R, b):
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(RadialConvergenceError) as exc:
+                _rayleigh_min(6, R, b, 16.0, 2.0, 64)
+        return exc.value
+
+    _, _, _, (info,) = _rayleigh_min(6, [2.0], [1.0], 16.0, 2.0, 64)
+    assert info["residual"] < 1e-10
+    alone = descend([1e8], [1e-12])
+    batched = descend([2.0, 1e8], [1.0, 1e-12])
+    assert (alone.residual, alone.query) == (math.inf, 0)
+    assert (batched.residual, batched.query) == (math.inf, 1)
+    assert str(batched) == str(alone)
+    assert "after 1 iterations" in str(alone)
+
+
 def _descent_query(d, R, b, p, alpha, mesh):
     return RadialEigenvalueQuery(d=d, R=R, b=b, grad_exp=p, bdry_exp=p,
                                  denom_exp=alpha, mesh_n=mesh)

@@ -289,18 +289,17 @@ def test_shape_functional_square_self_refinement():
 @pytest.mark.parametrize("p, weights", [(2.0, "auto"), (2.0, "uncorrected"),
                                         (3.0, "auto")])
 def test_reported_energy_is_the_solver_energy(p, weights):
-    # J is the solver's face energy at the solver's eta and weights, bit for
-    # bit, on every route that reports it
+    # J is the solver's face energy at the solver's weights, bit for bit, on
+    # every route that reports it
     model = IntegrandModel(p=p, q=p, L=0.8, c0=0.3,
                            f=lambda x: 1.0 + x[..., 0],
                            beta1=lambda x: 0.5 + x[..., 0] ** 2,
                            normalization="energy")
     config = SolverConfig(tol=1e-6, weights=weights)
-    eta = config.resolve(model)[1]
     for grid, cells in oracles.mask_zoo():
         mask = ShapeMask(grid, cells)
         J, fld = eval_shape_functional(model, mask, config)
-        E = energy_of(model, mask, fld, eta, weights)
+        E = energy_of(model, mask, fld, weights)
         assert J == E
         assert shape_energy(model, mask, fld, weights) == E
 

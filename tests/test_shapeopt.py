@@ -7,7 +7,7 @@ from robinshape.model import IntegrandModel
 from robinshape import shapeopt
 from robinshape.pdesolve import SolverConfig, energy_of, solve_inner
 from robinshape.sbvgrid import (Grid, ShapeMask, boundary_faces,
-                                write_field_text)
+                                eval_shape_functional, write_field_text)
 from robinshape.shapeopt import (AnnealSchedule, ShapeOptError, component_count,
                                  diagnostics, optimize_shape)
 
@@ -431,8 +431,9 @@ def test_unchanged_mask_is_not_resolved(run, solves, monkeypatch):
     assert len(calls) == _expected_solves(trace, sched) == solves
 
 def test_best_J_is_the_solver_energy_of_the_best_field():
-    # a solver eta other than the default: the annealer scores each re-solve
-    # with the eta and weights of the solver that produced the field
+    # boundary weights other than the default: the annealer scores each
+    # re-solve with the weights of the solver that produced the field, and
+    # the diagnostics of the best shape report the same J
     model = IntegrandModel(
         p=3, q=3, c0=0.3, L=1.0,
         f=lambda x: np.where((x[..., 0] > 0.3) & (x[..., 0] < 0.7), 3.0, 0.0),
@@ -440,11 +441,13 @@ def test_best_J_is_the_solver_energy_of_the_best_field():
     grid = Grid(1, 32, 1.0 / 32)
     sched = AnnealSchedule(T0=1e-2, cooling=0.8, sweeps=8, resolve_every=2,
                            seed=4)
-    solver = SolverConfig(eta=1e-2)
+    solver = SolverConfig(weights="uncorrected")
     mask, fld, trace = optimize_shape(model, grid,
                                       ShapeMask.interval(grid, 0.1, 0.9),
                                       sched, solver)
-    assert trace.best_J[-1] == energy_of(model, mask, fld, 1e-2, "auto")
+    assert trace.best_J[-1] == energy_of(model, mask, fld, "uncorrected")
+    assert diagnostics(model, mask, fld, "uncorrected")["J"] == trace.best_J[-1]
+    assert eval_shape_functional(model, mask, solver)[0] == trace.best_J[-1]
 
 
 def test_diagnostics_fields():
