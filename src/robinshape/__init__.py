@@ -10,9 +10,9 @@ from .radial import (RadialConvergenceError, RadialEigenvalueQuery,
                      shoot_eigenvalues)
 from .sbvgrid import (Grid, SbvField, ShapeMask, boundary_faces, bv_norm,
                       eval_free_discontinuity, eval_shape_functional,
-                      gradient_field, perimeter, poincare_check,
-                      read_field_text, reduction_check, shape_energy,
-                      support_jumps, write_field_text)
+                      perimeter, poincare_check, read_field_text,
+                      reduction_check, shape_energy, support_jumps,
+                      write_field_text)
 from .pdesolve import (SolverConfig, SolverError, energy_of,
                        grid_robin_eigenvalue, solve_inner)
 from .shapeopt import (AnnealSchedule, OptimizationTrace, ShapeOptError,

@@ -24,10 +24,11 @@ One discrete functional scores a shape: the solver's face energy
 neighbouring mask cells, the solver's boundary weights and the eta the
 exponents fix (0 at p = q = 2, else 1e-6).  `shape_energy`,
 `eval_shape_functional` and the annealer's re-solves all report it.  The
-free-discontinuity functional F uses the same face differences on
-unflagged faces, so F(u) = J({u != 0}) at the minimiser when u has no
-interior jumps (p = q = 2, uncorrected weights).  The cell-centred
-`gradient_field` serves only `poincare_check` and `bv_norm`.
+free-discontinuity functional F, `poincare_check` and `bv_norm` read one
+face pass: the same differences on the unflagged faces and the traces on
+either side of the flagged ones.  So F(u) = J({u != 0}) at the minimiser
+when u has no interior jumps (p = q = 2, uncorrected weights), and
+`bv_norm` is the anisotropic total variation of the zero-extended field.
 """
 
 from __future__ import annotations
@@ -202,33 +203,17 @@ def _check_finite(field: SbvField):
         raise ValueError("field has non-finite values")
 
 
-def _gradient(field: SbvField):
-    """gradient_field, and the values on the lower and upper side of the
-    flagged faces, axis by axis in sorted face order (0 outside the box)."""
-    g = field.grid
-    out = np.zeros(g.shape() + (g.d,))
-    below, above = [], []
+def _faces(field: SbvField) -> tuple:
+    """The face differences (u_hi - u_lo)/h on the unflagged faces, and the
+    values on the lower and upper side of the flagged faces (0 outside the
+    box), each over all axes in sorted face order."""
+    diff, below, above = [], [], []
     for ax, jumps in enumerate(field.jumps):
         lo, hi = _face_sides(field.values, ax)
-        diff = (hi - lo) / g.h
-        dminus, dplus = _lower(diff, ax), _upper(diff, ax)
-        open_minus, open_plus = ~_lower(jumps, ax), ~_upper(jumps, ax)
-        out[..., ax] = np.where(open_minus & open_plus, 0.5 * (dminus + dplus),
-                                np.where(open_minus, dminus,
-                                         np.where(open_plus, dplus, 0.0)))
+        diff.append((hi[~jumps] - lo[~jumps]) / field.grid.h)
         below.append(lo[jumps])
         above.append(hi[jumps])
-    return out, np.concatenate(below), np.concatenate(above)
-
-
-def gradient_field(field: SbvField) -> np.ndarray:
-    """Discrete gradient at every cell, shape (*grid.shape(), d).
-
-    Per axis: mean of the two one-sided face differences when neither face is
-    flagged, the single open difference when one is, and zero when both are.
-    Differences across the box boundary use the zero extension.
-    """
-    return _gradient(field)[0]
+    return tuple(map(np.concatenate, (diff, below, above)))
 
 
 def eval_free_discontinuity(model: IntegrandModel, field: SbvField) -> float:
@@ -240,18 +225,11 @@ def eval_free_discontinuity(model: IntegrandModel, field: SbvField) -> float:
     boundary weights."""
     field.validate()
     g = field.grid
-    total = 0.0
-    below, above = [], []
-    for ax, jumps in enumerate(field.jumps):
-        lo, hi = _face_sides(field.values, ax)
-        dd = (hi[~jumps] - lo[~jumps]) / g.h
-        total += model.grad_coeff * float(np.sum(np.abs(dd) ** model.p)) * g.cell_volume
-        below.append(lo[jumps])
-        above.append(hi[jumps])
+    dd, a, b = _faces(field)
+    total = model.grad_coeff * float(np.sum(np.abs(dd) ** model.p)) * g.cell_volume
     support = field.values != 0.0
     fvals = model.f_at(g.centers())[support]
     total += float(np.sum(model.c0 - fvals * field.values[support])) * g.cell_volume
-    a, b = np.concatenate(below), np.concatenate(above)
     x = _face_centers(g, *_flagged(field.jumps))
     g_term = model.bdry_coeff(x) * (np.abs(a) ** model.q + np.abs(b) ** model.q)
     return total + float(np.sum(g_term * g.face_weight))
@@ -523,7 +501,8 @@ def reduction_check(model: IntegrandModel, field: SbvField, solver=None) -> floa
 
 def poincare_check(field: SbvField, b: float, p: float, alpha: float,
                    eig=None) -> float:
-    """LHS/RHS ratio of the ball lower bound: gradient-plus-jump energy over
+    """LHS/RHS ratio of the ball lower bound: |du/h|^p h^d on the unflagged
+    faces plus b (|u-|^p + |u+|^p) h^(d-1) on the flagged ones, over
     lambda_{b,alpha}(B_m) times the L^alpha norm to the p/alpha."""
     from . import radial
     g = field.grid
@@ -531,10 +510,9 @@ def poincare_check(field: SbvField, b: float, p: float, alpha: float,
     if m <= 0.0:
         raise ValueError("field has empty support")
     _check_finite(field)
-    grads, ta, tb = _gradient(field)
-    gn = np.sqrt(np.sum(grads * grads, axis=-1))
-    lhs = float(np.sum(gn**p)) * g.cell_volume
-    lhs += float(np.sum(b * (np.abs(ta) ** p + np.abs(tb) ** p) * g.face_weight))
+    dd, ta, tb = _faces(field)
+    lhs = float(np.sum(np.abs(dd) ** p)) * g.cell_volume
+    lhs += b * float(np.sum(np.abs(ta) ** p + np.abs(tb) ** p)) * g.face_weight
     if eig is None:
         eig = radial.robin_eigenvalue_ball
     R = radial.ball_radius(g.d, m)
@@ -546,13 +524,12 @@ def poincare_check(field: SbvField, b: float, p: float, alpha: float,
 
 
 def bv_norm(field: SbvField) -> float:
-    """Discrete BV norm: L1 gradient plus total jump mass."""
+    """Discrete BV norm: |u_hi - u_lo| h^(d-1) over every face, flagged and
+    box faces included (in 2d the anisotropic total variation)."""
     _check_finite(field)
-    g = field.grid
-    grads, a, b = _gradient(field)
-    gn = np.sqrt(np.sum(grads * grads, axis=-1))
-    total = float(np.sum(gn)) * g.cell_volume
-    return total + float(np.sum(np.abs(a - b) * g.face_weight))
+    dd, a, b = _faces(field)
+    return (float(np.sum(np.abs(dd))) * field.grid.h
+            + float(np.sum(np.abs(a - b)))) * field.grid.face_weight
 
 
 # ---------------------------------------------------------------------------

@@ -246,24 +246,23 @@ def _essinf(u, cells):
 def diagnostics(model: IntegrandModel, mask: ShapeMask, field: SbvField,
                 mode: str = "auto") -> dict:
     """Scalar summary of an inner-minimized shape: energy, volume, boundary
-    measure, field bounds, and the perimeter-vs-BV-norm inequality.  The
-    energy is `shape_energy` (the default solver's face energy) and, with
-    the boundary measure, uses the boundary weights `mode`."""
+    measure, field bounds and BV norm.  The energy is `shape_energy` (the
+    default solver's face energy) and, with the boundary measure, uses the
+    boundary weights `mode`.  The field vanishes off the mask and no weight
+    exceeds h^(d-1), so the boundary faces alone give BV >= ess inf u * P:
+    the perimeter bound holds once ess inf u > 0."""
     if mask.count() == 0:
         return {"J": 0.0, "volume": 0.0, "perimeter": 0.0, "ess_inf_support": 0.0,
                 "sup": 0.0, "components": 0, "bv_norm": 0.0,
                 "perimeter_bound_ok": True}
     essinf = _essinf(field.values, mask.cells)
-    perim = perimeter(mask, mode)
-    bv = bv_norm(field)
-    ok = (essinf > 0) and (perim <= bv / essinf * (1 + 1e-12))
     return {
         "J": shape_energy(model, mask, field, mode),
         "volume": mask.volume(),
-        "perimeter": perim,
+        "perimeter": perimeter(mask, mode),
         "ess_inf_support": essinf,
         "sup": float(np.max(field.values)),
         "components": component_count(mask),
-        "bv_norm": bv,
-        "perimeter_bound_ok": bool(ok),
+        "bv_norm": bv_norm(field),
+        "perimeter_bound_ok": essinf > 0,
     }

@@ -350,35 +350,6 @@ def face_tuples(jumps):
             for pos in zip(*np.nonzero(j))]
 
 
-def discrete_gradient(field, cell):
-    """Gradient vector at one cell: per axis the mean of the two one-sided
-    differences when neither face is flagged, the open one when one is,
-    zero when both are; the field is zero outside the box."""
-    g = field.grid
-    cell = tuple(int(c) for c in np.atleast_1d(cell))
-    u = field.values
-    out = np.zeros(g.d)
-    for ax in range(g.d):
-        lo, hi = list(cell), list(cell)
-        lo[ax] -= 1
-        hi[ax] += 1
-        # face k of an axis lies below cell k, so cell and hi index the
-        # cell's lower and upper face
-        om = not field.jumps[ax][cell]
-        op = not field.jumps[ax][tuple(hi)]
-        um = u[tuple(lo)] if lo[ax] >= 0 else 0.0
-        up = u[tuple(hi)] if hi[ax] < g.n else 0.0
-        dm = (u[cell] - um) / g.h
-        dp = (up - u[cell]) / g.h
-        if om and op:
-            out[ax] = 0.5 * (dm + dp)
-        elif om:
-            out[ax] = dm
-        elif op:
-            out[ax] = dp
-    return out
-
-
 def face_traces(field, face):
     """Values on the lower and upper side of a face (0 outside the box) and
     the face centre."""
@@ -398,28 +369,26 @@ def sbv_sums_reference(model, field, b, p):
     coefficient b and exponent p) of a field, one cell and one face at a
     time: F takes j(x, u, 0) = -f u + c0 per support cell, Lg |du/h|^p per
     unflagged face and g(x, u+) + g(x, u-) per flagged face, with the
-    scalar densities eval_j and eval_g; the BV norm and the Poincare
-    left-hand side take the cell-centred gradient."""
+    scalar densities eval_j and eval_g; the BV norm takes |u+ - u-| h^(d-1)
+    per face, and the Poincare left-hand side |du/h|^p h^d per unflagged
+    face and b (|u+|^p + |u-|^p) h^(d-1) per flagged face."""
     from robinshape.model import eval_g, eval_j
     g = field.grid
     F = bv = lhs = 0.0
     centers = g.centers()
     for cell in np.ndindex(*g.shape()):
-        z = discrete_gradient(field, cell)
-        zn = float(np.sqrt(np.dot(z, z)))
         if field.values[cell] != 0.0:
             F += eval_j(model, centers[cell], field.values[cell], 0.0) * g.cell_volume
-        bv += zn * g.cell_volume
-        lhs += zn**p * g.cell_volume
     for ax, jumps in enumerate(field.jumps):
         for pos in np.ndindex(*jumps.shape):
             face = (ax, *pos)
             ta, tb, x = face_traces(field, face)
+            bv += abs(tb - ta) * g.face_weight
             if not jumps[pos]:
                 F += model.grad_coeff * abs((tb - ta) / g.h) ** model.p * g.cell_volume
+                lhs += abs((tb - ta) / g.h) ** p * g.cell_volume
                 continue
             F += (eval_g(model, x, ta) + eval_g(model, x, tb)) * g.face_weight
-            bv += abs(ta - tb) * g.face_weight
             lhs += b * (abs(ta) ** p + abs(tb) ** p) * g.face_weight
     return F, bv, lhs
 

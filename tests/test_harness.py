@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from robinshape.cli import main
-from robinshape.sbvgrid import read_field_text
-from robinshape.radial import RadialEigenvalueQuery, robin_eigenvalue_ball
+from robinshape.sbvgrid import poincare_check, read_field_text
+from robinshape.radial import (RadialEigenvalueQuery, RadialSolution,
+                               robin_eigenvalue_ball)
 from robinshape.suites import ball_minimality_suite, poincare_suite
 
 import oracles
@@ -203,6 +204,42 @@ def test_verify_failure_exit_code_and_replay(tmp_path):
     assert os.path.exists(os.path.join(out, "failing_reduction.txt"))
     fld, _ = read_field_text(os.path.join(out, "failing_reduction.txt"))
     assert fld.grid.n == 32
+
+
+@pytest.mark.parametrize("b", ["4", "10"])
+def test_verify_poincare_passes_at_larger_b(tmp_path, b):
+    # the equality row is the Richardson value from the grid and the grid of
+    # half the spacing, whose first-order trace error cancels
+    out = str(tmp_path)
+    assert main(["verify", "--suite", "poincare", "--b", b, "--out", out]) == 0
+    _, rows = read_csv(os.path.join(out, "verify_poincare.csv"))
+    assert len(rows) == 1001 and rows[-1][:2] == ["eq", "eigenfunction"]
+    assert float(rows[-1][3]) == pytest.approx(1.0, abs=1e-3)
+    assert not os.path.exists(os.path.join(out, "failing_poincare.txt"))
+
+
+def test_verify_poincare_replays_the_failed_equality_case(tmp_path, capsys):
+    # the floor passes, so the field written for replay is the sampled
+    # eigenfunction on the suite grid, not the minimum-ratio field
+    out = str(tmp_path)
+    assert main(["verify", "--suite", "poincare", "--trials", "20", "--n",
+                 "32", "--eq-tol", "1e-9", "--out", out]) == 3
+    assert "extrapolated" in capsys.readouterr().out
+    fld, _ = read_field_text(os.path.join(out, "failing_poincare.txt"))
+    assert fld.grid.n == 32
+    support = np.flatnonzero(fld.values)
+    assert len(support) == 16 and np.all(np.diff(support) == 1)
+    assert np.allclose(fld.values[support], fld.values[support][::-1])
+    # and a failed floor writes the minimum-ratio field instead
+    assert main(["verify", "--suite", "poincare", "--trials", "20", "--n",
+                 "32", "--min-ratio", "5", "--out", out]) == 3
+    _, rows = read_csv(os.path.join(out, "verify_poincare.csv"))
+    worst = min(rows[:-1], key=lambda r: float(r[3]))
+    fld, _ = read_field_text(os.path.join(out, "failing_poincare.txt"))
+    exact = lambda q: RadialSolution(oracles.robin_lambda_interval(q.R, q.b),
+                                     np.zeros((0, 2)), {})
+    assert poincare_check(fld, 1.0, 2.0, 2.0, exact) == pytest.approx(
+        float(worst[3]), rel=1e-8)
 
 
 def test_verify_reduction_passes(tmp_path):
