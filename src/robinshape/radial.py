@@ -289,8 +289,9 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
     smallest quotient wins, ties by restart index.  Each query x restart is a
     row; rows step in lockstep, leave as they stop and round as they would
     alone.  A row stops once the relative change of Q falls below tol, or
-    when its direction does not descend, its line search fails or it
-    reaches max_iter.  Returns (lam, r, u, infos), one entry per query.
+    when its direction does not descend (a tridiagonal model that does not
+    factor gives it no direction), its line search fails or it reaches
+    max_iter.  Returns (lam, r, u, infos), one entry per query.
     Any winner whose last relative change is not below tol raises, a
     non-finite one included; the first such query in order does, with its
     index as .query.
@@ -330,7 +331,8 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
 
     def precondition(u, Q, g, h, rbar, dw, bR):
         # frozen tridiagonal model: p-Laplacian linearization plus a mass
-        # shift; SPD, so the preconditioned direction is always descent
+        # shift; SPD in exact arithmetic, so the preconditioned direction is
+        # descent, but at extreme inputs a pivot can round to <= 0
         du = (u[:, 1:] - u[:, :-1]) / h[:, None]
         eps2 = np.array([(1e-8 * max(float(x), 1.0)) ** 2
                          for x in np.abs(du).max(axis=1)])
@@ -341,16 +343,23 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
         diag[:, 1:] += c
         diag[:, -1] += bR * _spow(_spow(u[:, -1], 2) + eps2, (pg - 2.0) / 2.0)
         diag += np.maximum(Q, 1e-30)[:, None] * mass + 1e-300
-        # all rows in one solve, kept apart by zero off-diagonal entries; a
+        # all rows in one solve, kept apart by zero off-diagonal entries.  A
+        # row whose model does not factor keeps a nan direction, so it retires
+        # as one that does not descend, and the others are solved again
+        # without it (ptsv leaves the right-hand side unsolved on failure).  A
         # non-finite row spills over, so such rows are solved again alone
-        off = np.concatenate([-c, np.zeros((len(c), 1))], axis=1).ravel()[:-1]
-        x, info = dptsv(diag.ravel(), off, -g.ravel())[2:]
-        if info != 0:  # numbered within the failing row, as when solved alone
-            raise np.linalg.LinAlgError(
-                f"preconditioner: LAPACK ptsv info {(info - 1) % (N + 1) + 1}")
-        x = x.reshape(u.shape)
-        for j in np.flatnonzero(~np.isfinite(x).all(axis=1)):
-            x[j] = dptsv(diag[j], -c[j], -g[j])[2]
+        off = np.concatenate([-c, np.zeros((len(c), 1))], axis=1)
+        x, live = np.full_like(u, np.nan), np.arange(len(u))
+        while live.size:
+            xs, info = dptsv(diag[live].ravel(), off[live].ravel()[:-1],
+                             -g[live].ravel())[2:]
+            if info == 0:
+                x[live] = xs.reshape(-1, N + 1)
+                break
+            live = np.delete(live, (info - 1) // (N + 1))
+        for j in live[~np.isfinite(x[live]).all(axis=1)]:
+            xj, info = dptsv(diag[j], -c[j], -g[j])[2:]
+            x[j] = xj if info == 0 else np.nan
         return x
 
     def project(u):

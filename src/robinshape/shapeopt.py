@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import ndimage
 
 from .model import IntegrandModel
 from .pdesolve import SolverConfig, SolverError, _eta, energy_of, solve_inner
@@ -78,8 +77,11 @@ class ShapeOptError(RuntimeError):
 
 
 def component_count(mask: ShapeMask) -> int:
+    """Connected components of the mask's cells (axis neighbours)."""
     if mask.count() == 0:
         return 0
+    from scipy import ndimage  # on first use: import robinshape needs numpy only
+
     _, k = ndimage.label(mask.cells)
     return int(k)
 

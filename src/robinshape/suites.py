@@ -52,12 +52,31 @@ def _poincare_fields(rng, grid, trials):
         yield trial, fam, field
 
 
-def poincare_suite(trials: int = 1000, n: int = 128, seed: int = 20240501,
-                   b: float = 1.0, min_ratio: float = 0.99,
-                   eq_tol: float = 0.02) -> dict:
+# the equality case's extrapolated ratio is low by at most about b h^2
+# (1 - ratio measured at 0.90 to 1.00 times b h^2 for n = 64 to 1024 and
+# b h = 1 to 16), so the default grid keeps b h^2 within half the default
+# tolerance, up to the largest grid the CLI takes
+POINCARE_BH2 = 0.01
+POINCARE_MAX_N = 4096
+
+
+def poincare_default_n(b: float) -> int:
+    """Smallest n = 128 * 2**k with b h^2 <= POINCARE_BH2 (h = 1/n), capped
+    at POINCARE_MAX_N."""
+    n = 128
+    while n < POINCARE_MAX_N and b > POINCARE_BH2 * n * n:
+        n *= 2
+    return n
+
+
+def poincare_suite(trials: int = 1000, n: int | None = None,
+                   seed: int = 20240501, b: float = 1.0,
+                   min_ratio: float = 0.99, eq_tol: float = 0.02) -> dict:
     """Ball lower bound on seeded discrete fields plus the equality case, at
     exponent 2 (p = alpha = 2) against the shooting eigenvalue on a radial
-    mesh of 768 nodes."""
+    mesh of 768 nodes.  The default n follows b (poincare_default_n)."""
+    if n is None:
+        n = poincare_default_n(b)
     grid = Grid(1, n, 1.0 / n)
     rng = np.random.Generator(np.random.Philox(key=seed))
     # every support is k whole cells, a ball of radius k*h/2: one batched
@@ -100,14 +119,21 @@ def poincare_suite(trials: int = 1000, n: int = 128, seed: int = 20240501,
 
     floor_ok = min_seen[0] >= min_ratio
     passed = floor_ok and abs(eq_ratio - 1.0) <= eq_tol
+    summary = (f"min ratio {min_seen[0]:.6f} over {trials} fields "
+               f"(floor {min_ratio}); eigenfunction ratio {r_h:.6f} at h, "
+               f"{r_half:.6f} at h/2, extrapolated {eq_ratio:.6f} "
+               f"(tolerance {eq_tol})")
+    bh2 = b * grid.h ** 2
+    if not passed and bh2 > POINCARE_BH2:
+        summary += (f"; b h^2 = {bh2:.4g} > {POINCARE_BH2} at n = {n}: the grid "
+                    f"does not resolve the boundary layer"
+                    + (f" (n = {POINCARE_MAX_N} is the largest grid)"
+                       if n >= POINCARE_MAX_N else ""))
     return {
         "name": "poincare",
         "passed": bool(passed),
         "rows": rows,
-        "summary": (f"min ratio {min_seen[0]:.6f} over {trials} fields "
-                    f"(floor {min_ratio}); eigenfunction ratio {r_h:.6f} at h, "
-                    f"{r_half:.6f} at h/2, extrapolated {eq_ratio:.6f} "
-                    f"(tolerance {eq_tol})"),
+        "summary": summary,
         "failing": None if passed else (eq_field if floor_ok else min_seen[1]),
     }
 

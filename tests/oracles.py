@@ -314,6 +314,31 @@ def mask_zoo(seed=2024):
     return out
 
 
+def components_bfs(cells):
+    """Connected components of a boolean cell array under axis-neighbour
+    (4-connectivity in 2d) adjacency, by a plain breadth-first search."""
+    from collections import deque
+    seen, count = np.zeros(cells.shape, bool), 0
+    for start in zip(*np.nonzero(cells)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            cell = queue.popleft()
+            for ax in range(cells.ndim):
+                for step in (-1, 1):
+                    nb = list(cell)
+                    nb[ax] += step
+                    nb = tuple(nb)
+                    if (0 <= nb[ax] < cells.shape[ax] and cells[nb]
+                            and not seen[nb]):
+                        seen[nb] = True
+                        queue.append(nb)
+    return count
+
+
 def robin_solve_direct(cells, h, f, gc, W):
     """Direct sparse solve of the face-based quadratic energy on a mask:
     gc * sum over interior faces of (du/h)^2 h^d - f sum u h^d

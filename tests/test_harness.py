@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from robinshape.cli import main
 from robinshape.sbvgrid import poincare_check, read_field_text
 from robinshape.radial import (RadialEigenvalueQuery, RadialSolution,
                                robin_eigenvalue_ball)
-from robinshape.suites import ball_minimality_suite, poincare_suite
+from robinshape import suites
+from robinshape.suites import (ball_minimality_suite, poincare_default_n,
+                               poincare_suite)
 
 import oracles
 
@@ -218,6 +222,33 @@ def test_verify_poincare_passes_at_larger_b(tmp_path, b):
     assert not os.path.exists(os.path.join(out, "failing_poincare.txt"))
 
 
+def test_verify_poincare_default_grid_follows_b(tmp_path, capsys):
+    # the extrapolated equality ratio is low by about b h^2: at b = 1000 the
+    # default grid is n = 512 (0.996), where n = 128 reads 0.939 and fails
+    assert [poincare_default_n(b) for b in (1.0, 100.0, 300.0, 1000.0, 1e6)] \
+        == [128, 128, 256, 512, 4096]
+    out = str(tmp_path)
+    assert main(["verify", "--suite", "poincare", "--b", "1000",
+                 "--out", out]) == 0
+    _, rows = read_csv(os.path.join(out, "verify_poincare.csv"))
+    assert float(rows[-1][3]) == pytest.approx(1.0, abs=0.01)
+    # an explicit n wins, and a grid too coarse for b says so when it fails
+    assert main(["verify", "--suite", "poincare", "--b", "1000", "--n", "128",
+                 "--out", out]) == 3
+    assert "does not resolve the boundary layer" in capsys.readouterr().out
+
+
+def test_verify_poincare_beyond_the_largest_grid_fails_and_says_so(
+        tmp_path, capsys, monkeypatch):
+    # the largest grid lowered from 4096 to 256 to keep the run short
+    monkeypatch.setattr(suites, "POINCARE_MAX_N", 256)
+    assert main(["verify", "--suite", "poincare", "--b", "1e5", "--trials",
+                 "5", "--out", str(tmp_path)]) == 3
+    text = capsys.readouterr().out
+    assert "at n = 256: the grid does not resolve the boundary layer" in text
+    assert "(n = 256 is the largest grid)" in text
+
+
 def test_verify_poincare_replays_the_failed_equality_case(tmp_path, capsys):
     # the floor passes, so the field written for replay is the sampled
     # eigenfunction on the suite grid, not the minimum-ratio field
@@ -306,6 +337,32 @@ def test_unconverged_descent_is_a_numerical_failure(tmp_path):
                      "2", "--mesh-n", "64", "--out", str(tmp_path)])
     assert code == 2
     assert not os.path.exists(tmp_path / "eig.csv")
+
+
+def test_descent_whose_preconditioner_fails_to_factor_answers(tmp_path):
+    # a pivot of one restart's tridiagonal model rounds to <= 0: that restart
+    # retires, and the query answers from a restart that converged; near
+    # Neumann the constant profile's quotient b/R bounds lambda from above
+    assert main(["eig", "--d", "1", "--R", "1e-6", "--b", "1e-12",
+                 "--grad-exp", "16", "--bdry-exp", "16", "--denom-exp", "16",
+                 "--mesh-n", "64", "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(os.path.join(str(tmp_path), "eig.csv"))
+    assert rows[0][8] == "rayleigh-descent" and float(rows[0][9]) < 1e-10
+    assert float(rows[0][7]) == pytest.approx(1e-6, rel=1e-5)
+    assert float(rows[0][7]) <= 1e-6
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where it is used: sparse solves, the LAPACK
+    # descent and component labelling
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["robinshape"].__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, robinshape.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_ball_minimality_needs_two_sizes(tmp_path):

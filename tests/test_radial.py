@@ -331,15 +331,42 @@ def test_first_failing_descent_query_of_a_list_raises(monkeypatch):
 
 
 def test_descent_preconditioner_failure_raises(monkeypatch):
-    # a tridiagonal factorization that reports failure must not be used,
-    # for one query and for a batch of several
+    # a tridiagonal factorization that reports failure must not be used: the
+    # failing row retires with no direction, and when every row fails each
+    # winner is unconverged, so the first query raises, alone or in a batch
     import scipy.linalg.lapack as lapack
     ptsv = lapack.dptsv
     monkeypatch.setattr(lapack, "dptsv", lambda *a: ptsv(*a)[:3] + (1,))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(RadialConvergenceError) as alone:
         _rayleigh_min(2, 1.0, 0.5, 3.0, 3.0, 128)
-    with pytest.raises(np.linalg.LinAlgError):
+    assert alone.value.query == 0
+    with pytest.raises(RadialConvergenceError) as batched:
         _rayleigh_min(2, [1.0, 2.0, 0.7], [0.5, 2.0, 1.0], 3.0, 3.0, 128)
+    assert batched.value.query == 0
+
+
+def test_descent_preconditioner_failure_retires_only_its_row(monkeypatch):
+    # the first stacked solve reports the model of row 2 (query 0, restart 2)
+    # as not factoring: that restart stops after one iteration, every other
+    # row solves as before, and both queries answer as they do unpatched
+    import scipy.linalg.lapack as lapack
+    R, b = [1.0, 1.5], [2.0, 1.0]
+    lam, _, u, infos = _rayleigh_min(2, R, b, 3.0, 3.0, 128)
+    assert infos[0]["restart"] != 2
+    ptsv, calls = lapack.dptsv, []
+
+    def fail_once(*a):
+        calls.append(len(a[0]))
+        out = ptsv(*a)
+        return out[:3] + (2 * 129 + 1,) if len(calls) == 1 else out
+
+    monkeypatch.setattr(lapack, "dptsv", fail_once)
+    lam2, _, u2, infos2 = _rayleigh_min(2, R, b, 3.0, 3.0, 128)
+    assert calls[:2] == [6 * 129, 5 * 129]  # solved again without row 2
+    assert lam2.tolist() == lam.tolist() and np.array_equal(u2, u)
+    assert infos2[0]["restart_iterations"][2] == 1
+    assert infos2[0]["restart_iterations"][:2] == infos[0]["restart_iterations"][:2]
+    assert infos2[1] == infos[1]
 
 
 def test_query_validation():

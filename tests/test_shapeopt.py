@@ -495,6 +495,23 @@ def test_component_count():
     assert component_count(mask) == 2
 
 
+def test_component_count_matches_breadth_first_search():
+    # axis neighbours only: each saddle cell of the checkerboard counts on
+    # its own, the ring around its hole is one component, the empty mask none
+    zoo = oracles.mask_zoo()
+    counts = [component_count(ShapeMask(grid, cells)) for grid, cells in zoo]
+    assert counts == [oracles.components_bfs(cells) for _, cells in zoo]
+    assert {grid.d for grid, _ in zoo} == {1, 2}
+    n = 12
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    r = np.hypot(ii - 5.5, jj - 5.5)
+    for cells, expected in (((ii + jj) % 2 == 0, n * n // 2),
+                            ((r < 5.0) & (r > 2.0), 1),
+                            (np.zeros((n, n), bool), 0)):
+        assert any(np.array_equal(cells, c) for _, c in zoo)
+        assert component_count(ShapeMask(Grid(2, n, 1.0 / n), cells)) == expected
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         AnnealSchedule(T0=-1.0, cooling=0.9, sweeps=10)
