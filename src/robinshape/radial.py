@@ -4,10 +4,11 @@ solutions, and ball energies for the quadratic energy form.
 For unit exponents 2/2/2 the first eigenvalue comes from shooting on the
 radial ODE -u'' - (d-1)/r u' = lam*u with u'(R) + b*u(R) = 0, by RK4 with a
 series start at the axis over a batch of columns at once.  Since the ODE is
-linear in (u, u'), every pass multiplies per-column 2x2 step propagators,
-built a block of steps at a time: the bracket scan in lam and the Illinois
-(modified regula falsi) refinement reduce each block pairwise, and the
-profile pass takes the block's prefix products.  General exponents minimize
+linear in (u, u'), every walk multiplies per-column 2x2 step propagators,
+built for many 64-step blocks at once: the bracket scan in lam and the
+Illinois (modified regula falsi) refinement reduce each block pairwise, the
+profile pass takes each block's prefix products, and the block results carry
+the state forward in order.  General exponents minimize
 the mesh Rayleigh quotient by projected, tridiagonally preconditioned
 descent with Armijo backtracking on the quotient alone, every query and
 restart of a batch in lockstep.
@@ -57,8 +58,9 @@ class RadialEigenvalueQuery:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if not (math.isfinite(self.R) and self.R > 0.0 and self.b > 0.0):
-            raise ValueError("R must be finite and positive, b positive")
+        if not (math.isfinite(self.R) and math.isfinite(self.b)
+                and self.R > 0.0 and self.b > 0.0):
+            raise ValueError("R and b must be finite and positive")
         for e in (self.grad_exp, self.bdry_exp, self.denom_exp):
             if not e > 1.0:
                 raise ValueError(f"exponents must exceed 1, got {e}")
@@ -109,7 +111,8 @@ def _rk4_increment(u, v, nlam, c0, cm, c1, h, h2, h6):
     return h6 * (v + 2 * v2 + 2 * v3 + v4), h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
 
 
-_BLOCK = 64  # RK4 steps per propagator block; bounds the temporaries
+_BLOCK = 64  # RK4 steps per propagator block; sets each block's product tree
+_PASS_VALUES = 8192  # (lam, column) values per step-matrix temporary of a pass
 _SCAN_VALUES = 2048  # (lam, column) pairs per scan chunk, unless a row is wider
 
 
@@ -119,13 +122,16 @@ def _propagate(lam, d, R, n, path=False):
 
     The ODE is linear in (u, u'), so each step is a 2x2 matrix I + D per
     column; D's columns are the step's increments of (1, 0) and (0, 1).  The
-    matrices of _BLOCK steps are built at once and multiplied pairwise, and
-    each block's product is applied in order.  With path=True the (n+1, ...)
-    arrays of u and u' at r = 0, h, ..., R come back instead: a Hillis-Steele
-    scan turns a block's matrices into their prefix products, kept as I + D
-    so the increments keep their own rounding, which take the carried state
-    to each node.  All products are elementwise, so a column's result does
-    not depend on the batch it runs in.
+    walk runs in passes of whole _BLOCK-step blocks, as many as keep a
+    temporary within _PASS_VALUES values (at least one; a partial last block
+    is a pass of its own).  A pass builds its matrices at once and multiplies
+    each block's pairwise, all blocks together; the block products then take
+    the carried state forward one after another.  With path=True the
+    (n+1, ...) arrays of u and u' at r = 0, h, ..., R come back instead: a
+    Hillis-Steele scan turns each block's matrices into their prefix
+    products, kept as I + D so the increments keep their own rounding, which
+    take the carried state to each node.  All products are elementwise, so a
+    column's result depends neither on its batch nor on the pass length.
     """
     lam, h = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                  np.asarray(R, dtype=float) / n)
@@ -133,19 +139,24 @@ def _propagate(lam, d, R, n, path=False):
     u, v = _series_start(lam, d, h)
     nlam, dm1 = -lam, d - 1.0
     us, vs = [np.ones((1,) + u.shape), u[None]], [np.zeros((1,) + v.shape), v[None]]
-    r = h
-    for first in range(1, n, _BLOCK):
-        steps = min(_BLOCK, n - first)
+    r, first = h, 1
+    per_pass = max(1, _PASS_VALUES // (_BLOCK * lam.size)) * _BLOCK
+    while first < n:
+        steps = min(per_pass, n - first)
+        steps = steps - steps % _BLOCK or steps
         # nodes r_first .. r_(first+steps), summed one h at a time
         rs = np.add.accumulate(np.concatenate(
             [r[None], np.broadcast_to(h, (steps,) + h.shape)]))
         cr = dm1 / rs
         step = (nlam, cr[:-1], dm1 / (rs[:-1] + h2), cr[1:], h, h2, h6)
-        a, c = _rk4_increment(1.0, 0.0, *step)
-        b, e = _rk4_increment(0.0, 1.0, *step)
+        # (steps per block, blocks) + column shape: each block reduces along
+        # axis 0 on its own
+        shape = (-1, min(steps, _BLOCK)) + lam.shape
+        a, c, b, e = (x.reshape(shape).swapaxes(0, 1) for x in
+                      _rk4_increment(1.0, 0.0, *step) + _rk4_increment(0.0, 1.0, *step))
         if path:
             k = 1
-            while k < steps:
+            while k < len(a):
                 # (I + D2)(I + D1) = I + D1 + D2 + D2 D1, D2 the k steps after D1
                 a1, b1, c1, e1 = a[:-k], b[:-k], c[:-k], e[:-k]
                 a2, b2, c2, e2 = a[k:], b[k:], c[k:], e[k:]
@@ -153,9 +164,10 @@ def _propagate(lam, d, R, n, path=False):
                     a1 + a2 + (a2 * a1 + b2 * c1), b1 + b2 + (a2 * b1 + b2 * e1),
                     c1 + c2 + (c2 * a1 + e2 * c1), e1 + e2 + (c2 * b1 + e2 * e1))
                 k *= 2
-            us.append(u + (a * u + b * v))
-            vs.append(v + (c * u + e * v))
-            u, v = us[-1][-1], vs[-1][-1]
+            for j in range(a.shape[1]):
+                us.append(u + (a[:, j] * u + b[:, j] * v))
+                vs.append(v + (c[:, j] * u + e[:, j] * v))
+                u, v = us[-1][-1], vs[-1][-1]
         else:
             a, b, c, e = 1.0 + a, 0.0 + b, 0.0 + c, 1.0 + e
             while len(a) > 1:
@@ -169,8 +181,9 @@ def _propagate(lam, d, R, n, path=False):
                     pa, pb = np.concatenate([pa, a[k:]]), np.concatenate([pb, b[k:]])
                     pc, pe = np.concatenate([pc, c[k:]]), np.concatenate([pe, e[k:]])
                 a, b, c, e = pa, pb, pc, pe
-            u, v = a[0] * u + b[0] * v, c[0] * u + e[0] * v
-        r = rs[-1]
+            for pa, pb, pc, pe in zip(a[0], b[0], c[0], e[0]):
+                u, v = pa * u + pb * v, pc * u + pe * v
+        r, first = rs[-1], first + steps
     return (np.concatenate(us), np.concatenate(vs)) if path else (u, v)
 
 
@@ -220,16 +233,15 @@ def shoot_eigenvalues(d: int, R, b, mesh_n: int = 1024) -> np.ndarray:
     bounds the Dirichlet and so the first Robin eigenvalue.  Then all roots
     refine together by batched Illinois steps to 1e-14 relative; both stages
     evaluate G by step-propagator products.  Raises ValueError unless d >= 1,
-    every R is finite and positive, every b is positive and mesh_n >= 64; no
-    sign change, or a root still open at the step cap, raises
-    RadialConvergenceError.
+    every R and b is finite and positive and mesh_n >= 64; no sign change, or
+    a root still open at the step cap, raises RadialConvergenceError.
     """
     R = np.atleast_1d(np.asarray(R, dtype=float))
     b = np.broadcast_to(np.atleast_1d(np.asarray(b, dtype=float)), R.shape)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if not np.all(np.isfinite(R) & (R > 0.0) & (b > 0.0)):
-        raise ValueError("R must be finite and positive, b positive")
+    if not np.all(np.isfinite(R) & np.isfinite(b) & (R > 0.0) & (b > 0.0)):
+        raise ValueError("R and b must be finite and positive")
     if mesh_n < 64:
         raise ValueError(f"mesh_n must be >= 64, got {mesh_n}")
 

@@ -7,7 +7,8 @@ step at a time, thresholds from extended-precision formula evaluation,
 inner solves from LAPACK banded factorizations and sparse direct solves,
 staircase boundary faces from a face-by-face walk over Python tuples, and
 gradients, face differences and jump sums of SBV fields from loops over
-single cells and faces.
+single cells and faces.  One exception pins rounding rather than values:
+propagate_per_block shares radial's RK4 step formulas.
 """
 
 import math
@@ -79,6 +80,61 @@ def rk4_radial(lam, d, R, n, path=False):
         if path:
             us[i], vs[i] = u, v
     return (us, vs) if path else (u, v)
+
+
+def propagate_per_block(lam, d, R, n, path=False):
+    """radial._propagate walked one _BLOCK-step block per loop iteration:
+    the same step formulas, node sums and per-block product tree (or prefix
+    scan with path=True), each block applied to the carried (u, u') in
+    order.  The pass-wise propagator must equal it bit for bit.
+    """
+    from robinshape.radial import _BLOCK, _rk4_increment, _series_start
+
+    lam, h = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                 np.asarray(R, dtype=float) / n)
+    h2, h6 = h / 2.0, h / 6.0
+    u, v = _series_start(lam, d, h)
+    nlam, dm1 = -lam, d - 1.0
+    us, vs = [np.ones((1,) + u.shape), u[None]], [np.zeros((1,) + v.shape), v[None]]
+    r = h
+    for first in range(1, n, _BLOCK):
+        steps = min(_BLOCK, n - first)
+        # nodes r_first .. r_(first+steps), summed one h at a time
+        rs = np.add.accumulate(np.concatenate(
+            [r[None], np.broadcast_to(h, (steps,) + h.shape)]))
+        cr = dm1 / rs
+        step = (nlam, cr[:-1], dm1 / (rs[:-1] + h2), cr[1:], h, h2, h6)
+        a, c = _rk4_increment(1.0, 0.0, *step)
+        b, e = _rk4_increment(0.0, 1.0, *step)
+        if path:
+            k = 1
+            while k < steps:
+                # (I + D2)(I + D1) = I + D1 + D2 + D2 D1, D2 the k steps after D1
+                a1, b1, c1, e1 = a[:-k], b[:-k], c[:-k], e[:-k]
+                a2, b2, c2, e2 = a[k:], b[k:], c[k:], e[k:]
+                a[k:], b[k:], c[k:], e[k:] = (
+                    a1 + a2 + (a2 * a1 + b2 * c1), b1 + b2 + (a2 * b1 + b2 * e1),
+                    c1 + c2 + (c2 * a1 + e2 * c1), e1 + e2 + (c2 * b1 + e2 * e1))
+                k *= 2
+            us.append(u + (a * u + b * v))
+            vs.append(v + (c * u + e * v))
+            u, v = us[-1][-1], vs[-1][-1]
+        else:
+            a, b, c, e = 1.0 + a, 0.0 + b, 0.0 + c, 1.0 + e
+            while len(a) > 1:
+                # M[2k+1] @ M[2k]; an odd last matrix moves up a level unchanged
+                k = len(a) // 2 * 2
+                a1, b1, c1, e1 = a[0:k:2], b[0:k:2], c[0:k:2], e[0:k:2]
+                a2, b2, c2, e2 = a[1:k:2], b[1:k:2], c[1:k:2], e[1:k:2]
+                pa, pb = a2 * a1 + b2 * c1, a2 * b1 + b2 * e1
+                pc, pe = c2 * a1 + e2 * c1, c2 * b1 + e2 * e1
+                if k < len(a):
+                    pa, pb = np.concatenate([pa, a[k:]]), np.concatenate([pb, b[k:]])
+                    pc, pe = np.concatenate([pc, c[k:]]), np.concatenate([pe, e[k:]])
+                a, b, c, e = pa, pb, pc, pe
+            u, v = a[0] * u + b[0] * v, c[0] * u + e[0] * v
+        r = rs[-1]
+    return (np.concatenate(us), np.concatenate(vs)) if path else (u, v)
 
 
 def threshold_formula(p, d, dps=40):

@@ -151,6 +151,26 @@ def test_profile_scan_matches_rk4_loop(d):
             assert np.all(np.abs(u[-1] - radial._propagate(lam, d, R, n)[0]) <= scale)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_passes_equal_the_per_block_walk(d):
+    # a pass builds the step matrices of many blocks at once and reduces
+    # each block on its own, so both outputs equal the block-by-block walk
+    # bit for bit.  Widths 1 and 6 make passes of all whole blocks, 26 of
+    # several, and 128 and a scan chunk of shape (32, 6) passes of one
+    # block, the same at every mesh, so they run on the shorter ones only
+    rng = np.random.Generator(np.random.Philox(key=100 + d))
+    for n in (64, 65, 129, 300, 768, 1024):
+        for shape in ((1,), (6,), (26,), (128,), (32, 6)):
+            if n > 300 and np.prod(shape) >= 128:
+                continue
+            R = rng.uniform(0.3, 2.5, shape[-1])
+            lam = rng.uniform(0.0, 60.0, shape) / R**2
+            for path in (False, True):
+                got = radial._propagate(lam, d, R, n, path)
+                want = oracles.propagate_per_block(lam, d, R, n, path)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_eigenvalue_monotone_in_robin_coefficient():
     sols = robin_eigenvalues_ball([RadialEigenvalueQuery(d=1, R=1.0, b=b,
                                                          mesh_n=512)
@@ -377,6 +397,10 @@ def test_query_validation():
     with pytest.raises(ValueError):
         RadialEigenvalueQuery(d=1, R=math.inf, b=1.0)
     with pytest.raises(ValueError):
+        RadialEigenvalueQuery(d=1, R=1.0, b=math.inf)
+    with pytest.raises(ValueError):
+        RadialEigenvalueQuery(d=1, R=1.0, b=math.inf, grad_exp=3.0, bdry_exp=3.0)
+    with pytest.raises(ValueError):
         RadialEigenvalueQuery(d=1, R=1.0, b=1.0, mesh_n=32)
     with pytest.raises(ValueError):
         RadialEigenvalueQuery(d=1, R=1.0, b=1.0, grad_exp=1.0, bdry_exp=1.0)
@@ -387,7 +411,8 @@ def test_query_validation():
 @pytest.mark.parametrize("R,b,mesh_n", [
     ([1.0], [-0.5], 256), ([1.0], [math.nan], 256), ([-1.0], [1.0], 256),
     ([1.0, math.inf], [1.0], 256), ([math.nan], [1.0], 256),
-    ([1.0], [0.0], 256), ([1.0], [1.0], 1)])
+    ([1.0], [0.0], 256), ([1.0], [1.0], 1), ([1.0], [math.inf], 256),
+    ([1.0, 2.0], [1.0, math.inf], 256)])
 def test_shoot_eigenvalues_rejects_bad_input(R, b, mesh_n):
     # the ranges RadialEigenvalueQuery enforces; for b < 0 the first
     # eigenvalue is negative, out of reach of the scan over lam >= 0
