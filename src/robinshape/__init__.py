@@ -1,7 +1,7 @@
 """Shape optimization for Robin free-boundary energies on structured grids."""
 
 from .model import (AssumptionCheck, AssumptionReport, IntegrandModel,
-                    check_admissible, eval_g, eval_j, exponent_threshold,
+                    check_admissible, eval_g, exponent_threshold,
                     iter_constants, sample_field)
 from .radial import (RadialConvergenceError, RadialEigenvalueQuery,
                      RadialSolution, ball_energy, ball_radius, ball_volume,

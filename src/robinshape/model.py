@@ -94,19 +94,6 @@ class IntegrandModel:
         return sample_field(self.f, pts)
 
 
-def eval_j(model: IntegrandModel, x, s: float, z) -> float:
-    """Bulk energy density j(x, s, z)."""
-    x = np.asarray(x, dtype=float)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if not (np.isfinite(s) and np.all(np.isfinite(z)) and np.all(np.isfinite(x))):
-        raise ValueError("eval_j requires finite inputs")
-    fx = float(sample_field(model.f, x))
-    if not math.isfinite(fx):
-        raise ValueError(f"source field is not finite at {x}")
-    zn = float(np.sqrt(np.dot(z, z)))
-    return model.grad_coeff * zn**model.p - fx * float(s) + model.c0
-
-
 def eval_g(model: IntegrandModel, x, s: float) -> float:
     """Boundary energy density g(x, s) = beta1(x)|s|^q (halved in energy form)."""
     x = np.asarray(x, dtype=float)

@@ -589,7 +589,7 @@ def read_field_text(path) -> tuple[SbvField, ShapeMask]:
     if np.any(outside):
         raise ValueError(f"cell {tuple(idx[outside][0].tolist())} is outside the grid")
     flat = np.ravel_multi_index(tuple(idx.T), grid.shape())
-    if len(np.unique(flat)) != ncells:
+    if np.bincount(flat, minlength=ncells).max() > 1:
         raise ValueError("a cell has more than one line")
     flags = cells[:, -1]
     if np.any((flags != 0) & (flags != 1)):

@@ -77,13 +77,36 @@ class ShapeOptError(RuntimeError):
 
 
 def component_count(mask: ShapeMask) -> int:
-    """Connected components of the mask's cells (axis neighbours)."""
-    if mask.count() == 0:
-        return 0
-    from scipy import ndimage  # on first use: import robinshape needs numpy only
+    """Connected components of the mask's cells (axis neighbours): the runs
+    of cells along the last axis (the components in 1d), joined where runs
+    of adjacent rows overlap by a union-find on the runs.  Each round hooks
+    the larger of two distinct roots to the smaller, then pointer jumping
+    (parent = parent[parent]) flattens every tree, until no joined pair has
+    two roots (Shiloach and Vishkin, J. Algorithms 3, 1982)."""
+    width = mask.cells.shape[-1]
+    x = mask.cells.ravel()
 
-    _, k = ndimage.label(mask.cells)
-    return int(k)
+    def heads(v):  # flat indices of the set cells whose row predecessor is unset
+        head = v.copy()
+        head[1:] &= ~v[:-1]
+        head[::width] = v[::width]
+        return np.flatnonzero(head)
+
+    starts = heads(x)
+    if mask.cells.ndim == 1 or starts.size <= 1:
+        return starts.size
+    at = heads(x[:-width] & x[width:])  # where runs of adjacent rows overlap
+    a, b = (np.searchsorted(starts, at + k, "right") - 1 for k in (0, width))
+    parent = np.arange(starts.size)
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            return int(np.count_nonzero(parent == np.arange(starts.size)))
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
 
 
 def _face_coeff_arrays(model: IntegrandModel, grid: Grid) -> list:

@@ -7,8 +7,9 @@ step at a time, thresholds from extended-precision formula evaluation,
 inner solves from LAPACK banded factorizations and sparse direct solves,
 staircase boundary faces from a face-by-face walk over Python tuples, and
 gradients, face differences and jump sums of SBV fields from loops over
-single cells and faces.  One exception pins rounding rather than values:
-propagate_per_block shares radial's RK4 step formulas.
+single cells and faces with the pointwise bulk density eval_j.  One
+exception pins rounding rather than values: propagate_per_block shares
+radial's RK4 step formulas.
 """
 
 import math
@@ -445,6 +446,19 @@ def face_traces(field, face):
     return a, b, x
 
 
+def eval_j(model, x, s: float, z) -> float:
+    """Bulk energy density j(x, s, z) = Lg |z|^p - f(x) s + c0 at one point."""
+    x = np.asarray(x, dtype=float)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if not (np.isfinite(s) and np.all(np.isfinite(z)) and np.all(np.isfinite(x))):
+        raise ValueError("eval_j requires finite inputs")
+    fx = float(model.f_at(x))
+    if not math.isfinite(fx):
+        raise ValueError(f"source field is not finite at {x}")
+    zn = float(np.sqrt(np.dot(z, z)))
+    return model.grad_coeff * zn**model.p - fx * float(s) + model.c0
+
+
 def sbv_sums_reference(model, field, b, p):
     """(free-discontinuity energy, BV norm, Poincare left-hand side with
     coefficient b and exponent p) of a field, one cell and one face at a
@@ -453,7 +467,7 @@ def sbv_sums_reference(model, field, b, p):
     scalar densities eval_j and eval_g; the BV norm takes |u+ - u-| h^(d-1)
     per face, and the Poincare left-hand side |du/h|^p h^d per unflagged
     face and b (|u+|^p + |u-|^p) h^(d-1) per flagged face."""
-    from robinshape.model import eval_g, eval_j
+    from robinshape.model import eval_g
     g = field.grid
     F = bv = lhs = 0.0
     centers = g.centers()

@@ -353,8 +353,8 @@ def test_descent_whose_preconditioner_fails_to_factor_answers(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported where it is used: sparse solves, the LAPACK
-    # descent and component labelling
+    # scipy is imported where it is used: the sparse solvers and the LAPACK
+    # descent
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["robinshape"].__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -363,6 +363,27 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_optimize_and_p2_solve_load_no_scipy(tmp_path):
+    # a 2d optimize and a p = q = 2 solve (CG, the trace's and the
+    # diagnostics' component counts) run on numpy alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["robinshape"].__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [["optimize", "--d", "2", "--n", "16", "--init", "disc:0.5:0.5:0.3",
+             "--sweeps", "6", "--out", str(tmp_path / "opt")],
+            ["solve", "--d", "2", "--n", "32", "--shape", "disc",
+             "--out", str(tmp_path / "solve")]]
+    code = ("import sys\nfrom robinshape.cli import main\n"
+            f"for argv in {runs!r}:\n    assert main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+    assert os.path.exists(tmp_path / "opt" / "diagnostics.csv")
+    assert os.path.exists(tmp_path / "solve" / "diagnostics.csv")
 
 
 def test_ball_minimality_needs_two_sizes(tmp_path):

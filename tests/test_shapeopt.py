@@ -1,7 +1,10 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from robinshape.model import IntegrandModel
 from robinshape import shapeopt
@@ -510,6 +513,58 @@ def test_component_count_matches_breadth_first_search():
                             (np.zeros((n, n), bool), 0)):
         assert any(np.array_equal(cells, c) for _, c in zoo)
         assert component_count(ShapeMask(Grid(2, n, 1.0 / n), cells)) == expected
+
+
+@st.composite
+def cell_arrays(draw):
+    """Boolean cell arrays of 1d and 2d boxes, one cell wide included, and
+    the empty and the full box among them."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 40)),
+                           st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    kind = draw(st.sampled_from(("empty", "full", "random")))
+    if kind != "random":
+        return np.full(shape, kind == "full")
+    return draw(hnp.arrays(bool, shape, elements=st.booleans(), fill=st.nothing()))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(cell_arrays())
+def test_component_count_matches_breadth_first_search_on_random_boxes(cells):
+    # component_count reads only mask.cells, so boxes that a Grid does not
+    # make (one cell wide, or not square) come in through a stand-in
+    assert component_count(SimpleNamespace(cells=cells)) == \
+        oracles.components_bfs(cells)
+
+
+def square_spiral(n):
+    """A square spiral with arms two cells apart whose every step inward is
+    diagonal: one curve under 8-connectivity, one component per turn under
+    axis adjacency."""
+    cells = np.zeros((n, n), bool)
+    for k in range(n // 4):
+        lo, hi = 2 * k, n - 1 - 2 * k
+        cells[lo, max(lo - 1, 0):hi + 1] = True  # entered from the turn outside
+        cells[lo:hi + 1, hi] = True
+        cells[hi, lo:hi + 1] = True
+        cells[lo + 3:hi + 1, lo] = True  # stops short of this turn's top arm
+    return cells
+
+
+def test_component_count_on_long_chains_of_runs():
+    # masks whose runs join in long chains: the union-find needs many
+    # pointer-jumping steps or hooking rounds to settle
+    n = 96
+    grid = Grid(2, n, 1.0 / n)
+    comb = np.zeros((n, n), bool)
+    comb[0] = True             # the spine
+    comb[:, ::2] = True        # 48 teeth, one cell wide
+    serpentine = np.zeros((n, n), bool)
+    serpentine[::2] = True
+    serpentine[1::4, -1] = True   # rows 0 and 2 join at the right end,
+    serpentine[3::4, 0] = True    # rows 2 and 4 at the left, and so on
+    for cells, expected in ((square_spiral(n), 24), (comb, 1), (serpentine, 1)):
+        assert oracles.components_bfs(cells) == expected
+        assert component_count(ShapeMask(grid, cells)) == expected
 
 
 def test_schedule_validation():
