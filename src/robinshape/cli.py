@@ -25,8 +25,7 @@ import numpy as np
 from .model import IntegrandModel, exponent_threshold
 from .pdesolve import SolverConfig, SolverError, solve_inner
 from .radial import (RadialConvergenceError, RadialEigenvalueQuery,
-                     ball_energy, optimal_radius_scan, robin_eigenvalues_ball,
-                     robin_poisson_ball)
+                     _radius_scan, robin_eigenvalues_ball, robin_poisson_ball)
 from .sbvgrid import Grid, ShapeMask, shape_energy, write_field_text
 from .shapeopt import (AnnealSchedule, ShapeOptError, TRACE_COLUMNS,
                        diagnostics, optimize_shape)
@@ -341,13 +340,11 @@ def cmd_radial(params):
         model = IntegrandModel(p=2, q=2, L=params["L"], c0=params["c0"],
                                f=params["f"], beta1=params["beta"],
                                normalization="energy")
-        radii = np.linspace(0.0, params["scan_rmax"], params["scan_samples"])
-        rows = [("R", "J")] + [(float(r), ball_energy(model, d, float(r)))
-                               for r in radii]
+        radii, vals, (R_star, J_star) = _radius_scan(
+            model, d, params["scan_rmax"], params["scan_samples"])
+        rows = [("R", "J")] + list(zip(radii.tolist(), vals.tolist()))
         path = write_csv(os.path.join(params["out"], "radial_scan.csv"),
                          "radial", rows)
-        R_star, J_star = optimal_radius_scan(model, d, params["scan_rmax"],
-                                             params["scan_samples"])
         print(f"wrote {path}; R* = {R_star!r}, J* = {J_star!r}")
     return 0
 

@@ -97,18 +97,35 @@ def _series_start(lam, d, h):
     return u, up
 
 
-def _rk4_increment(u, v, nlam, c0, cm, c1, h, h2, h6):
-    # the change of (u, v) over one RK4 step of u' = v, v' = -lam*u - c(r)*v;
-    # c0, cm, c1 are c at the start, midpoint and end of the step, h2 = h/2
-    # and h6 = h/6
-    k1v = nlam * u - c0 * v
-    u2, v2 = u + h2 * v, v + h2 * k1v
-    k2v = nlam * u2 - cm * v2
-    u3, v3 = u + h2 * v2, v + h2 * k2v
-    k3v = nlam * u3 - cm * v3
-    u4, v4 = u + h * v3, v + h * k3v
-    k4v = nlam * u4 - c1 * v4
-    return h6 * (v + 2 * v2 + 2 * v3 + v4), h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+def _rk4_increment(u, v, nlam, c0, cm, c1, h, h2, h6, du, dv, x, y, z):
+    # writes into du, dv the change of (u, v) over one RK4 step of u' = v,
+    # v' = -lam*u - c(r)*v per step (c0, cm, c1: c at its start, midpoint and
+    # end; h2 = h/2, h6 = h/6), summed term by term in the order of
+    # h6 (v + 2 v2 + 2 v3 + v4); x, y and z are scratch arrays of du's shape
+    np.subtract(nlam * u, np.multiply(c0, v, out=dv), out=dv)          # k1
+    u2 = u + h2 * v
+    np.add(v, np.multiply(h2, dv, out=x), out=x)                       # v2
+    np.add(v, np.multiply(x, 2, out=du), out=du)
+    np.subtract(nlam * u2, np.multiply(cm, x, out=y), out=y)           # k2
+    np.add(dv, np.multiply(y, 2, out=z), out=dv)
+    np.add(u, np.multiply(h2, x, out=x), out=x)                        # u3
+    np.add(v, np.multiply(h2, y, out=z), out=z)                        # v3
+    np.add(du, np.multiply(z, 2, out=y), out=du)
+    np.subtract(np.multiply(nlam, x, out=x), np.multiply(cm, z, out=y), out=x)  # k3
+    np.add(dv, np.multiply(x, 2, out=y), out=dv)
+    np.add(u, np.multiply(h, z, out=y), out=y)                         # u4
+    np.add(v, np.multiply(h, x, out=x), out=x)                         # v4
+    np.add(du, x, out=du)
+    np.subtract(np.multiply(nlam, y, out=y), np.multiply(c1, x, out=z), out=y)  # k4
+    np.add(dv, y, out=dv)
+    np.multiply(h6, du, out=du)
+    np.multiply(h6, dv, out=dv)
+
+
+def _matmul(m2, m1, out, t):
+    # out = m2 @ m1 for matrices on the two leading axes; t takes a product
+    return np.add(np.multiply(m2[:, :1], m1[None, 0], out=out),
+                  np.multiply(m2[:, 1:], m1[None, 1], out=t), out=out)
 
 
 _BLOCK = 64  # RK4 steps per propagator block; sets each block's product tree
@@ -132,59 +149,80 @@ def _propagate(lam, d, R, n, path=False):
     products, kept as I + D so the increments keep their own rounding, which
     take the carried state to each node.  All products are elementwise, so a
     column's result depends neither on its batch nor on the pass length.
+    The passes write their temporaries into one workspace per call, of
+    which nothing returned is a view.
     """
     lam, h = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                  np.asarray(R, dtype=float) / n)
     h2, h6 = h / 2.0, h / 6.0
     u, v = _series_start(lam, d, h)
     nlam, dm1 = -lam, d - 1.0
-    us, vs = [np.ones((1,) + u.shape), u[None]], [np.zeros((1,) + v.shape), v[None]]
-    r, first = h, 1
     per_pass = max(1, _PASS_VALUES // (_BLOCK * lam.size)) * _BLOCK
+    # the step matrices, and two regions for the node sums, the RK4 stages
+    # and the products, each of four (steps + 1)-node arrays
+    size = 4 * (min(per_pass, n) + 1) * lam.size
+    mats, one, two = np.empty((3, size))
+
+    def take(region, *shape):  # the front of a region, shaped
+        shape += lam.shape
+        return region[:math.prod(shape)].reshape(shape)
+
+    # the starts (1, 0) and (0, 1) side by side on a leading axis
+    starts = np.eye(2).reshape((2, 2, 1) + (1,) * lam.ndim)
+    if path:
+        uv = np.empty((2, n + 1) + lam.shape)
+        uv[0, 0], uv[1, 0], uv[0, 1], uv[1, 1] = 1.0, 0.0, u, v
+    r, first = h, 1
     while first < n:
         steps = min(per_pass, n - first)
         steps = steps - steps % _BLOCK or steps
         # nodes r_first .. r_(first+steps), summed one h at a time
-        rs = np.add.accumulate(np.concatenate(
-            [r[None], np.broadcast_to(h, (steps,) + h.shape)]))
-        cr = dm1 / rs
-        step = (nlam, cr[:-1], dm1 / (rs[:-1] + h2), cr[1:], h, h2, h6)
-        # (steps per block, blocks) + column shape: each block reduces along
-        # axis 0 on its own
-        shape = (-1, min(steps, _BLOCK)) + lam.shape
-        a, c, b, e = (x.reshape(shape).swapaxes(0, 1) for x in
-                      _rk4_increment(1.0, 0.0, *step) + _rk4_increment(0.0, 1.0, *step))
+        nodes, rs = take(one, steps + 1), take(two, steps + 1)
+        nodes[0], nodes[1:] = r, h
+        np.add.accumulate(nodes, out=rs)
+        cr, cm = take(one, steps + 1), take(one[size // 4:], steps)
+        np.divide(dm1, rs, out=cr)
+        np.divide(dm1, np.add(rs[:-1], h2, out=cm), out=cm)
+        r = rs[-1].copy()
+        # m[i, j]: the increments of u (i = 0) and u' (i = 1) from start j
+        m = take(mats, 2, 2, steps)
+        _rk4_increment(starts[0], starts[1], nlam, cr[:-1], cm, cr[1:], h, h2,
+                       h6, m[0], m[1], take(one[size // 2:], 2, steps),
+                       take(two, 2, steps), take(two[size // 2:], 2, steps))
+        # (2, 2, blocks, steps per block) + column shape: each block reduces
+        # along axis 3 on its own
+        bs = min(steps, _BLOCK)
+        m = m.reshape((2, 2, -1, bs) + lam.shape)
+        nb = m.shape[2]
         if path:
             k = 1
-            while k < len(a):
+            while k < bs:
                 # (I + D2)(I + D1) = I + D1 + D2 + D2 D1, D2 the k steps after D1
-                a1, b1, c1, e1 = a[:-k], b[:-k], c[:-k], e[:-k]
-                a2, b2, c2, e2 = a[k:], b[k:], c[k:], e[k:]
-                a[k:], b[k:], c[k:], e[k:] = (
-                    a1 + a2 + (a2 * a1 + b2 * c1), b1 + b2 + (a2 * b1 + b2 * e1),
-                    c1 + c2 + (c2 * a1 + e2 * c1), e1 + e2 + (c2 * b1 + e2 * e1))
+                new, t = take(one, 2, 2, nb, bs - k), take(two, 2, 2, nb, bs - k)
+                _matmul(m[:, :, :, k:], m[:, :, :, :-k], new, t)
+                np.add(np.add(m[:, :, :, :-k], m[:, :, :, k:], out=t), new, out=new)
+                m[:, :, :, k:] = new
                 k *= 2
-            for j in range(a.shape[1]):
-                us.append(u + (a[:, j] * u + b[:, j] * v))
-                vs.append(v + (c[:, j] * u + e[:, j] * v))
-                u, v = us[-1][-1], vs[-1][-1]
+            for j in range(nb):
+                rows = slice(first + 1 + j * bs, first + 1 + (j + 1) * bs)
+                step = _matmul(m[:, :, j], uv[:, None, None, rows.start - 1],
+                               take(one, 2, 1, bs), take(two, 2, 1, bs))
+                np.add(uv[:, None, rows.start - 1], step[:, 0], out=uv[:, rows])
         else:
-            a, b, c, e = 1.0 + a, 0.0 + b, 0.0 + c, 1.0 + e
-            while len(a) > 1:
+            np.add(starts[:, :, None], m, out=m)
+            into = one  # a level writes into the region it does not read
+            while m.shape[3] > 1:
                 # M[2k+1] @ M[2k]; an odd last matrix moves up a level unchanged
-                k = len(a) // 2 * 2
-                a1, b1, c1, e1 = a[0:k:2], b[0:k:2], c[0:k:2], e[0:k:2]
-                a2, b2, c2, e2 = a[1:k:2], b[1:k:2], c[1:k:2], e[1:k:2]
-                pa, pb = a2 * a1 + b2 * c1, a2 * b1 + b2 * e1
-                pc, pe = c2 * a1 + e2 * c1, c2 * b1 + e2 * e1
-                if k < len(a):
-                    pa, pb = np.concatenate([pa, a[k:]]), np.concatenate([pb, b[k:]])
-                    pc, pe = np.concatenate([pc, c[k:]]), np.concatenate([pe, e[k:]])
-                a, b, c, e = pa, pb, pc, pe
-            for pa, pb, pc, pe in zip(a[0], b[0], c[0], e[0]):
-                u, v = pa * u + pb * v, pc * u + pe * v
-        r, first = rs[-1], first + steps
-    return (np.concatenate(us), np.concatenate(vs)) if path else (u, v)
+                k = m.shape[3] // 2 * 2
+                p = take(into, 2, 2, nb, (m.shape[3] + 1) // 2)
+                _matmul(m[:, :, :, 1:k:2], m[:, :, :, 0:k:2], p[:, :, :, :k // 2],
+                        take(two, 2, 2, nb, k // 2))
+                p[:, :, :, k // 2:] = m[:, :, :, k:]
+                m, into = p, (mats if into is one else one)
+            for j in range(nb):
+                u, v = m[:, 0, j, 0] * u + m[:, 1, j, 0] * v
+        first += steps
+    return (uv[0], uv[1]) if path else (u, v)
 
 
 _MAX_REFINE = 80  # Illinois steps before a root counts as not converged
@@ -291,7 +329,8 @@ def _spow(x, e):
 
 def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
     """Minimize the mesh Rayleigh quotient by projected preconditioned descent,
-    for arrays R and b of queries that share (d, pg, alpha, mesh_n).
+    for arrays d, R and b of queries that share (pg, alpha, mesh_n); one d
+    serves every query.
 
     Directions come from a tridiagonal solve against the frozen linearization
     of the quotient (plain gradient steps stall far beyond the iteration cap
@@ -312,17 +351,19 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
 
     R = np.atleast_1d(np.asarray(R, dtype=float))
     b = np.broadcast_to(np.atleast_1d(np.asarray(b, dtype=float)), R.shape)
+    d = np.broadcast_to(np.atleast_1d(d), R.shape).tolist()  # each row's own
     N, m = mesh_n, R.size
     h = R / N
     r = np.array([np.linspace(0.0, Rj, N + 1) for Rj in R])
-    rbar = (r[:, :-1] + h[:, None] / 2) ** (d - 1)  # face weights, gradient term
+    rbar = np.array([(rj[:-1] + hj / 2) ** (dj - 1)  # face weights, gradient term
+                     for rj, hj, dj in zip(r, h, d)])
     tw = np.repeat(h[:, None], N + 1, axis=1)       # trapezoid weights
     tw[:, 0] = tw[:, -1] = h / 2
-    dw = tw * r ** (d - 1)                          # measure weights, r^{d-1} dr
-    spow = sphere_area(d) ** (1.0 - pg / alpha)
-    bR = np.array([bj * Rj ** (d - 1) for bj, Rj in zip(b.tolist(), R.tolist())])
+    dw = tw * np.array([rj ** (dj - 1) for rj, dj in zip(r, d)])  # r^{d-1} dr
+    spow = np.array([sphere_area(dj) ** (1.0 - pg / alpha) for dj in d])
+    bR = np.array([bj * Rj ** (dj - 1) for bj, Rj, dj in zip(b.tolist(), R.tolist(), d)])
 
-    def quotient(u, h, rbar, dw, bR):  # Q and the parts its gradient reuses
+    def quotient(u, h, rbar, dw, bR, spow):  # Q and the parts its gradient reuses
         du = (u[..., 1:] - u[..., :-1]) / h[..., None]
         num = ((np.abs(du) ** pg * rbar).sum(axis=-1) * h
                + bR * _spow(np.abs(u[..., -1]), pg))
@@ -330,7 +371,7 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
         den = _spow(dint, pg / alpha)
         return spow * num / den, du, num, dint, den
 
-    def gradient(u, du, num, dint, den, h, rbar, dw, bR):
+    def gradient(u, du, num, dint, den, h, rbar, dw, bR, spow):
         t = pg * np.abs(du) ** (pg - 1.0) * np.sign(du) * rbar
         gn = np.zeros_like(u)
         gn[:, :-1] -= t
@@ -338,10 +379,10 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
         gn[:, -1] += bR * pg * _spow(np.abs(u[:, -1]), pg - 1.0) * np.sign(u[:, -1])
         gd = ((pg * _spow(dint, pg / alpha - 1.0))[:, None] * dw
               * np.abs(u) ** (alpha - 1.0) * np.sign(u))
-        return (spow * (gn * den[:, None] - num[:, None] * gd)
+        return (spow[:, None] * (gn * den[:, None] - num[:, None] * gd)
                 / _spow(den, 2)[:, None])
 
-    def precondition(u, Q, g, h, rbar, dw, bR):
+    def precondition(u, Q, g, h, rbar, dw, bR, _):
         # frozen tridiagonal model: p-Laplacian linearization plus a mass
         # shift; SPD in exact arithmetic, so the preconditioned direction is
         # descent, but at extreme inputs a pivot can round to <= 0
@@ -381,7 +422,7 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
     start = np.random.Generator(np.random.Philox(key=0xA11CE)).uniform(0.5, 1.5, N + 1)
     U = project(np.stack([np.ones((m, N + 1)), 1.0 - 0.5 * r / R[:, None],
                           np.broadcast_to(start, (m, N + 1))], 1).reshape(3 * m, N + 1))
-    consts = C = [np.repeat(a, 3, axis=0) for a in (h, rbar, dw, bR)]
+    consts = C = [np.repeat(a, 3, axis=0) for a in (h, rbar, dw, bR, spow)]
     Q, *parts = quotient(U, *C)
     G = gradient(U, *parts, *C)
     rows, step, change = np.arange(3 * m), np.ones(3 * m), np.full(3 * m, np.inf)
@@ -461,7 +502,7 @@ def robin_eigenvalues_ball(queries) -> list[RadialSolution]:
     """robin_eigenvalue_ball for a sequence of queries, results in order.
 
     Unit-exponent queries that share (d, mesh_n) are shot in one batch, and
-    descent queries that share (d, exponents, mesh_n) descend in lockstep;
+    descent queries that share (exponents, mesh_n) descend in lockstep;
     either costs little more than one query alone.  Each result equals that
     of its query on its own, and of several failing queries the first in
     order raises.
@@ -472,12 +513,12 @@ def robin_eigenvalues_ball(queries) -> list[RadialSolution]:
         if q.grad_exp == q.bdry_exp == q.denom_exp == 2.0:
             shots.setdefault((q.d, q.mesh_n), []).append(i)
         else:
-            descents.setdefault((q.d, q.grad_exp, q.denom_exp, q.mesh_n),
-                                []).append(i)
-    for (d, pg, alpha, n), idx in descents.items():
+            descents.setdefault((q.grad_exp, q.denom_exp, q.mesh_n), []).append(i)
+    for (pg, alpha, n), idx in descents.items():
         try:
-            lam, r, u, infos = _rayleigh_min(d, [queries[i].R for i in idx],
-                                             [queries[i].b for i in idx], pg, alpha, n)
+            qs = [queries[i] for i in idx]
+            lam, r, u, infos = _rayleigh_min([q.d for q in qs], [q.R for q in qs],
+                                             [q.b for q in qs], pg, alpha, n)
         except RadialConvergenceError as exc:
             failed.append((idx[exc.query], exc))
             continue
@@ -537,12 +578,18 @@ def ball_energy(model: IntegrandModel, d: int, R: float) -> float:
     return -0.5 * f * int_u + model.c0 * ball_volume(d, R)
 
 
-def optimal_radius_scan(model: IntegrandModel, d: int, R_max: float,
-                        n_samples: int = 512) -> tuple[float, float]:
-    """Grid scan of ball_energy over R in [0, R_max]; first minimum wins."""
+def _radius_scan(model: IntegrandModel, d: int, R_max: float, n_samples: int):
+    """ball_energy at n_samples radii evenly spaced over [0, R_max]: the
+    radii, the energies and the first minimum (R*, J*)."""
     if R_max <= 0 or n_samples < 2:
         raise ValueError("R_max must be positive and n_samples >= 2")
     radii = np.linspace(0.0, R_max, n_samples)
     vals = np.array([ball_energy(model, d, float(R)) for R in radii])
     k = int(np.argmin(vals))
-    return float(radii[k]), float(vals[k])
+    return radii, vals, (float(radii[k]), float(vals[k]))
+
+
+def optimal_radius_scan(model: IntegrandModel, d: int, R_max: float,
+                        n_samples: int = 512) -> tuple[float, float]:
+    """Grid scan of ball_energy over R in [0, R_max]; first minimum wins."""
+    return _radius_scan(model, d, R_max, n_samples)[2]

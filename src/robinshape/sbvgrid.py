@@ -130,9 +130,11 @@ def _flagged(jumps) -> tuple:
 
 def support_jumps(grid: Grid, values: np.ndarray) -> tuple:
     """Faces separating a zero cell (or the outside) from a nonzero cell, as
-    one boolean array per axis."""
+    one boolean array per axis; fields stacked on leading axes give jumps
+    stacked the same way."""
     nz = np.asarray(values) != 0.0
-    return tuple(np.not_equal(*_face_sides(nz, ax)) for ax in range(grid.d))
+    return tuple(np.not_equal(*_face_sides(nz, nz.ndim - grid.d + ax))
+                 for ax in range(grid.d))
 
 
 def _jump_arrays(grid: Grid, faces) -> tuple:
@@ -203,17 +205,26 @@ def _check_finite(field: SbvField):
         raise ValueError("field has non-finite values")
 
 
-def _faces(field: SbvField) -> tuple:
-    """The face differences (u_hi - u_lo)/h on the unflagged faces, and the
-    values on the lower and upper side of the flagged faces (0 outside the
-    box), each over all axes in sorted face order."""
-    diff, below, above = [], [], []
-    for ax, jumps in enumerate(field.jumps):
-        lo, hi = _face_sides(field.values, ax)
-        diff.append((hi[~jumps] - lo[~jumps]) / field.grid.h)
-        below.append(lo[jumps])
-        above.append(hi[jumps])
-    return tuple(map(np.concatenate, (diff, below, above)))
+def _faces(grid: Grid, values: np.ndarray, jumps) -> list:
+    """One face pass over fields stacked on leading axes, jumps stacked alike.
+    Per axis, in face layout: the differences (u_hi - u_lo)/h on unflagged
+    faces, the values below and above flagged faces (0 outside the box),
+    each 0 on the other faces, and the jump mask."""
+    lead = values.ndim - grid.d
+    out = []
+    for ax, flags in enumerate(jumps):
+        lo, hi = _face_sides(values, lead + ax)
+        out.append((np.where(flags, 0.0, (hi - lo) / grid.h),
+                    np.where(flags, lo, 0.0), np.where(flags, hi, 0.0), flags))
+    return out
+
+
+def _face_lists(field: SbvField) -> tuple:
+    """_faces of one field compressed to its unflagged differences and flagged
+    traces, each over all axes in sorted face order."""
+    return tuple(map(np.concatenate, zip(*(
+        (diff[~flags], lo[flags], hi[flags])
+        for diff, lo, hi, flags in _faces(field.grid, field.values, field.jumps)))))
 
 
 def eval_free_discontinuity(model: IntegrandModel, field: SbvField) -> float:
@@ -225,7 +236,7 @@ def eval_free_discontinuity(model: IntegrandModel, field: SbvField) -> float:
     boundary weights."""
     field.validate()
     g = field.grid
-    dd, a, b = _faces(field)
+    dd, a, b = _face_lists(field)
     total = model.grad_coeff * float(np.sum(np.abs(dd) ** model.p)) * g.cell_volume
     support = field.values != 0.0
     fvals = model.f_at(g.centers())[support]
@@ -499,6 +510,26 @@ def reduction_check(model: IntegrandModel, field: SbvField, solver=None) -> floa
     return F - J
 
 
+def _poincare_ratios(grid: Grid, values: np.ndarray, jumps, b: float,
+                     p: float, alpha: float, lam) -> np.ndarray:
+    """poincare_check for fields stacked on a leading axis, one face pass for
+    all of them; lam maps the support cell counts of the fields to the
+    eigenvalues of their balls."""
+    cells = tuple(range(1, values.ndim))
+    count = np.count_nonzero(values, axis=cells)
+    if not count.all():
+        raise ValueError("field has empty support")
+    if not np.isfinite(values).all():
+        raise ValueError("field has non-finite values")
+    grad = jump = 0.0
+    for diff, lo, hi, _ in _faces(grid, values, jumps):
+        grad = grad + np.sum(np.abs(diff) ** p, axis=cells)
+        jump = jump + np.sum(np.abs(lo) ** p + np.abs(hi) ** p, axis=cells)
+    lhs = grad * grid.cell_volume + b * jump * grid.face_weight
+    norm = np.sum(np.abs(values) ** alpha, axis=cells) * grid.cell_volume
+    return lhs / (lam(count) * norm ** (p / alpha))
+
+
 def poincare_check(field: SbvField, b: float, p: float, alpha: float,
                    eig=None) -> float:
     """LHS/RHS ratio of the ball lower bound: |du/h|^p h^d on the unflagged
@@ -506,28 +537,23 @@ def poincare_check(field: SbvField, b: float, p: float, alpha: float,
     lambda_{b,alpha}(B_m) times the L^alpha norm to the p/alpha."""
     from . import radial
     g = field.grid
-    m = field.support_volume()
-    if m <= 0.0:
-        raise ValueError("field has empty support")
-    _check_finite(field)
-    dd, ta, tb = _faces(field)
-    lhs = float(np.sum(np.abs(dd) ** p)) * g.cell_volume
-    lhs += b * float(np.sum(np.abs(ta) ** p + np.abs(tb) ** p)) * g.face_weight
     if eig is None:
         eig = radial.robin_eigenvalue_ball
-    R = radial.ball_radius(g.d, m)
-    sol = eig(radial.RadialEigenvalueQuery(d=g.d, R=R, b=b, grad_exp=p,
-                                           bdry_exp=p, denom_exp=alpha))
-    norm = float(np.sum(np.abs(field.values) ** alpha)) * g.cell_volume
-    rhs = sol.lam * norm ** (p / alpha)
-    return lhs / rhs
+
+    def lam(count):
+        R = radial.ball_radius(g.d, float(count[0]) * g.cell_volume)
+        return eig(radial.RadialEigenvalueQuery(d=g.d, R=R, b=b, grad_exp=p,
+                                               bdry_exp=p, denom_exp=alpha)).lam
+
+    return float(_poincare_ratios(g, field.values[None],
+                                  [j[None] for j in field.jumps], b, p, alpha, lam)[0])
 
 
 def bv_norm(field: SbvField) -> float:
     """Discrete BV norm: |u_hi - u_lo| h^(d-1) over every face, flagged and
     box faces included (in 2d the anisotropic total variation)."""
     _check_finite(field)
-    dd, a, b = _faces(field)
+    dd, a, b = _face_lists(field)
     return (float(np.sum(np.abs(dd))) * field.grid.h
             + float(np.sum(np.abs(a - b)))) * field.grid.face_weight
 

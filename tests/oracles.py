@@ -8,8 +8,8 @@ inner solves from LAPACK banded factorizations and sparse direct solves,
 staircase boundary faces from a face-by-face walk over Python tuples, and
 gradients, face differences and jump sums of SBV fields from loops over
 single cells and faces with the pointwise bulk density eval_j.  One
-exception pins rounding rather than values: propagate_per_block shares
-radial's RK4 step formulas.
+exception pins rounding rather than values: propagate_per_block repeats
+radial's RK4 step formulas and products in their order.
 """
 
 import math
@@ -83,13 +83,29 @@ def rk4_radial(lam, d, R, n, path=False):
     return (us, vs) if path else (u, v)
 
 
+def rk4_increment(u, v, nlam, c0, cm, c1, h, h2, h6):
+    """The change of (u, v) over one RK4 step of u' = v,
+    v' = -lam*u - c(r)*v, as plain array expressions; c0, cm, c1 are c at the
+    start, midpoint and end of the step, h2 = h/2 and h6 = h/6."""
+    k1v = nlam * u - c0 * v
+    u2, v2 = u + h2 * v, v + h2 * k1v
+    k2v = nlam * u2 - cm * v2
+    u3, v3 = u + h2 * v2, v + h2 * k2v
+    k3v = nlam * u3 - cm * v3
+    u4, v4 = u + h * v3, v + h * k3v
+    k4v = nlam * u4 - c1 * v4
+    return h6 * (v + 2 * v2 + 2 * v3 + v4), h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+
+
 def propagate_per_block(lam, d, R, n, path=False):
-    """radial._propagate walked one _BLOCK-step block per loop iteration:
-    the same step formulas, node sums and per-block product tree (or prefix
-    scan with path=True), each block applied to the carried (u, u') in
-    order.  The pass-wise propagator must equal it bit for bit.
+    """radial._propagate walked one _BLOCK-step block per loop iteration,
+    with every temporary a fresh array: the same step formulas, node sums
+    and per-block product tree (or prefix scan with path=True), each block
+    applied to the carried (u, u') in order.  The pass-wise propagator,
+    which writes its temporaries into a workspace, must equal it bit for
+    bit.
     """
-    from robinshape.radial import _BLOCK, _rk4_increment, _series_start
+    from robinshape.radial import _BLOCK, _series_start
 
     lam, h = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                  np.asarray(R, dtype=float) / n)
@@ -105,8 +121,8 @@ def propagate_per_block(lam, d, R, n, path=False):
             [r[None], np.broadcast_to(h, (steps,) + h.shape)]))
         cr = dm1 / rs
         step = (nlam, cr[:-1], dm1 / (rs[:-1] + h2), cr[1:], h, h2, h6)
-        a, c = _rk4_increment(1.0, 0.0, *step)
-        b, e = _rk4_increment(0.0, 1.0, *step)
+        a, c = rk4_increment(1.0, 0.0, *step)
+        b, e = rk4_increment(0.0, 1.0, *step)
         if path:
             k = 1
             while k < steps:
@@ -486,6 +502,56 @@ def sbv_sums_reference(model, field, b, p):
             F += (eval_g(model, x, ta) + eval_g(model, x, tb)) * g.face_weight
             lhs += b * (abs(ta) ** p + abs(tb) ** p) * g.face_weight
     return F, bv, lhs
+
+
+def poincare_battery_reference(trials, n, seed, b, lams):
+    """The Poincare battery one field at a time: the seeded fields of
+    suites.poincare_suite built as SbvField objects in the order of their
+    Philox draws, each scored on its own over its compressed face lists,
+    with the ball eigenvalue lams[k - 1] for a support of k cells.  Returns
+    the (trial, family, m, ratio) rows and the first field of the lowest
+    ratio."""
+    from robinshape.sbvgrid import Grid, SbvField, _face_sides
+
+    grid = Grid(1, n, 1.0 / n)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rows, worst = [], (np.inf, None)
+    for trial in range(trials):
+        fam = ("rect", "bump", "jumpy")[int(rng.integers(0, 3))]
+        length = int(rng.integers(3, n - 2))
+        i0 = int(rng.integers(1, n - length))
+        v = float(rng.uniform(0.2, 3.0))
+        values = np.zeros(n)
+        extra = []
+        if fam == "rect":
+            values[i0:i0 + length] = v
+        elif fam == "bump":
+            t = (np.arange(length) + 0.5) / length
+            values[i0:i0 + length] = v * np.sin(math.pi * t)
+        else:
+            pieces = int(rng.integers(2, 5))
+            cuts = sorted(set(int(c) for c in
+                              rng.integers(1, length, size=pieces - 1)))
+            lo = 0
+            for cut in cuts + [length]:
+                values[i0 + lo:i0 + cut] = float(rng.uniform(0.2, 3.0))
+                if lo > 0:
+                    extra.append((0, i0 + lo))
+                lo = cut
+        field = SbvField.from_values(grid, values, extra)
+        lo, hi = _face_sides(field.values, 0)
+        jumps = field.jumps[0]
+        dd = (hi[~jumps] - lo[~jumps]) / grid.h
+        lhs = float(np.sum(np.abs(dd) ** 2.0)) * grid.cell_volume
+        lhs += b * float(np.sum(np.abs(lo[jumps]) ** 2.0
+                                + np.abs(hi[jumps]) ** 2.0)) * grid.face_weight
+        k = int(np.count_nonzero(field.values))
+        norm = float(np.sum(np.abs(field.values) ** 2.0)) * grid.cell_volume
+        ratio = lhs / (float(lams[k - 1]) * norm ** 1.0)
+        rows.append((trial, fam, repr(field.support_volume()), repr(ratio)))
+        if ratio < worst[0]:
+            worst = (ratio, field)
+    return rows, worst[1]
 
 
 def face_newton_reference(model, cells, h, eta):

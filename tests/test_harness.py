@@ -9,7 +9,7 @@ import pytest
 from robinshape.cli import main
 from robinshape.sbvgrid import poincare_check, read_field_text
 from robinshape.radial import (RadialEigenvalueQuery, RadialSolution,
-                               robin_eigenvalue_ball)
+                               robin_eigenvalue_ball, shoot_eigenvalues)
 from robinshape import suites
 from robinshape.suites import (ball_minimality_suite, poincare_default_n,
                                poincare_suite)
@@ -70,6 +70,35 @@ def test_radial_profile_and_scan(tmp_path):
     assert float(rows[-1][1]) == pytest.approx(0.5)
     _, rows = read_csv(os.path.join(out, "radial_scan.csv"))
     assert len(rows) == 512
+
+
+def test_radial_scan_evaluates_each_radius_once(tmp_path, monkeypatch, capsys):
+    # the scan's CSV rows and its printed minimum come from one pass of
+    # ball_energy over the radii
+    from robinshape import radial
+    calls = []
+    energy = radial.ball_energy
+
+    def counted(*args):
+        calls.append(args)
+        return energy(*args)
+
+    # counted wherever the command could look ball_energy up
+    from robinshape import cli
+    monkeypatch.setattr(radial, "ball_energy", counted)
+    monkeypatch.setattr(cli, "ball_energy", counted, raising=False)
+    out = str(tmp_path)
+    assert main(["radial", "--d", "2", "--f", "1.0", "--beta", "2.0",
+                 "--c0", "0.05", "--scan-rmax", "3.0", "--scan-samples", "97",
+                 "--out", out]) == 0
+    assert len(calls) == 97
+    model = calls[0][0]
+    _, rows = read_csv(os.path.join(out, "radial_scan.csv"))
+    radii = np.linspace(0.0, 3.0, 97)
+    assert rows == [[repr(float(R)), repr(energy(model, 2, float(R)))]
+                    for R in radii]
+    R_star, J_star = radial.optimal_radius_scan(model, 2, 3.0, 97)
+    assert f"R* = {R_star!r}, J* = {J_star!r}" in capsys.readouterr().out
 
 
 def test_solve_writes_parseable_field(tmp_path):
@@ -410,6 +439,28 @@ def test_poincare_suite_uses_the_eigenvalue_of_each_support(b):
         assert lam == pytest.approx(ref, rel=1e-12)
         assert lam == pytest.approx(oracles.robin_lambda_interval(m / 2.0, b),
                                     rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [20240501, 4711])
+def test_poincare_battery_matches_the_per_field_loop(seed):
+    # one face pass over the stacked battery against the fields built and
+    # scored one at a time: the same draws, sizes and replay field, and
+    # ratios that differ only by the order of the face sums.  A floor of 2
+    # fails the battery, so its lowest-ratio field comes back for replay
+    n = 128
+    result = poincare_suite(trials=1000, n=n, seed=seed, min_ratio=2.0)
+    lams = shoot_eigenvalues(1, np.arange(1, n + 1) / n / 2.0, np.ones(n), 768)
+    ref_rows, ref_field = oracles.poincare_battery_reference(1000, n, seed,
+                                                             1.0, lams)
+    rows = result["rows"][1:-1]
+    assert [r[:3] for r in rows] == [r[:3] for r in ref_rows]
+    got = np.array([float(r[3]) for r in rows])
+    want = np.array([float(r[3]) for r in ref_rows])
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    field = result["failing"]
+    assert np.array_equal(field.values, ref_field.values)
+    assert all(np.array_equal(g, w) for g, w in zip(field.jumps, ref_field.jumps))
+    assert len(field.jumps) == len(ref_field.jumps) == 1
 
 
 def test_optimize_reproducible_outputs(tmp_path):

@@ -171,6 +171,27 @@ def test_passes_equal_the_per_block_walk(d):
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def test_returned_arrays_outlive_the_next_call():
+    # a propagator call writes its temporaries into a workspace: what it
+    # returned, with path on or off, and the roots shot from it stay as they
+    # were after calls at another width and mesh
+    rng = np.random.Generator(np.random.Philox(key=7))
+    R = rng.uniform(0.3, 2.5, 6)
+    lam = rng.uniform(0.0, 60.0, 6) / R**2
+    outs = [*radial._propagate(lam, 2, R, 300),
+            *radial._propagate(lam, 2, R, 300, path=True),
+            shoot_eigenvalues(2, R, np.ones(6), 256)]
+    kept = [x.copy() for x in outs]
+    R2 = rng.uniform(0.3, 2.5, 40)
+    radial._propagate(rng.uniform(0.0, 60.0, 40) / R2**2, 1, R2, 129)
+    radial._propagate(rng.uniform(0.0, 60.0, 40) / R2**2, 1, R2, 129, path=True)
+    shoot_eigenvalues(1, R2, np.full(40, 3.0), 512)
+    assert all(np.array_equal(x, k) for x, k in zip(outs, kept))
+    # nor is any a view into a workspace: each holds at most the (u, u') pair
+    assert all((x if x.base is None else x.base).nbytes <= 2 * x.nbytes
+               for x in outs)
+
+
 def test_eigenvalue_monotone_in_robin_coefficient():
     sols = robin_eigenvalues_ball([RadialEigenvalueQuery(d=1, R=1.0, b=b,
                                                          mesh_n=512)
@@ -284,8 +305,10 @@ def _descent_query(d, R, b, p, alpha, mesh):
 
 def test_descent_results_do_not_depend_on_the_batch():
     # descent queries of two keys and two meshes interleaved with shooting
-    # queries: each result equals its query run alone, bit for bit
+    # queries, d = 1 and d = 2 in each key: each result equals its query run
+    # alone, bit for bit
     queries = [_descent_query(1, 1.0, 1.0, 3.0, 3.0, 128),
+               _descent_query(1, 0.9, 1.2, 2.5, 1.5, 192),
                RadialEigenvalueQuery(d=2, R=1.0, b=1.0, mesh_n=256),
                _descent_query(2, 1.3, 0.7, 2.5, 1.5, 192),
                _descent_query(1, 2.0, 0.5, 3.0, 3.0, 128),
@@ -293,7 +316,8 @@ def test_descent_results_do_not_depend_on_the_batch():
                _descent_query(2, 0.6, 3.0, 2.5, 1.5, 192),
                _descent_query(2, 1.0, 1.0, 3.0, 3.0, 128),
                _descent_query(1, 1.5, 2.0, 3.0, 3.0, 128),
-               _descent_query(2, 2.0, 0.3, 2.5, 1.5, 192)]
+               _descent_query(2, 2.0, 0.3, 2.5, 1.5, 192),
+               _descent_query(2, 3.0, 1.0, 3.0, 3.0, 128)]
     sols = robin_eigenvalues_ball(queries)
     keys = ("iterations", "residual", "restart", "restart_iterations")
     for q, sol in zip(queries, sols):
