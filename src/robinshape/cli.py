@@ -25,7 +25,7 @@ import numpy as np
 from .model import IntegrandModel, exponent_threshold
 from .pdesolve import SolverConfig, SolverError, solve_inner
 from .radial import (RadialConvergenceError, RadialEigenvalueQuery,
-                     _radius_scan, robin_eigenvalues_ball, robin_poisson_ball)
+                     ball_energy, robin_eigenvalues_ball, robin_poisson_ball)
 from .sbvgrid import Grid, ShapeMask, shape_energy, write_field_text
 from .shapeopt import (AnnealSchedule, ShapeOptError, TRACE_COLUMNS,
                        diagnostics, optimize_shape)
@@ -340,11 +340,11 @@ def cmd_radial(params):
         model = IntegrandModel(p=2, q=2, L=params["L"], c0=params["c0"],
                                f=params["f"], beta1=params["beta"],
                                normalization="energy")
-        radii, vals, (R_star, J_star) = _radius_scan(
-            model, d, params["scan_rmax"], params["scan_samples"])
-        rows = [("R", "J")] + list(zip(radii.tolist(), vals.tolist()))
+        radii = np.linspace(0.0, params["scan_rmax"], params["scan_samples"])
+        rows = [(R, ball_energy(model, d, R)) for R in radii.tolist()]
+        R_star, J_star = min(rows, key=lambda row: row[1])  # the first minimum
         path = write_csv(os.path.join(params["out"], "radial_scan.csv"),
-                         "radial", rows)
+                         "radial", [("R", "J")] + rows)
         print(f"wrote {path}; R* = {R_star!r}, J* = {J_star!r}")
     return 0
 
@@ -354,20 +354,15 @@ def cmd_solve(params):
     model = _build_model(params)
     mask = _build_mask(grid, params)
     config = _solver_config(params, max_iter=params["max_iter"])
-    field, info = solve_inner(model, grid, mask, config, return_info=True)
+    field, info = solve_inner(model, mask, config, return_info=True)
     J = shape_energy(model, mask, field, params["weights"])
     out = os.path.join(params["out"], "field.txt")
     write_field_text(out, field, mask)
-    rows = [("x", "u")]
-    centers = grid.centers()
-    if grid.d == 1:
-        for i in range(grid.n):
-            rows.append((float(centers[i, 0]), float(field.values[i])))
-    else:
-        mid = grid.n // 2
-        for i in range(grid.n):
-            rows.append((float(centers[i, mid, 0]), float(field.values[i, mid])))
-    csv = write_csv(os.path.join(params["out"], "solve_profile.csv"), "solve", rows)
+    # the profile along the first axis, through the middle row in 2d
+    at = (slice(None),) + (grid.n // 2,) * (grid.d - 1)
+    rows = zip(grid.centers()[at + (0,)].tolist(), field.values[at].tolist())
+    csv = write_csv(os.path.join(params["out"], "solve_profile.csv"), "solve",
+                    [("x", "u"), *rows])
     diag = diagnostics(model, mask, field, params["weights"])
     write_diagnostics(params["out"], "solve", diag)
     print(f"wrote {out} and {csv}")
@@ -388,7 +383,7 @@ def cmd_optimize(params):
                            seed=params["seed"],
                            teleport_frac=params["teleport_frac"])
     solver = _solver_config(params)
-    mask, field, trace = optimize_shape(model, grid, mask0, sched, solver)
+    mask, field, trace = optimize_shape(model, mask0, sched, solver)
     out_field = os.path.join(params["out"], "best_field.txt")
     write_field_text(out_field, field, mask)
     csv = write_csv(os.path.join(params["out"], "trace.csv"), "optimize",

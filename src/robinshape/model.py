@@ -45,8 +45,8 @@ class IntegrandModel:
     L > 0 scales the gradient term; c0 >= 0 is the volume multiplier
     standing in for the "+1"; f is the source field; a the zero-order
     lower-bound offset; beta1 <= beta2 the boundary coefficient bounds.
-    C_j, M0, eps0 are the large-state growth constant and thresholds;
-    they are stored for the hypothesis checks and unused by the solvers.
+    C_j and M0 are the large-state growth constant and threshold; they are
+    stored for the hypothesis checks and unused by the solvers.
     """
 
     p: float
@@ -59,7 +59,6 @@ class IntegrandModel:
     beta2: FieldLike | None = None
     C_j: float = 1.0
     M0: float = 1.0
-    eps0: float = 1.0
     normalization: str = "plain"
 
     def __post_init__(self):
@@ -73,8 +72,8 @@ class IntegrandModel:
             raise ValueError(f"c0 must be nonnegative, got {self.c0}")
         if self.C_j < 0.0:
             raise ValueError(f"C_j must be nonnegative, got {self.C_j}")
-        if not (self.M0 > 0.0 and self.eps0 > 0.0):
-            raise ValueError("M0 and eps0 must be positive")
+        if not (self.M0 > 0.0):
+            raise ValueError(f"M0 must be positive, got {self.M0}")
         if self.normalization not in _NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {_NORMALIZATIONS}")
 
@@ -230,14 +229,14 @@ def check_admissible(model: IntegrandModel, domain_volume: float, d: int,
         detail += " [d=1 testing mode]"
     rep.checks.append(AssumptionCheck("j3", status, detail))
 
-    # (j4): monotone near zero needs f >= 0; plus the exponent window.
+    # (j4): j(x,s,0) = c0 - f s is nonincreasing iff f >= 0; plus the q window.
     thr = exponent_threshold(p, d)
     expo_ok = thr < q <= p
     mono_ok = f_min >= 0.0
     rep.checks.append(AssumptionCheck(
         "j4", "pass" if (expo_ok and mono_ok) else "fail",
         f"threshold {thr:.6g} < q = {q:g} <= p = {p:g}: {expo_ok}; "
-        + (f"min f = {f_min:.6g} >= 0 so j(x,.,0) is nonincreasing below eps0={model.eps0:g}"
+        + (f"min f = {f_min:.6g} >= 0 so j(x,s,0) = c0 - f s is nonincreasing for all s"
            if mono_ok else f"min f = {f_min:.6g} < 0: sign-changing f, (j4) not satisfied")))
 
     # (j5): the gradient bound is an equality for the family; the decay of

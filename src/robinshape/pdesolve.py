@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import IntegrandModel
-from .sbvgrid import (BOUNDARY_MODES, Grid, MaskAssembly, SbvField, ShapeMask,
-                      mask_assembly, support_jumps)
+from .sbvgrid import (BOUNDARY_MODES, MaskAssembly, SbvField, ShapeMask,
+                      _same_grid, mask_assembly, support_jumps)
 
 
 class SolverError(RuntimeError):
@@ -80,10 +80,11 @@ def _robin_weights(model: IntegrandModel, asm: MaskAssembly, weights: str):
     return coeffs * asm.weights(weights)
 
 
-def solve_inner(model: IntegrandModel, grid: Grid, mask: ShapeMask,
+def solve_inner(model: IntegrandModel, mask: ShapeMask,
                 config: SolverConfig | None = None, return_info: bool = False):
-    """Minimize the fixed-support energy; returns the field extended by zero
-    with jump faces exactly on the mask boundary."""
+    """Minimize the fixed-support energy on the mask's grid; returns the field
+    extended by zero with jump faces exactly on the mask boundary."""
+    grid = mask.grid
     if config is None:
         config = SolverConfig()
     if mask.count() == 0:
@@ -247,16 +248,17 @@ def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField,
               weights: str = "auto") -> float:
     """Face-based fixed-support energy of a field at the model's eta,
     including the volume term c0*|mask|: the solver's objective up to that
-    constant, and the shape functional J when weights are the solver's."""
+    constant, and the shape functional J when weights are the solver's; f is
+    sampled on the mask's grid, which must be the field's (else ValueError)."""
+    _same_grid(mask, field)
     asm = mask_assembly(mask)
-    fc = asm.gather(model.f_at(field.grid.centers()))
+    fc = asm.gather(model.f_at(mask.grid.centers()))
     energy, _, _ = _face_energy(model, asm, fc,
                                 _robin_weights(model, asm, weights), _eta(model))
     return energy(asm.gather(field.values)) + model.c0 * mask.volume()
 
 
-def grid_robin_eigenvalue(grid: Grid, mask: ShapeMask, b: float,
-                          max_iter: int = 400):
+def grid_robin_eigenvalue(mask: ShapeMask, b: float, max_iter: int = 400):
     """Smallest eigenvalue of the Robin form on the mask via inverse power
     iteration on the raw Rayleigh quotient assembly (gradient coefficient 1,
     boundary coefficient b, "auto" boundary weights).  Raises SolverError
@@ -264,14 +266,14 @@ def grid_robin_eigenvalue(grid: Grid, mask: ShapeMask, b: float,
     max_iter iterations."""
     import scipy.sparse.linalg as spla
 
+    grid = mask.grid
     asm = mask_assembly(mask)
-    m = asm.m
-    if m == 0:
+    if asm.m == 0:
         raise ValueError("empty mask has no eigenvalue")
     A = _face_matrix(asm, grid.h ** (grid.d - 2), b * asm.weights())
     mass = grid.cell_volume
     lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-    x = np.ones(m)
+    x = np.ones(asm.m)
     lam, change = None, np.inf
     for _ in range(max_iter):
         y = lu.solve(mass * x)

@@ -56,19 +56,22 @@ class RadialEigenvalueQuery:
     mesh_n: int = 1024
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if not (math.isfinite(self.R) and math.isfinite(self.b)
-                and self.R > 0.0 and self.b > 0.0):
-            raise ValueError("R and b must be finite and positive")
+        _check_ball(self.d, self.R, self.b, self.mesh_n)
         for e in (self.grad_exp, self.bdry_exp, self.denom_exp):
             if not e > 1.0:
                 raise ValueError(f"exponents must exceed 1, got {e}")
         if self.grad_exp != self.bdry_exp:
             raise ValueError("boundary exponent must equal gradient exponent "
                              "(quotient homogeneity)")
-        if self.mesh_n < 64:
-            raise ValueError(f"mesh_n must be >= 64, got {self.mesh_n}")
+
+
+def _check_ball(d, R, b, mesh_n):
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if not np.all(np.isfinite(R) & np.isfinite(b) & (R > 0.0) & (b > 0.0)):
+        raise ValueError("R and b must be finite and positive")
+    if mesh_n < 64:
+        raise ValueError(f"mesh_n must be >= 64, got {mesh_n}")
 
 
 @dataclass
@@ -276,12 +279,7 @@ def shoot_eigenvalues(d: int, R, b, mesh_n: int = 1024) -> np.ndarray:
     """
     R = np.atleast_1d(np.asarray(R, dtype=float))
     b = np.broadcast_to(np.atleast_1d(np.asarray(b, dtype=float)), R.shape)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if not np.all(np.isfinite(R) & np.isfinite(b) & (R > 0.0) & (b > 0.0)):
-        raise ValueError("R and b must be finite and positive")
-    if mesh_n < 64:
-        raise ValueError(f"mesh_n must be >= 64, got {mesh_n}")
+    _check_ball(d, R, b, mesh_n)
 
     def Gcols(lam, idx):
         u, v = _propagate(lam, d, R[idx], mesh_n)
@@ -578,18 +576,13 @@ def ball_energy(model: IntegrandModel, d: int, R: float) -> float:
     return -0.5 * f * int_u + model.c0 * ball_volume(d, R)
 
 
-def _radius_scan(model: IntegrandModel, d: int, R_max: float, n_samples: int):
-    """ball_energy at n_samples radii evenly spaced over [0, R_max]: the
-    radii, the energies and the first minimum (R*, J*)."""
-    if R_max <= 0 or n_samples < 2:
-        raise ValueError("R_max must be positive and n_samples >= 2")
-    radii = np.linspace(0.0, R_max, n_samples)
-    vals = np.array([ball_energy(model, d, float(R)) for R in radii])
-    k = int(np.argmin(vals))
-    return radii, vals, (float(radii[k]), float(vals[k]))
-
-
-def optimal_radius_scan(model: IntegrandModel, d: int, R_max: float,
-                        n_samples: int = 512) -> tuple[float, float]:
-    """Grid scan of ball_energy over R in [0, R_max]; first minimum wins."""
-    return _radius_scan(model, d, R_max, n_samples)[2]
+def optimal_radius_scan(model: IntegrandModel, d: int,
+                        R_max: float) -> tuple[float, float]:
+    """(R, J) of the least ball_energy over R in [0, R_max], R = 0 on a tie.
+    J(R) = R^d (c0 |B_1| - k f^2 R (R/(d+2) + L/beta)), k > 0, is >= 0 until
+    the bracket turns negative and falls after: the least J is J(R_max) if
+    that is negative, else J(0) = 0."""
+    if not R_max > 0:
+        raise ValueError("R_max must be positive")
+    J = ball_energy(model, d, float(R_max))
+    return (float(R_max), J) if J < 0.0 else (0.0, 0.0)

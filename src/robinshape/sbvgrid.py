@@ -296,6 +296,12 @@ class ShapeMask:
         return int(np.count_nonzero(self.cells))
 
 
+def _same_grid(mask: ShapeMask, field: SbvField):
+    """A shape and a field on it share one grid: raise ValueError if not."""
+    if field.grid != mask.grid:
+        raise ValueError(f"field grid {field.grid} but mask grid {mask.grid}")
+
+
 # ---------------------------------------------------------------------------
 # one assembly per mask: its cells, their neighbours and its boundary faces
 
@@ -497,7 +503,7 @@ def eval_shape_functional(model: IntegrandModel, mask: ShapeMask, inner=None):
     weights.  Returns (J, field)."""
     from .pdesolve import SolverConfig, energy_of, solve_inner
     config = inner if inner is not None else SolverConfig()
-    field = solve_inner(model, mask.grid, mask, config)
+    field = solve_inner(model, mask, config)
     return energy_of(model, mask, field, config.weights), field
 
 
@@ -567,9 +573,11 @@ def _lines(columns):
 
 
 def write_field_text(path, field: SbvField, mask: ShapeMask | None = None):
+    """Write a field and a mask on its grid (default: its support) as text."""
     g = field.grid
     if mask is None:
         mask = ShapeMask(g, field.values != 0.0)
+    _same_grid(mask, field)
     head = [g.d, g.n] + [repr(float(v)) for v in (g.h, *g.origin)]
     cells = [*np.indices(g.shape()).reshape(g.d, -1), field.values.reshape(-1),
              mask.cells.reshape(-1).astype(int)]

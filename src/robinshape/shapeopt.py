@@ -33,8 +33,8 @@ import numpy as np
 from .model import IntegrandModel
 from .pdesolve import SolverConfig, SolverError, _eta, energy_of, solve_inner
 from .sbvgrid import (Grid, SbvField, ShapeMask, _face_centers, _face_shapes,
-                      _lower, _upper, bv_norm, perimeter, shape_energy,
-                      support_jumps)
+                      _lower, _same_grid, _upper, bv_norm, perimeter,
+                      shape_energy, support_jumps)
 
 TRACE_COLUMNS = ("sweep", "J", "volume", "perimeter", "ess_inf", "sup",
                  "accepted_flips", "components")
@@ -119,15 +119,16 @@ def _face_coeff_arrays(model: IntegrandModel, grid: Grid) -> list:
     return out
 
 
-def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
+def optimize_shape(model: IntegrandModel, init: ShapeMask,
                    sched: AnnealSchedule, solver: SolverConfig | None = None):
-    """Anneal cell flips over boundary-adjacent cells plus a small random
-    teleport set; returns (best mask, its inner field, trace).  Deterministic
-    for a fixed seed and configuration.  Every resolve_every-th sweep, and the
-    last, reports an exact J; it solves only if a flip was accepted since the
-    previous solve, and repeats that solve's J otherwise."""
+    """Anneal cell flips of init's grid over boundary-adjacent cells plus a
+    small random teleport set; returns (best mask, its inner field, trace).
+    Deterministic for a fixed seed and configuration.  Every resolve_every-th
+    sweep, and the last, reports an exact J; it solves only if a flip was
+    accepted since the previous solve, and repeats that solve's J otherwise."""
     if solver is None:
         solver = SolverConfig()
+    grid = init.grid
     rng = np.random.Generator(np.random.Philox(key=sched.seed))
     eta = _eta(model)
     gc = model.grad_coeff
@@ -145,7 +146,7 @@ def optimize_shape(model: IntegrandModel, grid: Grid, init: ShapeMask,
     cf = cells.reshape(-1)
 
     def resolve():
-        fld = solve_inner(model, grid, mask, solver)
+        fld = solve_inner(model, mask, solver)
         return fld, energy_of(model, mask, fld, solver.weights)
 
     def delta_toggle(c, u):
@@ -275,7 +276,9 @@ def diagnostics(model: IntegrandModel, mask: ShapeMask, field: SbvField,
     default solver's face energy) and, with the boundary measure, uses the
     boundary weights `mode`.  The field vanishes off the mask and no weight
     exceeds h^(d-1), so the boundary faces alone give BV >= ess inf u * P:
-    the perimeter bound holds once ess inf u > 0."""
+    the perimeter bound holds once ess inf u > 0.  A field on another grid
+    than the mask's raises ValueError."""
+    _same_grid(mask, field)
     if mask.count() == 0:
         return {"J": 0.0, "volume": 0.0, "perimeter": 0.0, "ess_inf_support": 0.0,
                 "sup": 0.0, "components": 0, "bv_norm": 0.0,

@@ -17,9 +17,9 @@ import numpy as np
 
 from .model import IntegrandModel
 from .pdesolve import SolverConfig, grid_robin_eigenvalue
-from .radial import (RadialEigenvalueQuery, RadialSolution,
-                     robin_eigenvalues_ball, shoot_eigenvalues)
-from .sbvgrid import (Grid, SbvField, ShapeMask, _poincare_ratios, poincare_check,
+from .radial import (RadialEigenvalueQuery, robin_eigenvalues_ball,
+                     shoot_eigenvalues)
+from .sbvgrid import (Grid, SbvField, ShapeMask, _poincare_ratios,
                       reduction_check, support_jumps)
 
 
@@ -91,11 +91,6 @@ def poincare_suite(trials: int = 1000, n: int | None = None,
     lams = shoot_eigenvalues(1, np.arange(1, n + 1) * grid.h / 2.0,
                              np.full(n, b), 768)
 
-    def eig(query):
-        k = int(round(2.0 * query.R / grid.h))
-        return RadialSolution(float(lams[k - 1]), np.zeros((0, 2)),
-                              {"method": "cache"})
-
     # the battery drawn and scored POINCARE_ROWS fields at a time, each
     # chunk by one face pass; a field is built only for the replay
     rows = [("trial", "family", "m", "ratio")]
@@ -123,12 +118,15 @@ def poincare_suite(trials: int = 1000, n: int | None = None,
         values, i0 = np.zeros(g.n), (g.n - cells) // 2
         t = (np.arange(cells) + 0.5 - cells / 2) * g.h  # from the centre
         values[i0:i0 + cells] = np.cos(math.sqrt(lam) * t)
-        return SbvField.from_values(g, values)
+        return values
 
-    eq_field = eigenfunction(grid, k)
-    r_h = poincare_check(eq_field, b, 2.0, 2.0, eig)
-    r_half = poincare_check(eigenfunction(Grid(1, 2 * n, grid.h / 2), 2 * k),
-                            b, 2.0, 2.0, eig)
+    def ratio(g, cells):  # both supports are the ball of k cells of grid
+        values = eigenfunction(g, cells)[None]
+        return float(_poincare_ratios(g, values, support_jumps(g, values), b,
+                                      2.0, 2.0, lambda count: lam)[0])
+
+    r_h = ratio(grid, k)
+    r_half = ratio(Grid(1, 2 * n, grid.h / 2), 2 * k)
     eq_ratio = 2.0 * r_half - r_h
     rows.append(("eq", "eigenfunction", repr(k * grid.h), repr(eq_ratio)))
 
@@ -150,7 +148,8 @@ def poincare_suite(trials: int = 1000, n: int | None = None,
         "rows": rows,
         "summary": summary,
         "failing": None if passed else (
-            eq_field if floor_ok else SbvField(grid, *min_seen[1:])),
+            SbvField.from_values(grid, eigenfunction(grid, k)) if floor_ok
+            else SbvField(grid, *min_seen[1:])),
     }
 
 
@@ -247,8 +246,8 @@ def ball_minimality_suite(ns=(128, 256), b: float = 1.0) -> dict:
         sq = ShapeMask(grid, np.zeros((n, n), dtype=bool))
         sq.cells[i0:i0 + k, i0:i0 + k] = True
         disc = ShapeMask.disc(grid, c, R)
-        lam_d, _ = grid_robin_eigenvalue(grid, disc, b)
-        lam_s, _ = grid_robin_eigenvalue(grid, sq, b)
+        lam_d, _ = grid_robin_eigenvalue(disc, b)
+        lam_s, _ = grid_robin_eigenvalue(sq, b)
         margins.append(lam_s - lam_d)
         rows.append((n, repr(lam_d), repr(lam_s), repr(lam_s - lam_d)))
     m_ext = 2.0 * margins[-1] - margins[0]

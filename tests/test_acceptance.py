@@ -61,7 +61,7 @@ def _run_anneal(c0=ANNEAL_C0, sweeps=300):
     model = _bump_model(c0)
     sched = AnnealSchedule(T0=0.01, cooling=0.95, sweeps=sweeps,
                            resolve_every=2, seed=ANNEAL_SEED)
-    mask, field, trace = optimize_shape(model, grid, ShapeMask.full(grid),
+    mask, field, trace = optimize_shape(model, ShapeMask.full(grid),
                                         sched, SolverConfig())
     return grid, model, mask, field, trace
 
@@ -188,7 +188,7 @@ def test_criterion_06_inner_solver_vs_closed_form():
             grid = Grid(1, n, 1.0 / n)
             fld = solve_inner(IntegrandModel(p=2, q=2, c0=0.0, f=1.0, beta1=1.0,
                                              normalization="energy"),
-                              grid, ShapeMask.full(grid))
+                              ShapeMask.full(grid))
             x = grid.centers()[:, 0]
             errs.append(float(np.max(np.abs(fld.values
                                             - oracles.slab_solution(x, 1.0)))))
@@ -206,7 +206,7 @@ def test_criterion_06_inner_solver_vs_closed_form():
         mask = ShapeMask.disc(grid, (0.5, 0.5), R)
         fld = solve_inner(IntegrandModel(p=2, q=2, c0=0.0, f=1.0, beta1=1.0,
                                          normalization="energy"),
-                          grid, mask, SolverConfig(weights="corrected"))
+                          mask, SolverConfig(weights="corrected"))
         pts = grid.centers()
         r = np.sqrt(np.sum((pts - 0.5) ** 2, axis=-1))
         exact = np.where(mask.cells, oracles.disc_poisson(r, R), 0.0)
@@ -223,13 +223,13 @@ def test_criterion_07_energy_values():
                                normalization="energy")
         n = 256
         grid = Grid(1, n, 1.0 / n)
-        fld = solve_inner(model, grid, ShapeMask.full(grid))
+        fld = solve_inner(model, ShapeMask.full(grid))
         J_slab = shape_energy(model, ShapeMask.full(grid), fld)
         assert J_slab == pytest.approx(-7.0 / 24.0, rel=0.01)
         box = 2.2
         grid2 = Grid(2, n, box / n)
         mask = ShapeMask.disc(grid2, (box / 2, box / 2), 1.0)
-        fld2 = solve_inner(model, grid2, mask, SolverConfig(weights="corrected"))
+        fld2 = solve_inner(model, mask, SolverConfig(weights="corrected"))
         J_disc = shape_energy(model, mask, fld2, "corrected")
         assert J_disc == pytest.approx(-5 * math.pi / 16, rel=0.05)
     report(7, 60.0, t, f"J(slab)={J_slab:.6f} (target {-7 / 24:.6f}), "

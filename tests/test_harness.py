@@ -97,7 +97,7 @@ def test_radial_scan_evaluates_each_radius_once(tmp_path, monkeypatch, capsys):
     radii = np.linspace(0.0, 3.0, 97)
     assert rows == [[repr(float(R)), repr(energy(model, 2, float(R)))]
                     for R in radii]
-    R_star, J_star = radial.optimal_radius_scan(model, 2, 3.0, 97)
+    R_star, J_star = radial.optimal_radius_scan(model, 2, 3.0)
     assert f"R* = {R_star!r}, J* = {J_star!r}" in capsys.readouterr().out
 
 

@@ -20,7 +20,7 @@ def slab_model(c0=0.0, f=1.0, beta=1.0, p=2.0, q=2.0):
 def test_slab_against_closed_form_n256():
     n = 256
     grid = Grid(1, n, 1.0 / n)
-    fld = solve_inner(slab_model(), grid, ShapeMask.full(grid))
+    fld = solve_inner(slab_model(), ShapeMask.full(grid))
     x = grid.centers()[:, 0]
     exact = oracles.slab_solution(x, 1.0)
     assert np.max(np.abs(fld.values - exact)) <= 1e-3
@@ -33,7 +33,7 @@ def test_slab_refinement_first_order():
     errs = []
     for n in (64, 128, 256, 512):
         grid = Grid(1, n, 1.0 / n)
-        fld = solve_inner(slab_model(), grid, ShapeMask.full(grid))
+        fld = solve_inner(slab_model(), ShapeMask.full(grid))
         x = grid.centers()[:, 0]
         errs.append(np.max(np.abs(fld.values - oracles.slab_solution(x, 1.0))))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -42,7 +42,7 @@ def test_slab_refinement_first_order():
 
 def test_zero_source_returns_zero_without_iterations():
     grid = Grid(1, 64, 1.0 / 64)
-    fld, info = solve_inner(slab_model(f=0.0), grid, ShapeMask.full(grid),
+    fld, info = solve_inner(slab_model(f=0.0), ShapeMask.full(grid),
                             return_info=True)
     assert np.all(fld.values == 0.0)
     assert info["iterations"] == 0
@@ -53,7 +53,7 @@ def test_disc_profile_against_radial_solution():
     grid = Grid(2, n, 1.0 / n)
     R = 0.4
     mask = ShapeMask.disc(grid, (0.5, 0.5), R)
-    fld = solve_inner(slab_model(), grid, mask,
+    fld = solve_inner(slab_model(), mask,
                       SolverConfig(weights="corrected"))
     pts = grid.centers()
     r = np.sqrt(np.sum((pts - 0.5) ** 2, axis=-1))
@@ -66,7 +66,7 @@ def test_disc_profile_against_radial_solution():
 def test_field_jumps_exactly_on_mask_boundary():
     grid = Grid(2, 32, 1.0 / 32)
     mask = ShapeMask.disc(grid, (0.5, 0.5), 0.3)
-    fld = solve_inner(slab_model(), grid, mask)
+    fld = solve_inner(slab_model(), mask)
     from robinshape.sbvgrid import boundary_faces
     assert oracles.face_tuples(fld.jumps) == \
         [f for f, _ in boundary_faces(mask, "auto")]
@@ -85,7 +85,7 @@ def test_compressed_cg_matches_direct_sparse_solve():
             lo = tuple(v - (k == axis) for k, v in enumerate(pos))
             W[lo if min(lo) >= 0 and cells[lo] else tuple(pos)] += 0.75 * w
         ref = oracles.robin_solve_direct(cells, grid.h, 2.0, 0.5, W)
-        fld = solve_inner(model, grid, mask,
+        fld = solve_inner(model, mask,
                           SolverConfig(tol=1e-12))
         err = np.max(np.abs(fld.values - ref)) / np.max(np.abs(ref))
         assert err <= 1e-9
@@ -97,7 +97,7 @@ def test_quadratic_energy_identity():
     grid = Grid(1, n, 1.0 / n)
     model = slab_model(c0=0.3)
     mask = ShapeMask.interval(grid, 0.2, 0.9)
-    fld = solve_inner(model, grid, mask, SolverConfig(tol=1e-12))
+    fld = solve_inner(model, mask, SolverConfig(tol=1e-12))
     E = energy_of(model, mask, fld)
     fu = float(np.sum(np.where(mask.cells, 1.0 * fld.values, 0.0))) * grid.h
     assert E - model.c0 * mask.volume() == pytest.approx(-0.5 * fu, abs=1e-8)
@@ -107,7 +107,7 @@ def test_minimizer_beats_zero_field():
     grid = Grid(1, 64, 1.0 / 64)
     model = slab_model(c0=0.2)
     mask = ShapeMask.interval(grid, 0.1, 0.9)
-    fld = solve_inner(model, grid, mask)
+    fld = solve_inner(model, mask)
     from robinshape.sbvgrid import SbvField
     zero = SbvField.zero(grid)
     assert energy_of(model, mask, fld) <= energy_of(model, mask, zero) + 1e-14
@@ -122,7 +122,7 @@ def test_maximum_principle_surrogate():
         mask = ShapeMask(grid, rng.random(n) < 0.6)
         if mask.count() == 0:
             continue
-        fld = solve_inner(model, grid, mask)
+        fld = solve_inner(model, mask)
         assert float(np.min(fld.values)) >= -1e-12
 
 
@@ -133,7 +133,7 @@ def test_sup_below_slab_bound():
     model = slab_model(f=3.0, beta=1.0)
     for a, b in ((0.0, 1.0), (0.3, 0.8), (0.45, 0.55)):
         mask = ShapeMask.interval(grid, a, b)
-        fld = solve_inner(model, grid, mask)
+        fld = solve_inner(model, mask)
         ell = grid.n * grid.h
         bound = 3.0 * (ell**2 / 8.0 + ell / 2.0)
         assert float(np.max(fld.values)) <= bound
@@ -143,7 +143,7 @@ def test_nonlinear_energy_trace_monotone():
     grid = Grid(1, 48, 1.0 / 48)
     model = slab_model(p=3.0, q=2.5)
     mask = ShapeMask.interval(grid, 0.2, 0.8)
-    fld, info = solve_inner(model, grid, mask, SolverConfig(tol=1e-9),
+    fld, info = solve_inner(model, mask, SolverConfig(tol=1e-9),
                             return_info=True)
     trace = info["energy_trace"]
     assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
@@ -179,7 +179,7 @@ def test_nonlinear_agrees_with_cg_at_p2():
     grid = Grid(1, n, 1.0 / n)
     model = slab_model()
     mask = ShapeMask.interval(grid, 0.15, 0.9)
-    lin, info = solve_inner(model, grid, mask, return_info=True)
+    lin, info = solve_inner(model, mask, return_info=True)
     assert info["mode"] == "linear-cg"
     asm = mask_assembly(mask)
     fc = asm.gather(model.f_at(grid.centers()))
@@ -194,7 +194,7 @@ def test_nonlinear_agrees_with_cg_at_p2():
 def test_zero_source_at_exponent_three_returns_zero_without_iterations():
     # the zero start is the exact minimiser: a zero gradient returns at once
     grid = Grid(1, 16, 1.0 / 16)
-    fld, info = solve_inner(slab_model(f=0.0, p=3.0, q=3.0), grid,
+    fld, info = solve_inner(slab_model(f=0.0, p=3.0, q=3.0),
                             ShapeMask.full(grid), return_info=True)
     assert np.all(fld.values == 0.0)
     assert info["iterations"] == 0
@@ -214,7 +214,7 @@ def test_newton_converges_across_the_eta_kink():
     # sliver of the predicted decrease and stalls on this interval
     grid = Grid(1, 64, 1.0 / 64)
     mask = ShapeMask.interval(grid, 11 / 64, 37 / 64)
-    fld, info = solve_inner(_bump_model(1.5, 1.25), grid, mask,
+    fld, info = solve_inner(_bump_model(1.5, 1.25), mask,
                             return_info=True)
     assert info["mode"] == "newton"
     assert info["residual"] <= 1e-10
@@ -241,7 +241,7 @@ def test_newton_matches_dense_reference_within_its_certificate(p, q, cells,
     model = slab_model(c0=0.2, p=p, q=q) if model == "slab" \
         else _bump_model(p, q)
     mask = ShapeMask.interval(grid, *cells)
-    fld, info = solve_inner(model, grid, mask, SolverConfig(tol=1e-13),
+    fld, info = solve_inner(model, mask, SolverConfig(tol=1e-13),
                             return_info=True)
     J = energy_of(model, mask, fld)
     _, J_ref = oracles.face_newton_reference(model, mask.cells, grid.h, 1e-6)
@@ -257,14 +257,14 @@ def test_tight_tolerance_stops_at_the_rounding_floor():
     grid = Grid(1, 64, 1.0 / 64)
     model = _bump_model(1.5, 1.25)
     mask = ShapeMask.interval(grid, 1 / 64, 40 / 64)
-    fld, info = solve_inner(model, grid, mask, SolverConfig(tol=1e-15),
+    fld, info = solve_inner(model, mask, SolverConfig(tol=1e-15),
                             return_info=True)
     assert info["iterations"] <= 12
     assert info["residual"] <= 1e-14
     _, J_ref = oracles.face_newton_reference(model, mask.cells, grid.h, 1e-6)
     assert energy_of(model, mask, fld) == pytest.approx(J_ref, rel=1e-13)
     grid = Grid(2, 48, 1.0 / 48)
-    _, info = solve_inner(slab_model(p=3.0, q=3.0), grid,
+    _, info = solve_inner(slab_model(p=3.0, q=3.0),
                           ShapeMask.disc(grid, (0.5, 0.5), 0.4),
                           SolverConfig(tol=1e-15), return_info=True)
     assert info["iterations"] <= 12
@@ -286,7 +286,7 @@ def test_newton_step_without_decrease_raises(monkeypatch, rig):
     monkeypatch.setattr(pdesolve, "_face_energy", rigged)
     grid = Grid(1, 16, 1.0 / 16)
     with pytest.raises(SolverError) as err:
-        solve_inner(slab_model(p=3.0, q=3.0), grid, ShapeMask.full(grid))
+        solve_inner(slab_model(p=3.0, q=3.0), ShapeMask.full(grid))
     assert err.value.iterations == 0
     if rig == "energy":
         assert err.value.residual > 0
@@ -300,7 +300,7 @@ def test_subquadratic_boundary_exponent_runs():
     grid = Grid(1, 48, 1.0 / 48)
     model = slab_model(p=2.5, q=1.5)
     mask = ShapeMask.interval(grid, 0.2, 0.8)
-    fld, info = solve_inner(model, grid, mask, SolverConfig(tol=1e-8),
+    fld, info = solve_inner(model, mask, SolverConfig(tol=1e-8),
                             return_info=True)
     assert info["mode"] == "newton"
     assert np.all(np.isfinite(fld.values))
@@ -311,7 +311,7 @@ def test_nonconvergence_raises_with_residual():
     grid = Grid(1, 64, 1.0 / 64)
     for p, max_iter in ((2.0, 2), (3.0, 1)):  # CG, then Newton
         with pytest.raises(SolverError) as err:
-            solve_inner(slab_model(p=p, q=p), grid, ShapeMask.full(grid),
+            solve_inner(slab_model(p=p, q=p), ShapeMask.full(grid),
                         SolverConfig(max_iter=max_iter))
         assert err.value.iterations == max_iter
         assert err.value.residual > 1e-10
@@ -322,7 +322,7 @@ def test_negative_robin_coefficient_rejected():
     model = IntegrandModel(p=2, q=2, f=1.0, beta1=lambda x: -1.0 + 0 * x[..., 0],
                            normalization="energy")
     with pytest.raises(SolverError):
-        solve_inner(model, grid, ShapeMask.full(grid))
+        solve_inner(model, ShapeMask.full(grid))
 
 
 def test_config_validation():
@@ -338,7 +338,7 @@ def test_config_validation():
 
 def test_empty_mask_returns_zero_field():
     grid = Grid(2, 8, 0.125)
-    fld, info = solve_inner(slab_model(), grid, ShapeMask.empty(grid),
+    fld, info = solve_inner(slab_model(), ShapeMask.empty(grid),
                             return_info=True)
     assert np.all(fld.values == 0.0)
     assert info["mode"] == "empty"
@@ -353,7 +353,7 @@ def test_grid_eigenvalue_square_against_separable_root():
     i0 = (n - k) // 2
     mask = ShapeMask(grid, np.zeros((n, n), bool))
     mask.cells[i0:i0 + k, i0:i0 + k] = True
-    lam, profile = grid_robin_eigenvalue(grid, mask, 1.0)
+    lam, profile = grid_robin_eigenvalue(mask, 1.0)
     side = k * grid.h  # snapped square side
     assert lam == pytest.approx(ref / side**2, rel=0.02)
     inner = profile[mask.cells]
@@ -366,7 +366,7 @@ def test_grid_eigenvalue_refines_toward_reference():
     for n in (64, 128):
         grid = Grid(2, n, 1.0 / n)
         mask = ShapeMask.full(grid)
-        lam, _ = grid_robin_eigenvalue(grid, mask, 1.0)
+        lam, _ = grid_robin_eigenvalue(mask, 1.0)
         errs.append(abs(lam - ref))
     assert errs[1] < errs[0]
 
@@ -375,6 +375,6 @@ def test_grid_eigenvalue_iteration_cap_raises():
     grid = Grid(2, 32, 1.0 / 32)
     mask = ShapeMask.disc(grid, (0.5, 0.5), 0.35)
     with pytest.raises(SolverError) as err:
-        grid_robin_eigenvalue(grid, mask, 1.0, max_iter=2)
+        grid_robin_eigenvalue(mask, 1.0, max_iter=2)
     assert err.value.iterations == 2
     assert err.value.residual > 1e-10

@@ -507,7 +507,7 @@ def test_ball_energy_zero_source():
 def test_optimal_radius_scan_empty_when_source_off():
     m = IntegrandModel(p=2, q=2, L=1.0, c0=0.5, f=0.0, beta1=1.0,
                        normalization="energy")
-    R, J = optimal_radius_scan(m, 1, 1.0, 200)
+    R, J = optimal_radius_scan(m, 1, 1.0)
     assert R == 0.0 and J == 0.0
 
 
@@ -517,23 +517,36 @@ def test_optimal_radius_scan_matches_closed_form():
     # f = 1 the gain never beats the cost and the empty set wins
     m_small = IntegrandModel(p=2, q=2, L=1.0, c0=0.05, f=1.0, beta1=1.0,
                              normalization="energy")
-    R, J = optimal_radius_scan(m_small, 1, 1.0, 4001)
+    R, J = optimal_radius_scan(m_small, 1, 1.0)
     ells = np.linspace(0.0, 2.0, 400001)
     ref = ells[np.argmin(oracles.slab_energy(ells, c0=0.05))]
     assert 2 * R == pytest.approx(ref, abs=1e-3)
     assert R == pytest.approx(1.0)  # boundary optimum
     m_unit = IntegrandModel(p=2, q=2, L=1.0, c0=1.0, f=1.0, beta1=1.0,
                             normalization="energy")
-    R, J = optimal_radius_scan(m_unit, 1, 1.0, 4001)
+    R, J = optimal_radius_scan(m_unit, 1, 1.0)
     assert R == 0.0 and J == 0.0
 
 
-def test_optimal_radius_scan_refinement_consistent():
-    m = IntegrandModel(p=2, q=2, L=1.0, c0=0.05, f=1.0, beta1=1.0,
-                       normalization="energy")
-    R_coarse, _ = optimal_radius_scan(m, 1, 3.0, 100)
-    R_fine, _ = optimal_radius_scan(m, 1, 3.0, 10_000)
-    assert abs(R_coarse - R_fine) <= 3.0 / 99
+def test_optimal_radius_scan_is_the_first_minimum_of_a_scan():
+    # ball_energy on [0, R_max] is nonnegative, then falls: the first minimum
+    # of any scan that holds both ends is an end, bit for bit
+    rng = np.random.Generator(np.random.Philox(key=2026))
+    ends = {0.0: 0, "R_max": 0}
+    for _ in range(2000):
+        d = int(rng.integers(1, 7))
+        f = float(rng.uniform(-3.0, 3.0)) if rng.random() < 0.9 else 0.0
+        c0 = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.9 else 0.0
+        L, beta, R_max = (float(10.0 ** rng.uniform(lo, hi))
+                          for lo, hi in ((-1, 1), (-2, 2), (-2, 1)))
+        m = IntegrandModel(p=2, q=2, L=L, c0=c0, f=f, beta1=beta,
+                           normalization="energy")
+        radii = np.linspace(0.0, R_max, 512).tolist()
+        vals = [ball_energy(m, d, R) for R in radii]
+        k = vals.index(min(vals))
+        assert optimal_radius_scan(m, d, R_max) == (radii[k], vals[k])
+        ends[0.0 if k == 0 else "R_max"] += 1
+    assert min(ends.values()) > 500  # both ends win often
 
 
 def test_ball_geometry_helpers():

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from robinshape.model import IntegrandModel
 from robinshape.pdesolve import SolverConfig, energy_of, solve_inner
 from robinshape.radial import RadialSolution
+from robinshape.shapeopt import diagnostics
 from robinshape.sbvgrid import (Grid, SbvField, ShapeMask, boundary_faces,
                                 bv_norm, eval_free_discontinuity,
                                 eval_shape_functional, perimeter,
@@ -282,7 +283,7 @@ def test_reduction_minimizer_fixed_point():
     grid = Grid(1, n, 1.0 / n)
     model = slab_model(c0=1.0)
     mask = ShapeMask.interval(grid, 0.2, 0.8)
-    fld = solve_inner(model, grid, mask, SolverConfig())
+    fld = solve_inner(model, mask, SolverConfig())
     gap = reduction_check(model, fld)
     assert abs(gap) < 1e-10
 
@@ -297,7 +298,7 @@ def test_free_discontinuity_equals_J_at_the_minimiser():
     config = SolverConfig(tol=1e-12, weights="uncorrected")
     for grid, cells in oracles.mask_zoo()[::4]:
         mask = ShapeMask(grid, cells)
-        fld = solve_inner(model, grid, mask, config)
+        fld = solve_inner(model, mask, config)
         assert abs(reduction_check(model, fld, config)) <= 1e-10
 
 
@@ -381,6 +382,24 @@ def test_nonfinite_field_rejected():
         bv_norm(SbvField.from_values(grid, vals))
 
 
+@pytest.mark.parametrize("use", [
+    lambda model, mask, fld, path: energy_of(model, mask, fld),
+    lambda model, mask, fld, path: shape_energy(model, mask, fld),
+    lambda model, mask, fld, path: diagnostics(model, mask, fld),
+    lambda model, mask, fld, path: write_field_text(path, fld, mask)],
+    ids=["energy_of", "shape_energy", "diagnostics", "write_field_text"])
+def test_field_and_mask_on_different_grids_raise(use, tmp_path):
+    # a mask and a field on it share one grid; the pair below would score or
+    # write a shape of 32 cells with values of 64
+    mask = ShapeMask.interval(Grid(1, 32, 1 / 32), 0.25, 0.75)
+    fine = Grid(1, 64, 1 / 64)
+    fld = SbvField.from_values(fine, ShapeMask.interval(fine, 0.25, 0.75).cells)
+    path = tmp_path / "field.txt"
+    with pytest.raises(ValueError, match="grid"):
+        use(slab_model(), mask, fld, str(path))
+    assert not path.exists()
+
+
 # --------------------------------------------------------- BV norm and bound
 
 def test_perimeter_bounded_by_bv_over_essinf():
@@ -388,7 +407,7 @@ def test_perimeter_bounded_by_bv_over_essinf():
     n = 128
     grid = Grid(1, n, 1.0 / n)
     mask = ShapeMask.interval(grid, 0.3, 0.7)
-    fld = solve_inner(model, grid, mask, SolverConfig())
+    fld = solve_inner(model, mask, SolverConfig())
     essinf = float(np.min(fld.values[mask.cells]))
     assert essinf > 0
     assert perimeter(mask) <= bv_norm(fld) / essinf + 1e-12
@@ -406,7 +425,7 @@ def test_bv_over_essinf_stays_bounded_under_refinement():
     for n in (64, 128, 256, 512):
         grid = Grid(2, n, 1.0 / n)
         mask = ShapeMask.disc(grid, (0.5, 0.5), R)
-        fld = solve_inner(model, grid, mask)
+        fld = solve_inner(model, mask)
         essinf = float(np.min(fld.values[mask.cells]))
         assert bv_norm(fld) / essinf == pytest.approx(limit, rel=0.02)
 

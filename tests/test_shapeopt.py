@@ -30,7 +30,7 @@ def test_zero_source_collapses_to_empty():
     grid = Grid(1, 32, 1.0 / 32)
     sched = AnnealSchedule(T0=0.001, cooling=0.8, sweeps=60, resolve_every=5,
                            seed=3)
-    mask, fld, trace = optimize_shape(model, grid, ShapeMask.full(grid), sched)
+    mask, fld, trace = optimize_shape(model, ShapeMask.full(grid), sched)
     assert mask.count() == 0
     assert trace.best_J[-1] == 0.0
     assert np.all(fld.values == 0.0)
@@ -43,7 +43,7 @@ def test_empty_shape_is_fixed_point_at_zero_temperature(monkeypatch):
     grid = Grid(1, 32, 1.0 / 32)
     sched = AnnealSchedule(T0=0.0, cooling=0.5, sweeps=20, resolve_every=5,
                            seed=11)
-    mask, _, trace = optimize_shape(model, grid, ShapeMask.empty(grid), sched)
+    mask, _, trace = optimize_shape(model, ShapeMask.empty(grid), sched)
     assert mask.count() == 0
     accepted = [row[6] for row in trace.rows[1:]]
     assert all(a == 0 for a in accepted)
@@ -55,14 +55,14 @@ def test_same_seed_is_bit_identical():
     grid = Grid(1, 64, 1.0 / 64)
     sched = AnnealSchedule(T0=0.02, cooling=0.9, sweeps=40, resolve_every=3,
                            seed=42)
-    r1 = optimize_shape(model, grid, ShapeMask.full(grid), sched)
-    r2 = optimize_shape(model, grid, ShapeMask.full(grid), sched)
+    r1 = optimize_shape(model, ShapeMask.full(grid), sched)
+    r2 = optimize_shape(model, ShapeMask.full(grid), sched)
     assert r1[2].rows == r2[2].rows
     assert np.array_equal(r1[0].cells, r2[0].cells)
     assert np.array_equal(r1[1].values, r2[1].values)
     sched_other = AnnealSchedule(T0=0.02, cooling=0.9, sweeps=40,
                                  resolve_every=3, seed=43)
-    r3 = optimize_shape(model, grid, ShapeMask.full(grid), sched_other)
+    r3 = optimize_shape(model, ShapeMask.full(grid), sched_other)
     assert r3[2].rows != r1[2].rows
 
 
@@ -71,7 +71,7 @@ def test_best_energy_nonincreasing():
     grid = Grid(1, 64, 1.0 / 64)
     sched = AnnealSchedule(T0=0.05, cooling=0.92, sweeps=60, resolve_every=2,
                            seed=7)
-    _, _, trace = optimize_shape(model, grid, ShapeMask.full(grid), sched)
+    _, _, trace = optimize_shape(model, ShapeMask.full(grid), sched)
     best = trace.best_J
     assert all(b <= a + 1e-15 for a, b in zip(best, best[1:]))
 
@@ -81,7 +81,7 @@ def test_support_and_jumps_consistent_at_snapshot():
     grid = Grid(1, 64, 1.0 / 64)
     sched = AnnealSchedule(T0=0.02, cooling=0.9, sweeps=30, resolve_every=3,
                            seed=5)
-    mask, fld, _ = optimize_shape(model, grid, ShapeMask.full(grid), sched)
+    mask, fld, _ = optimize_shape(model, ShapeMask.full(grid), sched)
     assert oracles.face_tuples(fld.jumps) == \
         [f for f, _ in boundary_faces(mask, "auto")]
 
@@ -113,7 +113,7 @@ def test_small_run_matches_interval_enumeration():
                 best = (J, (a, b))
     sched = AnnealSchedule(T0=0.01, cooling=0.95, sweeps=200, resolve_every=2,
                            seed=20240801)
-    mask, _, trace = optimize_shape(model, grid, ShapeMask.full(grid), sched)
+    mask, _, trace = optimize_shape(model, ShapeMask.full(grid), sched)
     assert trace.best_J[-1] == pytest.approx(best[0], abs=1e-3)
     cells = np.nonzero(mask.cells)[0]
     a0, b0 = best[1]
@@ -129,8 +129,8 @@ def test_small_constant_source_fills_domain():
     grid = Grid(1, n, 1.0 / n)
     sched = AnnealSchedule(T0=5e-4, cooling=0.93, sweeps=200, resolve_every=2,
                            seed=8)
-    mask, _, trace = optimize_shape(model, grid,
-                                    ShapeMask.interval(grid, 0.3, 0.7), sched)
+    mask, _, trace = optimize_shape(model, ShapeMask.interval(grid, 0.3, 0.7),
+                                    sched)
     assert mask.count() == n
     assert trace.best_J[-1] == pytest.approx(
         oracles.slab_energy(1.0, f=0.5), rel=0.02)
@@ -147,7 +147,7 @@ def test_2d_anneal_carves_single_blob():
     grid = Grid(2, 32, 1.0 / 32)
     sched = AnnealSchedule(T0=2e-3, cooling=0.90, sweeps=150, resolve_every=2,
                            seed=12)
-    mask, fld, trace = optimize_shape(model, grid, ShapeMask.full(grid), sched)
+    mask, fld, trace = optimize_shape(model, ShapeMask.full(grid), sched)
     d = diagnostics(model, mask, fld)
     assert d["components"] == 1
     assert d["ess_inf_support"] > 0
@@ -171,8 +171,8 @@ def test_small_2d_trajectory_is_pinned():
     grid = Grid(2, 24, 1.0 / 24)
     sched = AnnealSchedule(T0=1e-3, cooling=0.8, sweeps=10, resolve_every=2,
                            seed=5)
-    _, _, trace = optimize_shape(model, grid,
-                                 ShapeMask.disc(grid, (0.5, 0.5), 0.3), sched)
+    _, _, trace = optimize_shape(model, ShapeMask.disc(grid, (0.5, 0.5), 0.3),
+                                 sched)
     recorded = [
         (0, -0.3075245064281705, 0.2847222222222222, 1.8820725288970235,
          0.5980571570122625, 0.6843471480667621, 0, 1),
@@ -209,7 +209,7 @@ def test_2d_trajectory_with_varying_robin_coefficient_is_pinned():
     grid = Grid(2, 20, 1.0 / 20)
     sched = AnnealSchedule(T0=1e-3, cooling=0.8, sweeps=8, resolve_every=2,
                            seed=9)
-    _, _, trace = optimize_shape(model, grid,
+    _, _, trace = optimize_shape(model,
                                  ShapeMask.disc(grid, (0.45, 0.55), 0.3), sched)
     recorded = [
         (0, -0.1732458524093386, 0.28, 1.8659113421525861,
@@ -243,8 +243,8 @@ def test_1d_trajectory_at_exponent_three_is_pinned():
     grid = Grid(1, 32, 1.0 / 32)
     sched = AnnealSchedule(T0=1e-2, cooling=0.8, sweeps=8, resolve_every=2,
                            seed=4)
-    _, _, trace = optimize_shape(model, grid,
-                                 ShapeMask.interval(grid, 0.1, 0.9), sched)
+    _, _, trace = optimize_shape(model, ShapeMask.interval(grid, 0.1, 0.9),
+                                 sched)
     # re-recorded for the Newton solver; the J of each re-solve sweep agrees
     # with oracles.face_newton_reference within 1e-10 relative
     recorded = [
@@ -308,7 +308,7 @@ def _frozen_1d_run():
 
 def test_frozen_2d_trajectory_is_pinned(tmp_path):
     model, grid, init, sched = _frozen_2d_run()
-    mask, fld, trace = optimize_shape(model, grid, init, sched)
+    mask, fld, trace = optimize_shape(model, init, sched)
     recorded = [
         (0, -0.2983831780109025, 0.28, 1.8659113421525861, 0.5952957315478252,
          0.6759499750425486, 0, 1),
@@ -335,7 +335,7 @@ def test_frozen_2d_trajectory_is_pinned(tmp_path):
 
 def test_hot_2d_trajectory_is_pinned(tmp_path):
     model, grid, init, sched = _hot_2d_run()
-    mask, fld, trace = optimize_shape(model, grid, init, sched)
+    mask, fld, trace = optimize_shape(model, init, sched)
     recorded = [
         (0, -0.3387028572423698, 0.3055555555555555, 1.9530983168055591,
          0.6159870971220973, 0.6990474102709741, 0, 1),
@@ -371,7 +371,7 @@ def test_hot_2d_trajectory_is_pinned(tmp_path):
 
 def test_1d_trajectory_with_frozen_tail_is_pinned(tmp_path):
     model, grid, init, sched = _frozen_1d_run()
-    mask, fld, trace = optimize_shape(model, grid, init, sched)
+    mask, fld, trace = optimize_shape(model, init, sched)
     recorded = [
         (0, 0.027221679687500014, 0.625, 2.0, 0.2812500000000002,
          0.3515625000000002, 0, 1),
@@ -430,7 +430,7 @@ def _count_solves(monkeypatch):
 def test_unchanged_mask_is_not_resolved(run, solves, monkeypatch):
     calls = _count_solves(monkeypatch)
     model, grid, init, sched = run()
-    _, _, trace = optimize_shape(model, grid, init, sched)
+    _, _, trace = optimize_shape(model, init, sched)
     assert len(calls) == _expected_solves(trace, sched) == solves
 
 def test_best_J_is_the_solver_energy_of_the_best_field():
@@ -445,8 +445,7 @@ def test_best_J_is_the_solver_energy_of_the_best_field():
     sched = AnnealSchedule(T0=1e-2, cooling=0.8, sweeps=8, resolve_every=2,
                            seed=4)
     solver = SolverConfig(weights="uncorrected")
-    mask, fld, trace = optimize_shape(model, grid,
-                                      ShapeMask.interval(grid, 0.1, 0.9),
+    mask, fld, trace = optimize_shape(model, ShapeMask.interval(grid, 0.1, 0.9),
                                       sched, solver)
     assert trace.best_J[-1] == energy_of(model, mask, fld, "uncorrected")
     assert diagnostics(model, mask, fld, "uncorrected")["J"] == trace.best_J[-1]
@@ -459,7 +458,7 @@ def test_diagnostics_fields():
     grid = Grid(1, n, 1.0 / n)
     mask = ShapeMask.interval(grid, 0.35, 0.65)
     from robinshape.pdesolve import solve_inner
-    fld = solve_inner(model, grid, mask)
+    fld = solve_inner(model, mask)
     d = diagnostics(model, mask, fld)
     assert d["ess_inf_support"] > 0
     assert d["sup"] >= d["ess_inf_support"]
@@ -484,7 +483,7 @@ def test_solver_failure_aborts_with_partial_trace():
     sched = AnnealSchedule(T0=0.02, cooling=0.9, sweeps=10, resolve_every=2,
                            seed=1)
     with pytest.raises(ShapeOptError) as err:
-        optimize_shape(model, grid, ShapeMask.full(grid), sched,
+        optimize_shape(model, ShapeMask.full(grid), sched,
                        SolverConfig(max_iter=1))
     assert err.value.trace is not None
 
