@@ -26,7 +26,7 @@ from .model import IntegrandModel, exponent_threshold
 from .pdesolve import SolverConfig, SolverError, solve_inner
 from .radial import (RadialConvergenceError, RadialEigenvalueQuery,
                      ball_energy, robin_eigenvalues_ball, robin_poisson_ball)
-from .sbvgrid import Grid, ShapeMask, shape_energy, write_field_text
+from .sbvgrid import Grid, ShapeMask, write_field_text
 from .shapeopt import (AnnealSchedule, ShapeOptError, TRACE_COLUMNS,
                        diagnostics, optimize_shape)
 from .suites import SUITES
@@ -64,6 +64,20 @@ COMMON = {
     "out": Key(str, ".", help="output directory"),
 }
 
+# the keys of solve and optimize alike (f_const and c0 differ in default)
+PROBLEM = {
+    "d": Key(int, 1, 1, 2),
+    "n": Key(int, 64, 4, 4096, "cells per axis"),
+    "extent": Key(float, 1.0, 1e-9, None, "box side length"),
+    "f_bump": Key(str, None, help="lo,hi,amp added to f on a coordinate band"),
+    "beta": Key(float, 1.0, 1e-12, None),
+    "L": Key(float, 1.0, 1e-12, None),
+    "p": Key(float, 2.0, 1.000001, 16),
+    "q": Key(float, 2.0, 1.000001, 16),
+    "weights": Key(str, "auto", help="boundary weights: auto|uncorrected|corrected"),
+    "tol": Key(float, 1e-10, 1e-15, 1e-2),
+}
+
 SCHEMAS = {
     "eig": {
         **COMMON,
@@ -89,38 +103,22 @@ SCHEMAS = {
     },
     "solve": {
         **COMMON,
-        "d": Key(int, 1, 1, 2),
-        "n": Key(int, 64, 4, 4096, "cells per axis"),
-        "extent": Key(float, 1.0, 1e-9, None, "box side length"),
+        **PROBLEM,
         "f_const": Key(float, 1.0, None, None),
-        "f_bump": Key(str, None, help="lo,hi,amp added to f on a coordinate band"),
-        "beta": Key(float, 1.0, 1e-12, None),
         "c0": Key(float, 0.0, 0.0, None),
-        "L": Key(float, 1.0, 1e-12, None),
-        "p": Key(float, 2.0, 1.000001, 16),
-        "q": Key(float, 2.0, 1.000001, 16),
         "shape": Key(str, "full", help="full | interval | disc"),
         "a": Key(float, 0.25, None, None, "interval left end"),
         "b": Key(float, 0.75, None, None, "interval right end"),
         "cx": Key(float, 0.5, None, None, "disc center x"),
         "cy": Key(float, 0.5, None, None, "disc center y"),
         "radius": Key(float, 0.4, 1e-9, None, "disc radius"),
-        "weights": Key(str, "auto", help="boundary weights: auto|uncorrected|corrected"),
-        "tol": Key(float, 1e-10, 1e-15, 1e-2),
         "max_iter": Key(int, None, 1, None, "solver iteration cap"),
     },
     "optimize": {
         **COMMON,
-        "d": Key(int, 1, 1, 2),
-        "n": Key(int, 64, 4, 4096),
-        "extent": Key(float, 1.0, 1e-9, None),
+        **PROBLEM,
         "f_const": Key(float, 0.0, None, None),
-        "f_bump": Key(str, None, help="lo,hi,amp"),
-        "beta": Key(float, 1.0, 1e-12, None),
         "c0": Key(float, 0.2, 0.0, None),
-        "L": Key(float, 1.0, 1e-12, None),
-        "p": Key(float, 2.0, 1.000001, 16),
-        "q": Key(float, 2.0, 1.000001, 16),
         "t0": Key(float, 0.01, 0.0, None, "initial temperature"),
         "cooling": Key(float, 0.95, 1e-9, 0.999999, "cooling factor per sweep"),
         "sweeps": Key(int, 300, 0, 1 << 20),
@@ -128,8 +126,6 @@ SCHEMAS = {
         "seed": Key(int, 0, 0, 2**128 - 1),
         "teleport_frac": Key(float, 0.01, 0.0, 1.0),
         "init": Key(str, "full", help="full | empty | interval:a:b | disc:cx:cy:r"),
-        "weights": Key(str, "auto"),
-        "tol": Key(float, 1e-10, 1e-15, 1e-2),
     },
     "verify": {
         **COMMON,
@@ -260,6 +256,14 @@ def _build_f(params):
     return f
 
 
+def _build_grid(params):
+    try:
+        return Grid(params["d"], params["n"], params["extent"] / params["n"],
+                    weights=params["weights"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _build_model(params):
     return IntegrandModel(p=params["p"], q=params["q"], L=params["L"],
                           c0=params["c0"], f=_build_f(params),
@@ -303,13 +307,6 @@ def _init_mask(grid, init):
     return _build_mask(grid, {"shape": kind, **dict(zip(keys, vals))})
 
 
-def _solver_config(params, **kwargs):
-    try:
-        return SolverConfig(tol=params["tol"], weights=params["weights"], **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_eig(params):
     rows = [("R", "b", "d", "grad_exp", "bdry_exp", "denom_exp", "mesh_n",
              "lambda", "method", "residual")]
@@ -350,12 +347,11 @@ def cmd_radial(params):
 
 
 def cmd_solve(params):
-    grid = Grid(params["d"], params["n"], params["extent"] / params["n"])
+    grid = _build_grid(params)
     model = _build_model(params)
     mask = _build_mask(grid, params)
-    config = _solver_config(params, max_iter=params["max_iter"])
+    config = SolverConfig(tol=params["tol"], max_iter=params["max_iter"])
     field, info = solve_inner(model, mask, config, return_info=True)
-    J = shape_energy(model, mask, field, params["weights"])
     out = os.path.join(params["out"], "field.txt")
     write_field_text(out, field, mask)
     # the profile along the first axis, through the middle row in 2d
@@ -363,10 +359,10 @@ def cmd_solve(params):
     rows = zip(grid.centers()[at + (0,)].tolist(), field.values[at].tolist())
     csv = write_csv(os.path.join(params["out"], "solve_profile.csv"), "solve",
                     [("x", "u"), *rows])
-    diag = diagnostics(model, mask, field, params["weights"])
+    diag = diagnostics(model, mask, field)
     write_diagnostics(params["out"], "solve", diag)
     print(f"wrote {out} and {csv}")
-    print(f"J = {J!r}; iterations = {info['iterations']}; "
+    print(f"J = {diag['J']!r}; iterations = {info['iterations']}; "
           f"residual = {info['residual']:.3e}")
     for k in ("volume", "perimeter", "ess_inf_support", "sup", "components"):
         print(f"{k} = {diag[k]!r}")
@@ -374,7 +370,7 @@ def cmd_solve(params):
 
 
 def cmd_optimize(params):
-    grid = Grid(params["d"], params["n"], params["extent"] / params["n"])
+    grid = _build_grid(params)
     model = _build_model(params)
     mask0 = _init_mask(grid, params["init"])
     sched = AnnealSchedule(T0=params["t0"], cooling=params["cooling"],
@@ -382,13 +378,13 @@ def cmd_optimize(params):
                            resolve_every=params["resolve_every"],
                            seed=params["seed"],
                            teleport_frac=params["teleport_frac"])
-    solver = _solver_config(params)
-    mask, field, trace = optimize_shape(model, mask0, sched, solver)
+    mask, field, trace = optimize_shape(model, mask0, sched,
+                                        SolverConfig(tol=params["tol"]))
     out_field = os.path.join(params["out"], "best_field.txt")
     write_field_text(out_field, field, mask)
     csv = write_csv(os.path.join(params["out"], "trace.csv"), "optimize",
                     [TRACE_COLUMNS] + trace.rows)
-    diag = diagnostics(model, mask, field, params["weights"])
+    diag = diagnostics(model, mask, field)
     diag_path = write_diagnostics(params["out"], "optimize", diag)
     print(f"wrote {out_field}, {csv}, {diag_path}")
     print(f"best J = {trace.best_J[-1]!r} volume = {diag['volume']!r} "

@@ -23,7 +23,7 @@ functional: Lg ((u_hi - u_lo)^2/h^2 + eta^2)^(p/2) h^d per interior face,
 -f u h^d per cell, and Bg (u^2 + eta^2)^(q/2) times the boundary weight
 per boundary face, plus c0 |mask|.  eta is no setting but a fact of the
 exponents (`_eta`): 0 at p = q = 2 and 1e-6 otherwise.  The reported J is
-this energy with the solver's boundary weights.
+this energy with the grid's boundary weights.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import IntegrandModel
-from .sbvgrid import (BOUNDARY_MODES, MaskAssembly, SbvField, ShapeMask,
-                      _same_grid, mask_assembly, support_jumps)
+from .sbvgrid import (MaskAssembly, SbvField, ShapeMask, _check_fits,
+                      mask_assembly, support_jumps)
 
 
 class SolverError(RuntimeError):
@@ -51,18 +51,14 @@ class SolverConfig:
     gradients for p = q = 2, where tol bounds the relative residual, and
     damped Newton otherwise, where tol bounds half the squared Newton
     decrement relative to |E|.  max_iter caps the CG or Newton iterations
-    (default 10 n^d); weights picks the boundary weights."""
+    (default 10 n^d).  The boundary weights are the mask's grid's."""
 
     tol: float = 1e-10
     max_iter: int | None = None
-    weights: str = "auto"
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if self.weights not in BOUNDARY_MODES:
-            raise ValueError(f"unknown boundary weights {self.weights!r}; "
-                             f"choose from {', '.join(BOUNDARY_MODES)}")
 
 
 def _eta(model: IntegrandModel) -> float:
@@ -72,12 +68,12 @@ def _eta(model: IntegrandModel) -> float:
     return 0.0 if model.p == 2.0 and model.q == 2.0 else 1e-6
 
 
-def _robin_weights(model: IntegrandModel, asm: MaskAssembly, weights: str):
-    """Robin coefficient times surface weight, per boundary face."""
+def _robin_weights(model: IntegrandModel, asm: MaskAssembly):
+    """Robin coefficient times the grid's surface weight, per boundary face."""
     coeffs = model.bdry_coeff(asm.centers)
     if np.any(coeffs < 0):
         raise SolverError("negative Robin coefficient: indefinite assembly")
-    return coeffs * asm.weights(weights)
+    return coeffs * asm.weights()
 
 
 def solve_inner(model: IntegrandModel, mask: ShapeMask,
@@ -98,7 +94,7 @@ def solve_inner(model: IntegrandModel, mask: ShapeMask,
         warnings.warn("source term changes sign: model flagged, solver proceeds")
     asm = mask_assembly(mask)
     fc = asm.gather(fvals)
-    bcw = _robin_weights(model, asm, config.weights)
+    bcw = _robin_weights(model, asm)
     cap = config.max_iter if config.max_iter is not None else 10 * grid.n**grid.d
 
     if eta == 0.0:  # p = q = 2
@@ -244,24 +240,23 @@ def _solve_newton(model, asm, fc, bcw, eta, config, cap):
                "energy_trace": trace}
 
 
-def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField,
-              weights: str = "auto") -> float:
-    """Face-based fixed-support energy of a field at the model's eta,
-    including the volume term c0*|mask|: the solver's objective up to that
-    constant, and the shape functional J when weights are the solver's; f is
-    sampled on the mask's grid, which must be the field's (else ValueError)."""
-    _same_grid(mask, field)
+def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField) -> float:
+    """Face-based fixed-support energy of a field at the model's eta and the
+    grid's boundary weights, plus c0*|mask|: the solver's objective up to
+    that constant, and the shape functional J.  f is sampled on the mask's
+    grid; a field that does not fit the mask raises ValueError."""
+    _check_fits(mask, field)
     asm = mask_assembly(mask)
     fc = asm.gather(model.f_at(mask.grid.centers()))
-    energy, _, _ = _face_energy(model, asm, fc,
-                                _robin_weights(model, asm, weights), _eta(model))
+    energy, _, _ = _face_energy(model, asm, fc, _robin_weights(model, asm),
+                                _eta(model))
     return energy(asm.gather(field.values)) + model.c0 * mask.volume()
 
 
 def grid_robin_eigenvalue(mask: ShapeMask, b: float, max_iter: int = 400):
     """Smallest eigenvalue of the Robin form on the mask via inverse power
     iteration on the raw Rayleigh quotient assembly (gradient coefficient 1,
-    boundary coefficient b, "auto" boundary weights).  Raises SolverError
+    boundary coefficient b, the grid's boundary weights).  Raises SolverError
     when the eigenvalue has not settled to relative change 1e-10 within
     max_iter iterations."""
     import scipy.sparse.linalg as spla

@@ -17,11 +17,11 @@ is the tuple (axis, i[, j]).
 A shape mask's boundary faces, its cells' neighbours and its surface
 weights live in arrays, in one `MaskAssembly` per mask that the solvers,
 the shape energy and the perimeter share; `boundary_faces` is a view of it
-as (face tuple, weight) pairs.
+as (face tuple, weight) pairs, weighed by the grid's rule (`Grid.weights`).
 
 One discrete functional scores a shape: the solver's face energy
 (`pdesolve.energy_of`), with face differences (u_hi - u_lo)/h between
-neighbouring mask cells, the solver's boundary weights and the eta the
+neighbouring mask cells, the grid's boundary weights and the eta the
 exponents fix (0 at p = q = 2, else 1e-6).  `shape_energy`,
 `eval_shape_functional` and the annealer's re-solves all report it.  The
 free-discontinuity functional F, `poincare_check` and `bv_norm` read one
@@ -33,7 +33,7 @@ when u has no interior jumps (p = q = 2, uncorrected weights), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,24 +44,32 @@ BOUNDARY_MODES = ("auto", "uncorrected", "corrected")  # see boundary_faces
 
 @dataclass(frozen=True)
 class Grid:
-    """Structured lattice of n^d cells of spacing h covering a box."""
+    """Lattice of n^d cells of spacing h covering a box, and its shapes' boundary
+    rule (boundary_faces) as meant: 2d "auto" is "corrected", 1d "uncorrected"."""
 
     d: int
     n: int
     h: float
     origin: tuple = None
+    weights: str = "auto"
 
     def __post_init__(self):
         if self.d not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.d}")
         if self.n < 4:
             raise ValueError(f"need at least 4 cells per axis, got {self.n}")
-        if not (self.h > 0):
-            raise ValueError(f"spacing must be positive, got {self.h}")
+        if not (0 < self.h < np.inf):
+            raise ValueError(f"spacing must be positive and finite, got {self.h}")
         if self.origin is None:
             object.__setattr__(self, "origin", (0.0,) * self.d)
-        elif len(self.origin) != self.d:
-            raise ValueError("origin length must match dimension")
+        elif len(self.origin) != self.d or not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"origin needs one finite value per axis, "
+                             f"got {self.origin}")
+        if self.weights not in BOUNDARY_MODES:
+            raise ValueError(f"unknown boundary weights {self.weights!r}; "
+                             f"choose from {', '.join(BOUNDARY_MODES)}")
+        rule = "corrected" if self.weights == "auto" else self.weights
+        object.__setattr__(self, "weights", "uncorrected" if self.d == 1 else rule)
 
     @property
     def extent(self) -> float:
@@ -296,10 +304,14 @@ class ShapeMask:
         return int(np.count_nonzero(self.cells))
 
 
-def _same_grid(mask: ShapeMask, field: SbvField):
-    """A shape and a field on it share one grid: raise ValueError if not."""
+def _check_fits(mask: ShapeMask, field: SbvField):
+    """A field on a shape shares the shape's grid, boundary rule included, is
+    finite and vanishes off the shape: raise ValueError if not."""
     if field.grid != mask.grid:
         raise ValueError(f"field grid {field.grid} but mask grid {mask.grid}")
+    _check_finite(field)
+    if np.any(field.values[~mask.cells]):
+        raise ValueError("field is nonzero on a cell outside the mask")
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +369,12 @@ class MaskAssembly:
         """The boundary faces as sorted tuples (axis, i[, j])."""
         return list(zip(self.face_axis.tolist(), *self.face_pos.T.tolist()))
 
-    def weights(self, mode: str = "auto") -> np.ndarray:
-        """Surface weight of each boundary face (see boundary_faces)."""
-        if mode not in BOUNDARY_MODES:
-            raise ValueError(f"unknown boundary mode {mode!r}")
-        if self.grid.d == 1 or mode == "uncorrected":
-            return np.full(self.nfaces, self.grid.face_weight)
+    def weights(self, mode: str | None = None) -> np.ndarray:
+        """Surface weight of each boundary face by the grid's rule, or by the
+        rule `mode` where given (see boundary_faces)."""
+        grid = self.grid if mode is None else replace(self.grid, weights=mode)
+        if grid.weights == "uncorrected":
+            return np.full(self.nfaces, grid.face_weight)
         if self._corrected is None:
             self._corrected = _corrected_weights(self)
             self._corrected.flags.writeable = False
@@ -468,43 +480,39 @@ def mask_assembly(mask: ShapeMask) -> MaskAssembly:
     return asm
 
 
-def boundary_faces(mask: ShapeMask, mode: str = "auto") -> list:
+def boundary_faces(mask: ShapeMask, mode: str | None = None) -> list:
     """Faces of the staircase boundary with their surface weights, as sorted
     (face tuple, weight) pairs: a tuple view of the mask's assembly.
 
-    mode "uncorrected" charges h^(d-1) per face.  mode "corrected" (2d)
-    projects staircase faces onto a locally estimated tangent wherever the
-    boundary walk shows genuine stair steps (adjacent turns of opposite
-    sense), which removes the taxicab bias on smooth or diagonal boundaries
-    while leaving flat runs and isolated corners exact.  "auto" picks
-    corrected in 2d.
+    The weights follow the grid's rule, or `mode` where it is given.
+    "uncorrected" charges h^(d-1) per face.  "corrected" (2d) projects
+    staircase faces onto a locally estimated tangent wherever the boundary
+    walk shows genuine stair steps (adjacent turns of opposite sense), which
+    removes the taxicab bias on smooth or diagonal boundaries while leaving
+    flat runs and isolated corners exact.  "auto" picks corrected in 2d.
     """
     asm = mask_assembly(mask)
     return list(zip(asm.faces(), asm.weights(mode).tolist()))
 
 
-def perimeter(mask: ShapeMask, mode: str = "auto") -> float:
-    """Weighted measure of the staircase boundary (see boundary_faces)."""
-    return float(sum(mask_assembly(mask).weights(mode).tolist()))
+def perimeter(mask: ShapeMask) -> float:
+    """The staircase boundary's measure by the grid's rule (boundary_faces)."""
+    return float(sum(mask_assembly(mask).weights().tolist()))
 
 
-def shape_energy(model: IntegrandModel, mask: ShapeMask, field: SbvField,
-                 mode: str = "auto") -> float:
+def shape_energy(model: IntegrandModel, mask: ShapeMask, field: SbvField) -> float:
     """Shape functional at a given inner field: the solver's face energy
-    `pdesolve.energy_of` with boundary weights `mode`."""
+    `pdesolve.energy_of`."""
     from .pdesolve import energy_of
-    _check_finite(field)
-    return energy_of(model, mask, field, mode)
+    return energy_of(model, mask, field)
 
 
 def eval_shape_functional(model: IntegrandModel, mask: ShapeMask, inner=None):
     """Inner-minimize on the mask with the SolverConfig `inner` (None for
-    defaults), then evaluate the shape functional with the solver's boundary
-    weights.  Returns (J, field)."""
-    from .pdesolve import SolverConfig, energy_of, solve_inner
-    config = inner if inner is not None else SolverConfig()
-    field = solve_inner(model, mask, config)
-    return energy_of(model, mask, field, config.weights), field
+    defaults), then evaluate the shape functional.  Returns (J, field)."""
+    from .pdesolve import energy_of, solve_inner
+    field = solve_inner(model, mask, inner)
+    return energy_of(model, mask, field), field
 
 
 def reduction_check(model: IntegrandModel, field: SbvField, solver=None) -> float:
@@ -573,11 +581,13 @@ def _lines(columns):
 
 
 def write_field_text(path, field: SbvField, mask: ShapeMask | None = None):
-    """Write a field and a mask on its grid (default: its support) as text."""
+    """Write a field and a mask it fits (default: its support) as text; a
+    field that does not fit raises ValueError before the file is opened.
+    The header does not record the grid's boundary rule."""
     g = field.grid
     if mask is None:
         mask = ShapeMask(g, field.values != 0.0)
-    _same_grid(mask, field)
+    _check_fits(mask, field)
     head = [g.d, g.n] + [repr(float(v)) for v in (g.h, *g.origin)]
     cells = [*np.indices(g.shape()).reshape(g.d, -1), field.values.reshape(-1),
              mask.cells.reshape(-1).astype(int)]
@@ -634,4 +644,6 @@ def read_field_text(path) -> tuple[SbvField, ShapeMask]:
     in_omega[flat] = flags == 1
     field = SbvField(grid, values.reshape(grid.shape()), _jump_arrays(grid, faces))
     field.validate()
-    return field, ShapeMask(grid, in_omega)
+    mask = ShapeMask(grid, in_omega)
+    _check_fits(mask, field)
+    return field, mask

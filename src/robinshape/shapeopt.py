@@ -1,7 +1,7 @@
 """Outer minimization over shapes by seeded cell-flip annealing.
 
 Every re-solve scores the mask with the solver's own face energy
-(`pdesolve.energy_of` at the solver's boundary weights), the one functional
+(`pdesolve.energy_of` at the grid's boundary weights), the one functional
 the package reports.  Between re-solves the accept/reject decisions use
 O(1) energy deltas computed at the frozen field, at the same eta but with
 uncorrected face weights (a biased estimate of the true change).  An
@@ -32,8 +32,8 @@ import numpy as np
 
 from .model import IntegrandModel
 from .pdesolve import SolverConfig, SolverError, _eta, energy_of, solve_inner
-from .sbvgrid import (Grid, SbvField, ShapeMask, _face_centers, _face_shapes,
-                      _lower, _same_grid, _upper, bv_norm, perimeter,
+from .sbvgrid import (Grid, SbvField, ShapeMask, _check_fits, _face_centers,
+                      _face_shapes, _lower, _upper, bv_norm, perimeter,
                       shape_energy, support_jumps)
 
 TRACE_COLUMNS = ("sweep", "J", "volume", "perimeter", "ess_inf", "sup",
@@ -126,8 +126,6 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
     Deterministic for a fixed seed and configuration.  Every resolve_every-th
     sweep, and the last, reports an exact J; it solves only if a flip was
     accepted since the previous solve, and repeats that solve's J otherwise."""
-    if solver is None:
-        solver = SolverConfig()
     grid = init.grid
     rng = np.random.Generator(np.random.Philox(key=sched.seed))
     eta = _eta(model)
@@ -147,7 +145,7 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
 
     def resolve():
         fld = solve_inner(model, mask, solver)
-        return fld, energy_of(model, mask, fld, solver.weights)
+        return fld, energy_of(model, mask, fld)
 
     def delta_toggle(c, u):
         """Frozen-energy change of flipping cell c and the new u[c].  An
@@ -207,7 +205,7 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
     best = (J_exact, mask.copy(), field)
     trace.best_J.append(J_exact)
     E_frozen = J_exact
-    trace.add(0, J_exact, mask.volume(), perimeter(mask, solver.weights),
+    trace.add(0, J_exact, mask.volume(), perimeter(mask),
               _essinf(u, cf), float(np.max(u, initial=0.0)), 0,
               component_count(mask))
 
@@ -259,9 +257,9 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
                     best = (J_exact, mask.copy(), field)
             trace.best_J.append(min(trace.best_J[-1], J_exact))
             J_report = J_exact
-        trace.add(sweep, J_report, mask.volume(),
-                  perimeter(mask, solver.weights), _essinf(u, cf),
-                  float(np.max(u, initial=0.0)), accepted, component_count(mask))
+        trace.add(sweep, J_report, mask.volume(), perimeter(mask),
+                  _essinf(u, cf), float(np.max(u, initial=0.0)), accepted,
+                  component_count(mask))
     return best[1], best[2], trace
 
 
@@ -269,25 +267,24 @@ def _essinf(u, cells):
     return float(np.min(u[cells])) if np.any(cells) else 0.0
 
 
-def diagnostics(model: IntegrandModel, mask: ShapeMask, field: SbvField,
-                mode: str = "auto") -> dict:
+def diagnostics(model: IntegrandModel, mask: ShapeMask, field: SbvField) -> dict:
     """Scalar summary of an inner-minimized shape: energy, volume, boundary
     measure, field bounds and BV norm.  The energy is `shape_energy` (the
-    default solver's face energy) and, with the boundary measure, uses the
-    boundary weights `mode`.  The field vanishes off the mask and no weight
+    solver's face energy) and, with the boundary measure, uses the grid's
+    boundary weights.  The field vanishes off the mask and no weight
     exceeds h^(d-1), so the boundary faces alone give BV >= ess inf u * P:
-    the perimeter bound holds once ess inf u > 0.  A field on another grid
-    than the mask's raises ValueError."""
-    _same_grid(mask, field)
+    the perimeter bound holds once ess inf u > 0.  A field that does not fit
+    the mask raises ValueError."""
+    _check_fits(mask, field)
     if mask.count() == 0:
         return {"J": 0.0, "volume": 0.0, "perimeter": 0.0, "ess_inf_support": 0.0,
                 "sup": 0.0, "components": 0, "bv_norm": 0.0,
                 "perimeter_bound_ok": True}
     essinf = _essinf(field.values, mask.cells)
     return {
-        "J": shape_energy(model, mask, field, mode),
+        "J": shape_energy(model, mask, field),
         "volume": mask.volume(),
-        "perimeter": perimeter(mask, mode),
+        "perimeter": perimeter(mask),
         "ess_inf_support": essinf,
         "sup": float(np.max(field.values)),
         "components": component_count(mask),

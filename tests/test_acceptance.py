@@ -201,12 +201,12 @@ def test_criterion_06_inner_solver_vs_closed_form():
         for n, err in zip((64, 128, 256), errs):
             assert 0.9 <= err * n / 0.25 <= 1.1
         n = 256
-        grid = Grid(2, n, 1.0 / n)
+        grid = Grid(2, n, 1.0 / n, weights="corrected")
         R = 0.4
         mask = ShapeMask.disc(grid, (0.5, 0.5), R)
         fld = solve_inner(IntegrandModel(p=2, q=2, c0=0.0, f=1.0, beta1=1.0,
                                          normalization="energy"),
-                          mask, SolverConfig(weights="corrected"))
+                          mask, SolverConfig())
         pts = grid.centers()
         r = np.sqrt(np.sum((pts - 0.5) ** 2, axis=-1))
         exact = np.where(mask.cells, oracles.disc_poisson(r, R), 0.0)
@@ -227,10 +227,10 @@ def test_criterion_07_energy_values():
         J_slab = shape_energy(model, ShapeMask.full(grid), fld)
         assert J_slab == pytest.approx(-7.0 / 24.0, rel=0.01)
         box = 2.2
-        grid2 = Grid(2, n, box / n)
+        grid2 = Grid(2, n, box / n, weights="corrected")
         mask = ShapeMask.disc(grid2, (box / 2, box / 2), 1.0)
-        fld2 = solve_inner(model, mask, SolverConfig(weights="corrected"))
-        J_disc = shape_energy(model, mask, fld2, "corrected")
+        fld2 = solve_inner(model, mask, SolverConfig())
+        J_disc = shape_energy(model, mask, fld2)
         assert J_disc == pytest.approx(-5 * math.pi / 16, rel=0.05)
     report(7, 60.0, t, f"J(slab)={J_slab:.6f} (target {-7 / 24:.6f}), "
                        f"J(disc)={J_disc:.6f} (target {-5 * math.pi / 16:.6f})")

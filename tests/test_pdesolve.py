@@ -50,11 +50,10 @@ def test_zero_source_returns_zero_without_iterations():
 
 def test_disc_profile_against_radial_solution():
     n = 128
-    grid = Grid(2, n, 1.0 / n)
+    grid = Grid(2, n, 1.0 / n, weights="corrected")
     R = 0.4
     mask = ShapeMask.disc(grid, (0.5, 0.5), R)
-    fld = solve_inner(slab_model(), mask,
-                      SolverConfig(weights="corrected"))
+    fld = solve_inner(slab_model(), mask, SolverConfig())
     pts = grid.centers()
     r = np.sqrt(np.sum((pts - 0.5) ** 2, axis=-1))
     exact = np.where(mask.cells, oracles.disc_poisson(r, R), 0.0)
@@ -160,7 +159,7 @@ def test_nonlinear_gradient_matches_finite_differences():
     asm = mask_assembly(mask)
     energy, gradient, _ = pdesolve._face_energy(
         model, asm, asm.gather(model.f_at(grid.centers())),
-        pdesolve._robin_weights(model, asm, "auto"), 1e-2)
+        pdesolve._robin_weights(model, asm), 1e-2)
     base = asm.gather(rng.uniform(0.3, 1.0, n))
     g = gradient(base)
     for _ in range(20):
@@ -183,7 +182,7 @@ def test_nonlinear_agrees_with_cg_at_p2():
     assert info["mode"] == "linear-cg"
     asm = mask_assembly(mask)
     fc = asm.gather(model.f_at(grid.centers()))
-    bcw = pdesolve._robin_weights(model, asm, "auto")
+    bcw = pdesolve._robin_weights(model, asm)
     x, info = pdesolve._solve_newton(model, asm, fc, bcw, 1e-8,
                                      SolverConfig(tol=1e-13), 20000)
     assert info["mode"] == "newton"
@@ -333,6 +332,9 @@ def test_config_validation():
         SolverConfig(mode="linear-cg")
     with pytest.raises(TypeError):
         SolverConfig(eta=1e-2)
+    # the boundary weights are the grid's
+    with pytest.raises(TypeError):
+        SolverConfig(weights="corrected")
     assert not hasattr(SolverConfig(), "resolve")
 
 

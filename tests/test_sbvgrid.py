@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ import oracles
 def slab_model(c0=0.0, f=1.0, beta=1.0):
     return IntegrandModel(p=2, q=2, L=1.0, c0=c0, f=f, beta1=beta,
                           normalization="energy")
+
+
+def on_rule(mask, weights):
+    """The mask's cells on its grid under the boundary rule `weights`."""
+    return ShapeMask(replace(mask.grid, weights=weights), mask.cells)
 
 
 # ------------------------------------------------------------------- fields
@@ -142,10 +148,10 @@ def test_array_sums_match_face_loop_reference():
 # ----------------------------------------------------------------- perimeter
 
 def test_perimeter_single_cell():
-    grid = Grid(2, 16, 1.0 / 16)
+    grid = Grid(2, 16, 1.0 / 16, weights="uncorrected")
     mask = ShapeMask(grid, np.zeros((16, 16), bool))
     mask.cells[5, 5] = True
-    assert perimeter(mask, "uncorrected") == pytest.approx(4 / 16)
+    assert perimeter(mask) == pytest.approx(4 / 16)
     grid1 = Grid(1, 16, 1.0 / 16)
     m1 = ShapeMask(grid1, np.zeros(16, bool))
     m1.cells[5] = True
@@ -159,8 +165,8 @@ def test_perimeter_square_exact_both_modes(k):
     mask = ShapeMask(grid, np.zeros((n, n), bool))
     mask.cells[4:4 + k, 7:7 + k] = True
     exact = 4 * k * grid.h
-    assert perimeter(mask, "uncorrected") == pytest.approx(exact, rel=1e-12)
-    assert perimeter(mask, "corrected") == pytest.approx(exact, rel=1e-12)
+    assert perimeter(on_rule(mask, "uncorrected")) == pytest.approx(exact, rel=1e-12)
+    assert perimeter(on_rule(mask, "corrected")) == pytest.approx(exact, rel=1e-12)
 
 
 def test_perimeter_disc_corrected():
@@ -168,9 +174,9 @@ def test_perimeter_disc_corrected():
     grid = Grid(2, n, 1.0 / n)
     mask = ShapeMask.disc(grid, (0.5, 0.5), 0.4)
     target = 2 * math.pi * 0.4
-    assert abs(perimeter(mask, "corrected") - target) / target < 0.03
+    assert abs(perimeter(on_rule(mask, "corrected")) - target) / target < 0.03
     # the uncorrected staircase overshoots by the taxicab factor
-    assert perimeter(mask, "uncorrected") / target > 1.2
+    assert perimeter(on_rule(mask, "uncorrected")) / target > 1.2
 
 
 def test_perimeter_disc_corrected_across_resolutions():
@@ -179,7 +185,7 @@ def test_perimeter_disc_corrected_across_resolutions():
     for n in (128, 256, 512):
         grid = Grid(2, n, 1.0 / n)
         mask = ShapeMask.disc(grid, (0.5, 0.5), R)
-        assert abs(perimeter(mask, "corrected") - target) / target < 0.02
+        assert abs(perimeter(on_rule(mask, "corrected")) - target) / target < 0.02
 
 
 def test_perimeter_diagonal_strip_corrected():
@@ -189,8 +195,8 @@ def test_perimeter_diagonal_strip_corrected():
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     cells[(ii + jj >= 30) & (ii + jj <= 60)] = True
     mask = ShapeMask(grid, cells)
-    corr = perimeter(mask, "corrected")
-    unc = perimeter(mask, "uncorrected")
+    corr = perimeter(on_rule(mask, "corrected"))
+    unc = perimeter(on_rule(mask, "uncorrected"))
     # the two 45-degree edges shrink by sqrt(2)/2; box-edge faces stay
     assert corr < 0.8 * unc
 
@@ -200,7 +206,7 @@ def test_boundary_faces_sum_to_perimeter():
     mask = ShapeMask.disc(grid, (0.5, 0.5), 0.3)
     for mode in ("uncorrected", "corrected"):
         faces = boundary_faces(mask, mode)
-        assert sum(w for _, w in faces) == pytest.approx(perimeter(mask, mode))
+        assert sum(w for _, w in faces) == pytest.approx(perimeter(on_rule(mask, mode)))
         assert all(0 < w <= grid.h + 1e-15 for _, w in faces)
 
 
@@ -211,7 +217,7 @@ def test_boundary_faces_match_tuple_reference(k):
     for mode in ("uncorrected", "corrected", "auto"):
         ref = oracles.boundary_faces_reference(mask, mode)
         assert boundary_faces(mask, mode) == ref
-        assert perimeter(mask, mode) == float(sum(w for _, w in ref))
+        assert perimeter(on_rule(mask, mode)) == float(sum(w for _, w in ref))
 
 
 def test_boundary_faces_follow_in_place_flips():
@@ -261,13 +267,13 @@ def test_reported_energy_is_the_solver_energy(p, weights):
                            f=lambda x: 1.0 + x[..., 0],
                            beta1=lambda x: 0.5 + x[..., 0] ** 2,
                            normalization="energy")
-    config = SolverConfig(tol=1e-6, weights=weights)
+    config = SolverConfig(tol=1e-6)
     for grid, cells in oracles.mask_zoo():
-        mask = ShapeMask(grid, cells)
+        mask = ShapeMask(replace(grid, weights=weights), cells)
         J, fld = eval_shape_functional(model, mask, config)
-        E = energy_of(model, mask, fld, weights)
+        E = energy_of(model, mask, fld)
         assert J == E
-        assert shape_energy(model, mask, fld, weights) == E
+        assert shape_energy(model, mask, fld) == E
 
 
 # ---------------------------------------------------------------- reduction
@@ -295,9 +301,9 @@ def test_free_discontinuity_equals_J_at_the_minimiser():
                            f=lambda x: 1.0 + x[..., 0],
                            beta1=lambda x: 0.5 + x[..., 0] ** 2,
                            normalization="energy")
-    config = SolverConfig(tol=1e-12, weights="uncorrected")
+    config = SolverConfig(tol=1e-12)
     for grid, cells in oracles.mask_zoo()[::4]:
-        mask = ShapeMask(grid, cells)
+        mask = ShapeMask(replace(grid, weights="uncorrected"), cells)
         fld = solve_inner(model, mask, config)
         assert abs(reduction_check(model, fld, config)) <= 1e-10
 
@@ -389,15 +395,52 @@ def test_nonfinite_field_rejected():
     lambda model, mask, fld, path: write_field_text(path, fld, mask)],
     ids=["energy_of", "shape_energy", "diagnostics", "write_field_text"])
 def test_field_and_mask_on_different_grids_raise(use, tmp_path):
-    # a mask and a field on it share one grid; the pair below would score or
-    # write a shape of 32 cells with values of 64
-    mask = ShapeMask.interval(Grid(1, 32, 1 / 32), 0.25, 0.75)
-    fine = Grid(1, 64, 1 / 64)
-    fld = SbvField.from_values(fine, ShapeMask.interval(fine, 0.25, 0.75).cells)
+    # a mask and a field on it share one grid, boundary rule included, and
+    # the field is finite and vanishes off the mask; each pair below breaks
+    # one of these, and none is scored or written
+    coarse, fine = Grid(1, 32, 1 / 32), Grid(1, 64, 1 / 64)
+    mask = ShapeMask.interval(coarse, 0.25, 0.75)
+    disc = ShapeMask.disc(Grid(2, 16, 1 / 16), (0.5, 0.5), 0.3)
+    nan = mask.cells.astype(float)
+    nan[12] = np.nan
+    cases = [
+        # a shape of 32 cells with values of 64
+        (mask, SbvField.from_values(
+            fine, ShapeMask.interval(fine, 0.25, 0.75).cells), "grid"),
+        # a field solved under the other boundary rule
+        (disc, SbvField.from_values(
+            Grid(2, 16, 1 / 16, weights="uncorrected"), disc.cells), "grid"),
+        (mask, SbvField.from_values(
+            coarse, ShapeMask.interval(coarse, 0.2, 0.75).cells), "outside"),
+        (mask, SbvField.from_values(coarse, nan), "non-finite"),
+    ]
     path = tmp_path / "field.txt"
-    with pytest.raises(ValueError, match="grid"):
-        use(slab_model(), mask, fld, str(path))
-    assert not path.exists()
+    for on, fld, match in cases:
+        with pytest.raises(ValueError, match=match):
+            use(slab_model(), on, fld, str(path))
+        assert not path.exists()
+
+
+def test_the_grid_carries_the_boundary_rule(tmp_path):
+    # the solver and the score read one rule, the grid's: the uncorrected
+    # minimum of the n = 64 disc, bit for bit
+    mask = ShapeMask.disc(Grid(2, 64, 1 / 64, weights="uncorrected"),
+                          (0.5, 0.5), 0.4)
+    model = slab_model()
+    assert shape_energy(model, mask, solve_inner(model, mask)) \
+        == -0.04352695542578365
+    # every rule gives one measure in 1d, so one grid
+    assert Grid(1, 8, 1 / 8, weights="corrected") == Grid(1, 8, 1 / 8)
+    with pytest.raises(ValueError):
+        Grid(2, 8, 1 / 8, weights="bogus")
+    body = "\n0 1.0 1\n1 1.0 1\n2 1.0 1\n3 1.0 1\n0 0\n0 4\n"
+    path = tmp_path / "field.txt"
+    path.write_text("1 4 0.25 0.0" + body)
+    read_field_text(str(path))
+    for header in ("1 4 nan", "1 4 inf", "1 4 0.25 nan", "1 4 0.25 inf"):
+        path.write_text(header + body)
+        with pytest.raises(ValueError, match="finite"):
+            read_field_text(str(path))
 
 
 # --------------------------------------------------------- BV norm and bound
@@ -457,7 +500,7 @@ def test_bv_norm_is_the_face_loop_sum_and_bounds_the_perimeter(fld):
     if np.any(support) and np.all(fld.values[support] > 0.0):
         essinf = float(np.min(fld.values[support]))
         for mode in ("uncorrected", "corrected", "auto"):
-            P = perimeter(ShapeMask(fld.grid, support), mode)
+            P = perimeter(on_rule(ShapeMask(fld.grid, support), mode))
             assert P <= bv / essinf * (1.0 + 1e-12)
 
 
@@ -521,6 +564,7 @@ def test_malformed_field_files_rejected(tmp_path):
         (good2, 3, "1 4 1.0 1"),   # a cell index outside the box
         (good1[:6], 5, None),      # nonzero cells and no face lines at all
         (good2, 32, None),         # a box face beside a nonzero cell missing
+        (good1, 2, "1 1.5 0"),     # a nonzero cell outside the mask
     ]
     for good in (good1, good2):
         path = tmp_path / "good.txt"

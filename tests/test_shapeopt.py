@@ -434,21 +434,21 @@ def test_unchanged_mask_is_not_resolved(run, solves, monkeypatch):
     assert len(calls) == _expected_solves(trace, sched) == solves
 
 def test_best_J_is_the_solver_energy_of_the_best_field():
-    # boundary weights other than the default: the annealer scores each
-    # re-solve with the weights of the solver that produced the field, and
-    # the diagnostics of the best shape report the same J
+    # boundary weights named on the grid: the annealer scores each re-solve
+    # with the weights the solver used, the grid's, and the diagnostics of
+    # the best shape report the same J
     model = IntegrandModel(
         p=3, q=3, c0=0.3, L=1.0,
         f=lambda x: np.where((x[..., 0] > 0.3) & (x[..., 0] < 0.7), 3.0, 0.0),
         beta1=lambda x: 0.5 + x[..., 0], normalization="energy")
-    grid = Grid(1, 32, 1.0 / 32)
+    grid = Grid(1, 32, 1.0 / 32, weights="uncorrected")
     sched = AnnealSchedule(T0=1e-2, cooling=0.8, sweeps=8, resolve_every=2,
                            seed=4)
-    solver = SolverConfig(weights="uncorrected")
+    solver = SolverConfig()
     mask, fld, trace = optimize_shape(model, ShapeMask.interval(grid, 0.1, 0.9),
                                       sched, solver)
-    assert trace.best_J[-1] == energy_of(model, mask, fld, "uncorrected")
-    assert diagnostics(model, mask, fld, "uncorrected")["J"] == trace.best_J[-1]
+    assert trace.best_J[-1] == energy_of(model, mask, fld)
+    assert diagnostics(model, mask, fld)["J"] == trace.best_J[-1]
     assert eval_shape_functional(model, mask, solver)[0] == trace.best_J[-1]
 
 
