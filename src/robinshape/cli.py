@@ -488,7 +488,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, RadialConvergenceError, ShapeOptError, ValueError) as exc:
+    except (SolverError, RadialConvergenceError, ShapeOptError, ValueError,
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

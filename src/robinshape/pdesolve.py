@@ -256,11 +256,13 @@ def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField) -> float:
 def grid_robin_eigenvalue(mask: ShapeMask, b: float, max_iter: int = 400):
     """Smallest eigenvalue of the Robin form on the mask via inverse power
     iteration on the raw Rayleigh quotient assembly (gradient coefficient 1,
-    boundary coefficient b, the grid's boundary weights).  Raises SolverError
-    when the eigenvalue has not settled to relative change 1e-10 within
-    max_iter iterations."""
+    boundary coefficient b, the grid's boundary weights).  Raises ValueError
+    unless b is finite and positive, and SolverError when the eigenvalue has
+    not settled to relative change 1e-10 within max_iter iterations."""
     import scipy.sparse.linalg as spla
 
+    if not (0 < b < np.inf):
+        raise ValueError(f"b must be finite and positive, got {b}")
     grid = mask.grid
     asm = mask_assembly(mask)
     if asm.m == 0:

@@ -14,10 +14,12 @@ separates cells (i-1, j) | (i, j) and face [i, j] of axis 1 separates
 listed one by one (`extra_jumps`, the text format, `boundary_faces`) a face
 is the tuple (axis, i[, j]).
 
-A shape mask's boundary faces, its cells' neighbours and its surface
-weights live in arrays, in one `MaskAssembly` per mask that the solvers,
-the shape energy and the perimeter share; `boundary_faces` is a view of it
-as (face tuple, weight) pairs, weighed by the grid's rule (`Grid.weights`).
+Which cells touch is the grid's (`Grid.neighbours`, with the faces between
+them at `Grid.side_centers`).  A shape mask's boundary faces, its cells'
+neighbours and its surface weights live in arrays, in one `MaskAssembly`
+per mask that the solvers, the shape energy and the perimeter share;
+`boundary_faces` is a view of it as (face tuple, weight) pairs, weighed by
+the grid's rule (`Grid.weights`).
 
 One discrete functional scores a shape: the solver's face energy
 (`pdesolve.energy_of`), with face differences (u_hi - u_lo)/h between
@@ -100,28 +102,45 @@ class Grid:
         X, Y = np.meshgrid(ax[0], ax[1], indexing="ij")
         return np.stack([X, Y], axis=-1)
 
+    def neighbours(self, cells=None) -> np.ndarray:
+        """Flat indices of the neighbours of the given flat cells (default:
+        all), a C-contiguous (2d, k) array with rows axis 0 below, axis 0
+        above, axis 1 below, axis 1 above; n^d where it lies outside the box."""
+        size = self.n**self.d
+        c = np.arange(size) if cells is None else np.asarray(cells)
+        out = np.empty((2 * self.d, len(c)), dtype=np.intp)
+        for ax in range(self.d):
+            step = self.n ** (self.d - 1 - ax)
+            i = c // step % self.n
+            out[2 * ax] = np.where(i > 0, c - step, size)
+            out[2 * ax + 1] = np.where(i < self.n - 1, c + step, size)
+        return out
+
+    def side_centers(self) -> np.ndarray:
+        """Centre of the face on each side of each cell, box faces included,
+        shape (2d, n^d, d): the sides in the rows of `neighbours`."""
+        pos = np.indices(self.shape()).reshape(self.d, -1).T
+        out = np.empty((2 * self.d,) + pos.shape)
+        for k in range(2 * self.d):
+            ax, up = divmod(k, 2)
+            out[k] = _face_centers(self, np.full(len(pos), ax),
+                                   pos + up * (np.arange(self.d) == ax))
+        return out
+
 
 def _face_shapes(grid: Grid) -> list:
     return [tuple(grid.n + (k == ax) for k in range(grid.d))
             for ax in range(grid.d)]
 
 
-def _lower(a: np.ndarray, ax: int) -> np.ndarray:
-    return a[(slice(None),) * ax + (slice(None, -1),)]
-
-
-def _upper(a: np.ndarray, ax: int) -> np.ndarray:
-    return a[(slice(None),) * ax + (slice(1, None),)]
-
-
 def _face_sides(a: np.ndarray, ax: int, fill=0):
     """The cell values on the lower and upper side of every face of axis ax,
-    `fill` outside the box: two arrays of that axis's face shape.  Of a face
-    array, _lower and _upper give each cell's lower and upper face."""
+    `fill` outside the box: two arrays of that axis's face shape."""
     pad = np.full(tuple(k + 2 * (i == ax) for i, k in enumerate(a.shape)), fill,
                   dtype=a.dtype)
-    pad[(slice(None),) * ax + (slice(1, -1),)] = a
-    return _lower(pad, ax), _upper(pad, ax)
+    at = (slice(None),) * ax
+    pad[at + (slice(1, -1),)] = a
+    return pad[at + (slice(None, -1),)], pad[at + (slice(1, None),)]
 
 
 def _face_centers(grid: Grid, axes: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -327,8 +346,8 @@ class MaskAssembly:
     The mask's m cells are numbered 0..m-1 in grid order (`flat` holds their
     flat grid indices); the number m is a sentinel standing for every absent
     neighbour, outside the mask or the box, so a gather from a cell vector
-    with a zero appended needs no masking.  `nbrs` has one row per direction
-    (axis 0 lower, axis 0 upper, axis 1 lower, ...), `links` the interior
+    with a zero appended needs no masking.  `nbrs` is the grid's
+    `neighbours` of the mask's cells in this numbering, `links` the interior
     faces of each axis as (lower cell, upper cell) arrays.  Boundary faces
     come in sorted tuple order: `face_axis`, `face_pos` (the i[, j] of the
     face tuple), `inner` (the mask cell beside the face), `upper_in` (whether
@@ -339,12 +358,10 @@ class MaskAssembly:
         d, m = grid.d, int(np.count_nonzero(cells))
         self.grid, self.m = grid, m
         self.flat = np.flatnonzero(cells)
-        ids = np.full(grid.shape(), m)
-        ids[cells] = np.arange(m)
-        sides = [_face_sides(ids, ax, m) for ax in range(d)]
-        # a cell's neighbours lie below its lower and above its upper face
-        self.nbrs = np.array([nb[cells] for ax, (below, above) in enumerate(sides)
-                              for nb in (_lower(below, ax), _upper(above, ax))])
+        ids = np.full(grid.n**d + 1, m)  # the grid's outside, n^d, maps to m
+        ids[self.flat] = np.arange(m)
+        self.nbrs = ids[grid.neighbours(self.flat)]
+        sides = [_face_sides(ids[:-1].reshape(cells.shape), ax, m) for ax in range(d)]
         self.links = []
         for ax in range(d):
             up = self.nbrs[2 * ax + 1]
@@ -573,7 +590,8 @@ def bv_norm(field: SbvField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# plain-text serialization: "d n h origin" header, one cell per line, then faces
+# plain-text serialization: "d n h origin [rule]" header, one cell per line,
+# then faces
 
 def _lines(columns):
     """Text lines holding the rows of a list of equal-length columns."""
@@ -583,12 +601,15 @@ def _lines(columns):
 def write_field_text(path, field: SbvField, mask: ShapeMask | None = None):
     """Write a field and a mask it fits (default: its support) as text; a
     field that does not fit raises ValueError before the file is opened.
-    The header does not record the grid's boundary rule."""
+    The header ends with the grid's boundary rule where the grid's default
+    rule is another."""
     g = field.grid
     if mask is None:
         mask = ShapeMask(g, field.values != 0.0)
     _check_fits(mask, field)
     head = [g.d, g.n] + [repr(float(v)) for v in (g.h, *g.origin)]
+    if g.weights != Grid(g.d, g.n, g.h).weights:
+        head.append(g.weights)
     cells = [*np.indices(g.shape()).reshape(g.d, -1), field.values.reshape(-1),
              mask.cells.reshape(-1).astype(int)]
     axes, pos = _flagged(field.jumps)
@@ -622,7 +643,9 @@ def read_field_text(path) -> tuple[SbvField, ShapeMask]:
     if not lines:
         raise ValueError(f"{path} is empty")
     d, n, h, *origin = lines[0].split()  # files without an origin sit at 0
-    grid = Grid(int(d), int(n), float(h), tuple(float(v) for v in origin) or None)
+    rule = origin.pop() if origin and origin[-1] in BOUNDARY_MODES else "auto"
+    grid = Grid(int(d), int(n), float(h), tuple(float(v) for v in origin) or None,
+                rule)
     ncells = grid.n**grid.d
     cells = _table(lines[1:1 + ncells], grid.d + 2, "cell")
     faces = _whole(_table(lines[1 + ncells:], grid.d + 1, "face"), "face indices")

@@ -9,8 +9,9 @@ addition puts the cell at the mean of its mask neighbours, and a removal is
 priced as the negated addition at the cell's own value.  The trace J of
 those sweeps is the last exact J plus the accepted deltas.  Best-shape
 bookkeeping only trusts exact re-solved energies.  Proposals run on flat
-cell indices c = i*n + j: neighbours and face coefficients come from index
-arithmetic, and each delta is a sum of Python floats in a fixed order.
+cell indices: a cell's neighbours and the coefficients of the faces to them
+are read from the grid's adjacency (`Grid.neighbours`, `Grid.side_centers`),
+and each delta is a sum of Python floats in a fixed order.
 All randomness flows through one counter-based Philox generator keyed by
 the schedule seed: runs are bit-reproducible.
 
@@ -32,9 +33,8 @@ import numpy as np
 
 from .model import IntegrandModel
 from .pdesolve import SolverConfig, SolverError, _eta, energy_of, solve_inner
-from .sbvgrid import (Grid, SbvField, ShapeMask, _check_fits, _face_centers,
-                      _face_shapes, _lower, _upper, bv_norm, perimeter,
-                      shape_energy, support_jumps)
+from .sbvgrid import (SbvField, ShapeMask, _check_fits, bv_norm, perimeter,
+                      shape_energy)
 
 TRACE_COLUMNS = ("sweep", "J", "volume", "perimeter", "ess_inf", "sup",
                  "accepted_flips", "components")
@@ -50,8 +50,8 @@ class AnnealSchedule:
     teleport_frac: float = 0.01
 
     def __post_init__(self):
-        if self.T0 < 0:
-            raise ValueError("T0 must be nonnegative")
+        if not (0 <= self.T0 < math.inf):
+            raise ValueError(f"T0 must be nonnegative and finite, got {self.T0}")
         if not (0.0 < self.cooling < 1.0):
             raise ValueError("cooling factor must lie in (0, 1)")
         if self.resolve_every < 1:
@@ -109,14 +109,10 @@ def component_count(mask: ShapeMask) -> int:
             parent = up
 
 
-def _face_coeff_arrays(model: IntegrandModel, grid: Grid) -> list:
-    """Boundary g-coefficients at every face centre, one flat array per axis
-    in the order of the axis's face array."""
-    out = []
-    for ax, shape in enumerate(_face_shapes(grid)):
-        pos = np.indices(shape).reshape(grid.d, -1).T
-        out.append(model.bdry_coeff(_face_centers(grid, np.full(len(pos), ax), pos)))
-    return out
+def _band(nbrs: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Flat cells whose in-mask state differs from that of a neighbour
+    (`nbrs`, the grid's neighbours), outside the box counting as out."""
+    return np.flatnonzero((np.append(inside, False)[nbrs] != inside).any(axis=0))
 
 
 def optimize_shape(model: IntegrandModel, init: ShapeMask,
@@ -132,16 +128,19 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
     gc = model.grad_coeff
     p, q = model.p, model.q
     h, vol, wunc = grid.h, grid.cell_volume, grid.face_weight
-    n, c0, e2, p2 = grid.n, model.c0, eta * eta, p / 2.0
+    c0, e2, p2 = model.c0, eta * eta, p / 2.0
+    ncells = grid.n**grid.d
     fvals = model.f_at(grid.centers()).reshape(-1)
-    bcs = _face_coeff_arrays(model, grid)
+    # row c of nbrs_of and bcs_of: c's neighbour and face coefficient on each
+    # side, in the order of the rows of Grid.neighbours
+    nbrs = grid.neighbours()
+    nbrs_of, bcs_of = nbrs.T, model.bdry_coeff(grid.side_centers()).T
     trace = OptimizationTrace()
 
     # u, fvals and cf (a view of the mask's cells) are flat and read with
     # .item, so every term of a delta is a Python float
     mask = init.copy()
-    cells = mask.cells
-    cf = cells.reshape(-1)
+    cf = mask.cells.reshape(-1)
 
     def resolve():
         fld = solve_inner(model, mask, solver)
@@ -151,18 +150,9 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
         """Frozen-energy change of flipping cell c and the new u[c].  An
         addition puts c at the mean of its mask neighbours; a removal is the
         negated addition at u[c], which IEEE negation keeps bit for bit."""
-        if grid.d == 1:
-            nbs = ((c - 1, c > 0, bcs[0].item(c)),
-                   (c + 1, c < n - 1, bcs[0].item(c + 1)))
-        else:
-            i, j = divmod(c, n)
-            nbs = ((c - n, i > 0, bcs[0].item(c)),
-                   (c + n, i < n - 1, bcs[0].item(c + n)),
-                   (c - 1, j > 0, bcs[1].item(c + i)),
-                   (c + 1, j < n - 1, bcs[1].item(c + i + 1)))
         # (value of the neighbour in the mask or None, face coefficient)
-        nbs = [(u.item(nb) if inbox and cf.item(nb) else None, bc)
-               for nb, inbox, bc in nbs]
+        nbs = [(u.item(nb) if nb < ncells and cf.item(nb) else None, bc)
+               for nb, bc in zip(nbrs_of[c].tolist(), bcs_of[c].tolist())]
         inside = cf.item(c)
         if inside:
             v = u.item(c)
@@ -184,23 +174,14 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
                     - bc * abs(s) ** q * wunc
         return (-dE, 0.0) if inside else (dE, v)
 
-    def band_candidates():
-        # cells with a face on the mask boundary (the box edge included)
-        edge = np.zeros(grid.shape(), dtype=bool)
-        for ax, j in enumerate(support_jumps(grid, cells)):
-            edge |= _lower(j, ax) | _upper(j, ax)
-        return set(np.flatnonzero(edge).tolist())
-
     try:
         field, J_exact = resolve()
     except SolverError as exc:
         raise ShapeOptError(f"initial inner solve failed: {exc}", trace) from exc
     u = field.values.flatten()
     # prices[c] is delta_toggle(c, u) at the current u and mask; a flip at c
-    # makes stale the prices of c and its axis neighbours (keys across a row
-    # end are dropped too, harmlessly), and a solve makes stale all of them
+    # makes stale the prices of c and its neighbours, and a solve all of them
     prices = {}
-    near = (0, -1, 1) if grid.d == 1 else (0, -1, 1, -n, n)
     flips = 0  # accepted since the last solve
     best = (J_exact, mask.copy(), field)
     trace.best_J.append(J_exact)
@@ -209,10 +190,9 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
               _essinf(u, cf), float(np.max(u, initial=0.0)), 0,
               component_count(mask))
 
-    ncells = grid.n**grid.d
     for sweep in range(1, sched.sweeps + 1):
         T = sched.T0 * sched.cooling ** (sweep - 1)
-        cand = band_candidates()
+        cand = set(_band(nbrs, cf).tolist())
         k = max(1, int(round(sched.teleport_frac * ncells)))
         cand.update(rng.integers(0, ncells, size=k).tolist())
         # sorted flat indices are in the order of sorted (i, j) tuples
@@ -237,8 +217,9 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
                 u[c] = u_new
                 E_frozen += dE
                 accepted += 1
-                for off in near:
-                    prices.pop(c + off, None)
+                del prices[c]
+                for nb in nbrs_of[c].tolist():
+                    prices.pop(nb, None)
         flips += accepted
         J_report = E_frozen
         if sweep % sched.resolve_every == 0 or sweep == sched.sweeps:

@@ -7,7 +7,9 @@ step at a time, thresholds from extended-precision formula evaluation,
 inner solves from LAPACK banded factorizations and sparse direct solves,
 staircase boundary faces from a face-by-face walk over Python tuples, and
 gradients, face differences and jump sums of SBV fields from loops over
-single cells and faces with the pointwise bulk density eval_j.  One
+single cells and faces with the pointwise bulk density eval_j, and cell
+neighbours and the annealer's candidate band from padded cell arrays and
+jump faces.  One
 exception pins rounding rather than values: propagate_per_block repeats
 radial's RK4 step formulas and products in their order.
 """
@@ -387,6 +389,17 @@ def mask_zoo(seed=2024):
     return out
 
 
+def mask_zoo_with_ends(seed=2024):
+    """mask_zoo plus the empty and the full mask of a 1d and a 2d box."""
+    from robinshape.sbvgrid import Grid
+    out = mask_zoo(seed)
+    for d, n in ((1, 9), (2, 7)):
+        grid = Grid(d, n, 1.0 / n)
+        out += [(grid, np.zeros(grid.shape(), bool)),
+                (grid, np.ones(grid.shape(), bool))]
+    return out
+
+
 def components_bfs(cells):
     """Connected components of a boolean cell array under axis-neighbour
     (4-connectivity in 2d) adjacency, by a plain breadth-first search."""
@@ -628,3 +641,35 @@ def face_newton_reference(model, cells, h, eta):
     out = np.zeros(n)
     out[idx] = u
     return out, E + model.c0 * len(idx) * h
+
+
+# ---------------------------------------------------------------------------
+# cell adjacency from padded cell arrays and jump faces
+
+def mask_nbrs_reference(cells):
+    """The mask numbering (grid order) of the cells below and above each
+    mask cell along each axis, m outside the mask or the box, from the
+    numbering padded by one m per side: rows axis 0 below, axis 0 above,
+    axis 1 below, axis 1 above."""
+    m = int(np.count_nonzero(cells))
+    ids = np.full(cells.shape, m)
+    ids[cells] = np.arange(m)
+    rows = []
+    for ax, n in enumerate(cells.shape):
+        width = [(int(k == ax),) * 2 for k in range(cells.ndim)]
+        pad = np.pad(ids, width, constant_values=m)
+        for first in (0, 2):
+            rows.append(np.take(pad, np.arange(first, first + n), axis=ax)[cells])
+    return np.array(rows).reshape(2 * cells.ndim, m)
+
+
+def band_reference(grid, cells):
+    """Flat indices of the cells with a support-boundary face (the box edge
+    included): each cell's lower and upper face of every axis, read from
+    sbvgrid.support_jumps."""
+    from robinshape.sbvgrid import support_jumps
+    edge = np.zeros(cells.shape, bool)
+    for ax, jumps in enumerate(support_jumps(grid, cells)):
+        at = (slice(None),) * ax
+        edge |= jumps[at + (slice(None, -1),)] | jumps[at + (slice(1, None),)]
+    return np.flatnonzero(edge)

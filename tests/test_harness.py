@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from robinshape.cli import main
-from robinshape.sbvgrid import poincare_check, read_field_text
+from robinshape.model import IntegrandModel
+from robinshape.sbvgrid import (Grid, poincare_check, read_field_text,
+                                shape_energy, write_field_text)
 from robinshape.radial import (RadialEigenvalueQuery, RadialSolution,
                                robin_eigenvalue_ball, shoot_eigenvalues)
 from robinshape import suites
@@ -200,9 +202,44 @@ def test_unknown_command_and_flag():
     assert main([]) == 0  # usage text
 
 
-def test_numerical_failure_exit_code(tmp_path):
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    out = str(tmp_path)
     assert main(["solve", "--d", "1", "--n", "128", "--max-iter", "2",
-                 "--out", str(tmp_path)]) == 2
+                 "--out", out]) == 2
+    # overflows in the closed-form Robin-Poisson profile and in the ball
+    # energy of the radius scan
+    assert main(["radial", "--d", "1", "--R", "1e300", "--f", "1e300",
+                 "--out", out]) == 2
+    assert main(["radial", "--d", "6", "--R", "1", "--scan-rmax", "1e60",
+                 "--out", out]) == 2
+    assert capsys.readouterr().err.count("numerical failure") == 3
+
+
+def test_field_file_keeps_the_boundary_rule(tmp_path, capsys):
+    # a 2d uncorrected field reads back on its own grid and scores the J
+    # that solve printed, bit for bit; a default-rule header is unchanged
+    model = IntegrandModel(p=2, q=2, L=1.0, c0=0.0, f=1.0, beta1=1.0,
+                           normalization="energy")
+    for weights, tokens in (("uncorrected", 6), ("auto", 5)):
+        out = tmp_path / weights
+        assert main(["solve", "--d", "2", "--n", "64", "--shape", "disc",
+                     "--radius", "0.4", "--weights", weights,
+                     "--out", str(out)]) == 0
+        J = float(re.search(r"J = (\S+);", capsys.readouterr().out).group(1))
+        path = out / "field.txt"
+        assert len(path.read_text().split("\n", 1)[0].split()) == tokens
+        field, mask = read_field_text(str(path))
+        assert field.grid == Grid(2, 64, 1 / 64, weights=weights)
+        assert shape_energy(model, mask, field) == J
+        write_field_text(str(out / "again.txt"), field, mask)
+        assert (out / "again.txt").read_bytes() == path.read_bytes()
+        if weights == "uncorrected":
+            assert J == -0.04352695542578365
+    # a rule token the default implies reads as that default
+    path = tmp_path / "ruled.txt"
+    path.write_text("2 4 0.25 0.0 0.0 corrected\n"
+                    + "".join(f"{i} {j} 0.0 0\n" for i in range(4) for j in range(4)))
+    assert read_field_text(str(path))[0].grid == Grid(2, 4, 0.25)
 
 
 def test_zero_source_solve_at_exponent_three(tmp_path):

@@ -373,6 +373,15 @@ def test_grid_eigenvalue_refines_toward_reference():
     assert errs[1] < errs[0]
 
 
+def test_grid_eigenvalue_needs_a_finite_positive_coefficient():
+    # at b = -5 the form is indefinite (a dense eigvalsh of the same matrix
+    # gives -35.7) while inverse iteration settles on a positive value
+    mask = ShapeMask.disc(Grid(2, 16, 1.0 / 16), (0.5, 0.5), 0.4)
+    for b in (-5.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            grid_robin_eigenvalue(mask, b)
+
+
 def test_grid_eigenvalue_iteration_cap_raises():
     grid = Grid(2, 32, 1.0 / 32)
     mask = ShapeMask.disc(grid, (0.5, 0.5), 0.35)

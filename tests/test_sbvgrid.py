@@ -10,8 +10,9 @@ from robinshape.model import IntegrandModel
 from robinshape.pdesolve import SolverConfig, energy_of, solve_inner
 from robinshape.radial import RadialSolution
 from robinshape.shapeopt import diagnostics
-from robinshape.sbvgrid import (Grid, SbvField, ShapeMask, boundary_faces,
-                                bv_norm, eval_free_discontinuity,
+from robinshape.sbvgrid import (Grid, MaskAssembly, SbvField, ShapeMask,
+                                _face_centers, boundary_faces, bv_norm,
+                                eval_free_discontinuity,
                                 eval_shape_functional, perimeter,
                                 poincare_check, read_field_text,
                                 reduction_check, shape_energy, support_jumps,
@@ -227,6 +228,69 @@ def test_boundary_faces_follow_in_place_flips():
     mask.cells[8, 8] = False  # a hole, flipped in place as the annealer does
     after = boundary_faces(mask)
     assert after == oracles.boundary_faces_reference(mask) != before
+
+
+# ---------------------------------------------------------------- adjacency
+
+grids = st.tuples(st.sampled_from([1, 2]), st.integers(4, 12),
+                  st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
+    lambda t: Grid(t[0], t[1], 1.0 / t[1], t[2:2 + t[0]]))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(grids)
+def test_grid_neighbours_are_the_index_arithmetic(grid):
+    size, shape = grid.n**grid.d, grid.shape()
+    nb = grid.neighbours()
+    assert nb.shape == (2 * grid.d, size) and nb.flags.c_contiguous
+    for c in range(size):
+        at = np.unravel_index(c, shape)
+        for ax in range(grid.d):
+            for k, step in ((2 * ax, -1), (2 * ax + 1, 1)):
+                there = list(at)
+                there[ax] += step
+                inbox = 0 <= there[ax] < grid.n  # false at box edges and row ends
+                want = np.ravel_multi_index(there, shape) if inbox else size
+                assert nb[k, c] == want
+                # symmetric: the neighbour below c has c above it
+                if inbox:
+                    assert nb[k ^ 1, want] == c
+    some = np.array([size - 1, 0, size // 2])
+    part = grid.neighbours(some)
+    assert part.flags.c_contiguous and np.array_equal(part, nb[:, some])
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(grids)
+def test_side_centers_are_the_face_centers_bit_for_bit(grid):
+    centers = grid.side_centers()
+    assert centers.shape == (2 * grid.d, grid.n**grid.d, grid.d)
+    fld = SbvField.zero(grid)
+    for c in range(grid.n**grid.d):
+        at = np.unravel_index(c, grid.shape())
+        for ax in range(grid.d):
+            for up in (0, 1):
+                pos = [int(i) + up * (k == ax) for k, i in enumerate(at)]
+                face = _face_centers(grid, np.array([ax]), np.array([pos]))[0]
+                _, _, x = oracles.face_traces(fld, (ax, *pos))
+                assert centers[2 * ax + up, c].tolist() == face.tolist() == x.tolist()
+
+
+def assert_assembly_neighbours(grid, cells):
+    asm = MaskAssembly(grid, cells)
+    assert asm.nbrs.flags.c_contiguous
+    assert np.array_equal(asm.nbrs, oracles.mask_nbrs_reference(cells))
+
+
+def test_mask_assembly_neighbours_on_the_zoo():
+    for grid, cells in oracles.mask_zoo_with_ends():
+        assert_assembly_neighbours(grid, cells)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(grids, st.data())
+def test_mask_assembly_neighbours_on_random_masks(grid, data):
+    assert_assembly_neighbours(grid, data.draw(hnp.arrays(bool, grid.shape())))
 
 
 # ------------------------------------------------------------ shape energy

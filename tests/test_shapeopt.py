@@ -566,9 +566,27 @@ def test_component_count_on_long_chains_of_runs():
         assert component_count(ShapeMask(grid, cells)) == expected
 
 
+def assert_band(grid, cells):
+    band = shapeopt._band(grid.neighbours(), cells.reshape(-1))
+    assert np.array_equal(band, oracles.band_reference(grid, cells))
+
+
+def test_band_is_the_support_jump_band_on_the_zoo():
+    for grid, cells in oracles.mask_zoo_with_ends():
+        assert_band(grid, cells)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(4, 12), st.data())
+def test_band_is_the_support_jump_band_on_random_masks(d, n, data):
+    grid = Grid(d, n, 1.0 / n)
+    assert_band(grid, data.draw(hnp.arrays(bool, grid.shape())))
+
+
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        AnnealSchedule(T0=-1.0, cooling=0.9, sweeps=10)
+    for T0 in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            AnnealSchedule(T0=T0, cooling=0.9, sweeps=10)
     with pytest.raises(ValueError):
         AnnealSchedule(T0=1.0, cooling=1.0, sweeps=10)
     with pytest.raises(ValueError):
