@@ -542,12 +542,17 @@ def robin_eigenvalues_ball(queries) -> list[RadialSolution]:
 def robin_poisson_ball(d: int, R: float, f_const: float, beta: float,
                        samples: int = 513) -> RadialSolution:
     """Closed-form solution of -lap u = f on B_R with beta*u + du/dn = 0:
-    u(r) = f*(R^2 - r^2)/(2d) + f*R/(d*beta)."""
+    u(r) = f*(R^2 - r^2)/(2d) + f*R/(d*beta).  A profile or energy that
+    overflows raises OverflowError."""
     if not (R > 0 and beta > 0):
         raise ValueError("R and beta must be positive")
     r = np.linspace(0.0, R, samples)
-    u = f_const * (R**2 - r**2) / (2.0 * d) + f_const * R / (d * beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = f_const * (R**2 - r**2) / (2.0 * d) + f_const * R / (d * beta)
     energy = -0.5 * f_const * _integral_poisson(d, R, f_const, beta)
+    if not (np.isfinite(u).all() and math.isfinite(energy)):
+        raise OverflowError(f"closed-form Robin-Poisson profile at R = {R!r}, "
+                            f"f = {f_const!r} is not finite")
     return RadialSolution(float(energy), np.column_stack([r, u]),
                           {"method": "closed-form", "residual": 0.0})
 

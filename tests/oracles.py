@@ -7,9 +7,10 @@ step at a time, thresholds from extended-precision formula evaluation,
 inner solves from LAPACK banded factorizations and sparse direct solves,
 staircase boundary faces from a face-by-face walk over Python tuples, and
 gradients, face differences and jump sums of SBV fields from loops over
-single cells and faces with the pointwise bulk density eval_j, and cell
+single cells and faces with the pointwise bulk density eval_j, cell
 neighbours and the annealer's candidate band from padded cell arrays and
-jump faces.  One
+jump faces, and grid Robin eigenvalues from LAPACK's tridiagonal (squares)
+and dense symmetric (any 2d mask) eigensolvers.  One
 exception pins rounding rather than values: propagate_per_block repeats
 radial's RK4 step formulas and products in their order.
 """
@@ -45,6 +46,19 @@ def robin_lambda_ball3(R, b):
     f = lambda x: x * math.cos(x) + (b * R - 1.0) * math.sin(x)
     x = brentq(f, 1e-9, math.pi, xtol=1e-14, rtol=1e-15)
     return (x / R) ** 2
+
+
+def square_robin_eigenvalue(k, h, b):
+    """Smallest Robin eigenvalue of the face form on a k x k square of cells
+    of side h, k >= 2: 2 lam_min(T_k) / h^2, with T_k the 1d Robin
+    tridiagonal (2 on the diagonal, -1 off it, 1 + b h at both ends), by
+    LAPACK's tridiagonal eigensolver.  The form is T_k (x) I + I (x) T_k."""
+    from scipy.linalg import eigvalsh_tridiagonal
+    diag = np.full(k, 2.0)
+    diag[[0, -1]] = 1.0 + b * h
+    lam = eigvalsh_tridiagonal(diag, np.full(k - 1, -1.0),
+                               select="i", select_range=(0, 0))[0]
+    return 2.0 * lam / (h * h)
 
 
 def rk4_radial(lam, d, R, n, path=False):
@@ -355,6 +369,31 @@ def boundary_faces_reference(mask, mode="auto"):
             w = h * abs(float(np.dot(dv, chord))) / norm
             out.append((f, min(h, max(0.25 * h, w))))
     return sorted(out)
+
+
+def robin_eigenvalue_dense(mask, b):
+    """Smallest eigenvalue of the 2d Robin face form on a mask: a dense
+    matrix summed cell pair by cell pair (1 per interior face, on the
+    (e_a - e_b)(e_a - e_b)^T pattern) plus b times the boundary_faces_reference
+    weight on the diagonal of each boundary face's mask cell, by LAPACK's
+    dense symmetric eigensolver, over the cell volume h^2."""
+    cells, g = mask.cells, mask.grid
+    idx = {c: k for k, c in enumerate(zip(*np.nonzero(cells)))}
+    A = np.zeros((len(idx), len(idx)))
+    for (i, j), a in idx.items():
+        for nb in ((i + 1, j), (i, j + 1)):
+            if nb in idx:
+                e = idx[nb]
+                A[a, a] += 1.0
+                A[e, e] += 1.0
+                A[a, e] -= 1.0
+                A[e, a] -= 1.0
+    for (axis, i, j), w in boundary_faces_reference(mask):
+        # face (0, i, j) lies between cells (i - 1, j) and (i, j)
+        lo, hi = ((i - 1, j), (i, j)) if axis == 0 else ((i, j - 1), (i, j))
+        a = idx.get(lo, idx.get(hi))
+        A[a, a] += b * w
+    return float(np.linalg.eigvalsh(A)[0]) / (g.h * g.h)
 
 
 def mask_zoo(seed=2024):

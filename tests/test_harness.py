@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -206,13 +207,19 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["solve", "--d", "1", "--n", "128", "--max-iter", "2",
                  "--out", out]) == 2
-    # overflows in the closed-form Robin-Poisson profile and in the ball
-    # energy of the radius scan
+    # overflows in the closed-form Robin-Poisson profile (in Python floats,
+    # then in numpy with no warning and no CSV) and in the ball energy of the
+    # radius scan
     assert main(["radial", "--d", "1", "--R", "1e300", "--f", "1e300",
                  "--out", out]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["radial", "--d", "1", "--R", "1e150", "--f", "1e10",
+                     "--out", out]) == 2
+    assert not (tmp_path / "radial_profile.csv").exists()
     assert main(["radial", "--d", "6", "--R", "1", "--scan-rmax", "1e60",
                  "--out", out]) == 2
-    assert capsys.readouterr().err.count("numerical failure") == 3
+    assert capsys.readouterr().err.count("numerical failure") == 4
 
 
 def test_field_file_keeps_the_boundary_rule(tmp_path, capsys):
