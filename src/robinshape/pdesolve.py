@@ -17,9 +17,18 @@ factorization also turns supernode relaxation off (relax=1) and narrows the
 panels to four columns (panel_size=4), which cuts its time by 20-50% and the
 memory it adds by 30-40%; Newton keeps SuperLU's default relaxation and
 panels, because there the same settings move pinned answers in their last
-digits for a few milliseconds per solve.  Zero initial guess always, and
-every vector reduction is a numpy add.reduce (np.sum, or ndarray.sum in the
-CG loop; BLAS calls would thread and sum in another order), so results are
+digits for a few milliseconds per solve.  The eigensolver factorizes only
+the fields invariant under the mask's mirror symmetries: per axis, the
+reflection about the midpoint of the mask's extent, kept when it maps the
+mask onto itself and the face matrix A onto itself entry for entry.  With E
+the 0/1 matrix from cells to their classes it iterates on E^T A E with mass
+h^d E^T E, so the disc and the square of `verify ball-minimality` factorize
+a quarter of their cells.  The eigenvalue is exact: A's off-diagonal
+entries are nonpositive, so the ground state of each component is positive
+and simple (Perron-Frobenius), and the sum of a ground state's mirror
+images is an invariant one.  Zero initial guess always, and every vector
+reduction is a numpy add.reduce (np.sum, or ndarray.sum in the CG loop;
+BLAS calls would thread and sum in another order), so results are
 reproducible bit for bit.  The CG iteration updates its vectors in place
 and reuses the residual's r.r in the next step.
 
@@ -258,12 +267,34 @@ def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField) -> float:
     return energy(asm.gather(field.values)) + model.c0 * mask.volume()
 
 
+def _mirror_classes(asm: MaskAssembly, A) -> np.ndarray:
+    """Class of each mask cell (0..k-1) under the mirror symmetries of the
+    mask and of its face matrix A: per axis, the reflection about the
+    midpoint of the mask's extent, kept when it maps the mask onto itself
+    and A onto itself entry for entry, with no tolerance."""
+    ids = np.full(asm.grid.shape(), -1)  # the mask's numbering, -1 outside
+    ids.reshape(-1)[asm.flat] = rep = np.arange(asm.m)
+    for ax, pos in enumerate(np.nonzero(ids >= 0)):
+        shift = pos.min() + pos.max() + 1 - asm.grid.n
+        perm = np.roll(np.flip(ids, ax), shift, ax)[ids >= 0]  # -1 off the mask
+        if np.all(perm >= 0) and (A[perm][:, perm] != A).nnz == 0:
+            rep = np.minimum(rep, rep[perm])
+    return np.unique(rep, return_inverse=True)[1]
+
+
 def grid_robin_eigenvalue(mask: ShapeMask, b: float, max_iter: int = 400):
     """Smallest eigenvalue of the Robin form on the mask via inverse power
     iteration on the raw Rayleigh quotient assembly (gradient coefficient 1,
-    boundary coefficient b, the grid's boundary weights).  Raises ValueError
-    unless b is finite and positive, and SolverError when the eigenvalue has
-    not settled to relative change 1e-10 within max_iter iterations."""
+    boundary coefficient b, the grid's boundary weights), and its profile
+    on the grid, of unit L2 norm.  The iteration runs on the fields
+    invariant under the mirror symmetries of the mask and of its face
+    matrix A (`_mirror_classes`), so a disc or a square factorizes a
+    quarter of its cells.  The eigenvalue stays exact: A's off-diagonal
+    entries are nonpositive, so some ground state is invariant under every
+    symmetry of A (Perron-Frobenius).  Raises ValueError unless b is finite
+    and positive, and SolverError when the eigenvalue has not settled to
+    relative change 1e-10 within max_iter iterations."""
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     if not (0 < b < np.inf):
@@ -273,20 +304,24 @@ def grid_robin_eigenvalue(mask: ShapeMask, b: float, max_iter: int = 400):
     if asm.m == 0:
         raise ValueError("empty mask has no eigenvalue")
     A = _face_matrix(asm, grid.h ** (grid.d - 2), b * asm.weights())
-    mass = grid.cell_volume
+    cls = _mirror_classes(asm, A)
+    E = sp.csc_matrix((np.ones(asm.m), (np.arange(asm.m), cls)))
+    B = (E.T @ A @ E).tocsc()  # the face form on the invariant fields
+    mass, count = grid.cell_volume, np.bincount(cls)  # the mass is E^T E h^d
     # supernode relaxation off and four-column panels: the 5-point face form
     # factorizes 20-50% faster than at SuperLU's defaults, at less peak memory
-    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=4)
-    x = np.ones(asm.m)
+    lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=4)
+    x = np.ones(len(count))
     lam, change = None, np.inf
     for _ in range(max_iter):
-        y = lu.solve(mass * x)
-        y /= np.sqrt(mass * float(np.sum(y * y)))
-        lam_new = float(np.sum(y * (A @ y))) / (mass * float(np.sum(y * y)))
+        y = lu.solve(mass * (count * x))
+        y /= np.sqrt(mass * float(np.sum(count * y * y)))
+        lam_new = (float(np.sum(y * (B @ y)))
+                   / (mass * float(np.sum(count * y * y))))
         if lam is not None:
             change = abs(lam_new - lam) / abs(lam_new)
             if change <= 1e-10:
-                return lam_new, asm.scatter(y)
+                return lam_new, asm.scatter(y[cls])
         lam, x = lam_new, y
     raise SolverError(f"inverse iteration did not converge in {max_iter} "
                       f"iterations (relative change {change:.3e})",

@@ -229,8 +229,8 @@ def scaling_suite(rel_tol: float = 1e-6) -> dict:
 
 def ball_minimality_suite(ns=(128, 256), b: float = 1.0) -> dict:
     """Grid eigensolver comparison on a box of side 1.5: the disc beats the
-    square of equal area.  The Richardson check compares the first and last
-    of ns, which must differ."""
+    square of equal area.  The Richardson row extrapolates the margin to
+    h = 0 at first order from the first and last of ns, which must differ."""
     if ns[0] == ns[-1]:
         raise ValueError(f"ball-minimality needs different first and last "
                          f"grid sizes, got {tuple(ns)}")
@@ -250,7 +250,8 @@ def ball_minimality_suite(ns=(128, 256), b: float = 1.0) -> dict:
         lam_s, _ = grid_robin_eigenvalue(sq, b)
         margins.append(lam_s - lam_d)
         rows.append((n, repr(lam_d), repr(lam_s), repr(lam_s - lam_d)))
-    m_ext = 2.0 * margins[-1] - margins[0]
+    r = ns[-1] / ns[0]  # first-order extrapolation from h to h / r
+    m_ext = (r * margins[-1] - margins[0]) / (r - 1.0)
     rows.append(("richardson", "", "", repr(m_ext)))
     consistent = abs(m_ext - margins[-1]) <= 0.5 * abs(margins[-1])
     passed = all(m > 0 for m in margins) and m_ext > 0 and consistent

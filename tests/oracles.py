@@ -9,8 +9,10 @@ staircase boundary faces from a face-by-face walk over Python tuples, and
 gradients, face differences and jump sums of SBV fields from loops over
 single cells and faces with the pointwise bulk density eval_j, cell
 neighbours and the annealer's candidate band from padded cell arrays and
-jump faces, and grid Robin eigenvalues from LAPACK's tridiagonal (squares)
-and dense symmetric (any 2d mask) eigensolvers.  One
+jump faces, grid Robin eigenvalues from LAPACK's tridiagonal (squares)
+and dense symmetric (any 1d or 2d mask) eigensolvers, the 1d optimum over
+every mask from a Viterbi pass over out/in labels, and the 1d optimum
+over intervals from a damped Newton batched over them.  One
 exception pins rounding rather than values: propagate_per_block repeats
 radial's RK4 step formulas and products in their order.
 """
@@ -371,29 +373,53 @@ def boundary_faces_reference(mask, mode="auto"):
     return sorted(out)
 
 
-def robin_eigenvalue_dense(mask, b):
-    """Smallest eigenvalue of the 2d Robin face form on a mask: a dense
-    matrix summed cell pair by cell pair (1 per interior face, on the
-    (e_a - e_b)(e_a - e_b)^T pattern) plus b times the boundary_faces_reference
-    weight on the diagonal of each boundary face's mask cell, by LAPACK's
-    dense symmetric eigensolver, over the cell volume h^2."""
+def robin_face_matrix_dense(mask, b):
+    """The Robin face form of a 1d or 2d mask as a dense matrix over its
+    cells in grid order, summed cell pair by cell pair: h^(d-2) per interior
+    face on the (e_a - e_b)(e_a - e_b)^T pattern, plus b times the
+    boundary_faces_reference weight on the diagonal of each boundary face's
+    mask cell."""
     cells, g = mask.cells, mask.grid
     idx = {c: k for k, c in enumerate(zip(*np.nonzero(cells)))}
+    link = g.h ** (g.d - 2)
     A = np.zeros((len(idx), len(idx)))
-    for (i, j), a in idx.items():
-        for nb in ((i + 1, j), (i, j + 1)):
-            if nb in idx:
-                e = idx[nb]
-                A[a, a] += 1.0
-                A[e, e] += 1.0
-                A[a, e] -= 1.0
-                A[e, a] -= 1.0
-    for (axis, i, j), w in boundary_faces_reference(mask):
-        # face (0, i, j) lies between cells (i - 1, j) and (i, j)
-        lo, hi = ((i - 1, j), (i, j)) if axis == 0 else ((i, j - 1), (i, j))
-        a = idx.get(lo, idx.get(hi))
+    for c, a in idx.items():
+        for ax in range(g.d):
+            e = idx.get(c[:ax] + (c[ax] + 1,) + c[ax + 1:])
+            if e is not None:
+                A[a, a] += link
+                A[e, e] += link
+                A[a, e] -= link
+                A[e, a] -= link
+    for (axis, *pos), w in boundary_faces_reference(mask):
+        # face (axis, i[, j]) lies between the cell one below along axis and
+        # cell (i[, j])
+        lo = tuple(k - (ax == axis) for ax, k in enumerate(pos))
+        a = idx.get(lo, idx.get(tuple(pos)))
         A[a, a] += b * w
-    return float(np.linalg.eigvalsh(A)[0]) / (g.h * g.h)
+    return A
+
+
+def robin_eigenvalue_dense(mask, b):
+    """Smallest eigenvalue of the Robin face form on a 1d or 2d mask
+    (robin_face_matrix_dense), by LAPACK's dense symmetric eigensolver, over
+    the cell volume h^d."""
+    A = robin_face_matrix_dense(mask, b)
+    return float(np.linalg.eigvalsh(A)[0]) / mask.grid.cell_volume
+
+
+def mirrored_cells(half, axes, odd, n, offset):
+    """Cells of an n^d box: half (a boolean array) followed, along each axis
+    in axes, by its mirror image less the image's first row where odd[axis]
+    is true (so the mirror line runs through a row of cells, not between
+    two), placed with its first cell at offset."""
+    cells = half
+    for ax in axes:
+        image = np.flip(cells, ax)[(slice(None),) * ax + (slice(int(odd[ax]), None),)]
+        cells = np.concatenate([cells, image], axis=ax)
+    box = np.zeros((n,) * half.ndim, bool)
+    box[tuple(slice(o, o + k) for o, k in zip(offset, cells.shape))] = cells
+    return box
 
 
 def mask_zoo(seed=2024):
@@ -712,3 +738,121 @@ def band_reference(grid, cells):
         at = (slice(None),) * ax
         edge |= jumps[at + (slice(None, -1),)] | jumps[at + (slice(1, None),)]
     return np.flatnonzero(edge)
+
+
+# ---------------------------------------------------------------------------
+# the 1d optimum over every mask: a chain over out/in labels
+
+def chain_dp_optimum(model, grid, top, K, eta):
+    """Minimiser of the 1d face energy plus c0 |mask| over every mask and
+    every field on the labels 0 (out) and top k/K, k = 1..K (in), by one
+    Viterbi pass over the cells: -f t h + c0 h per in cell,
+    gc ((t_a - t_b)^2/h^2 + eta^2)^(p/2) h per face between two in cells,
+    and bdry_coeff(face) (t^2 + eta^2)^(q/2) per face between an in cell
+    and an out cell or the box edge.  Returns the in cells (a boolean
+    array) and the pass's value.  Raises ValueError when the minimiser uses
+    the top label, since then the labels may not cover sup u."""
+    n, h = grid.n, grid.h
+    gc, p, q, e2 = model.grad_coeff, model.p, model.q, eta * eta
+    t = top * np.arange(1, K + 1) / K
+    x = grid.origin[0] + np.arange(n + 1) * h  # face k lies at x[k]
+    g = model.bdry_coeff(x[:, None])[:, None] * (t * t + e2) ** (q / 2.0)
+    cell = -model.f_at(grid.centers())[:, None] * t * h + model.c0 * h
+    link = gc * (((t[:, None] - t[None, :]) / h) ** 2 + e2) ** (p / 2.0) * h
+    # V[0] is out, V[1:] the in labels; back[i] the best label of cell i - 1
+    V = np.concatenate([[0.0], cell[0] + g[0]])
+    back = np.zeros((n, K + 1), dtype=int)
+    for i in range(1, n):
+        out_from = np.concatenate([[V[0]], V[1:] + g[i]])
+        via = V[1:, None] + link
+        in_best = np.argmin(via, axis=0)
+        in_from = via[in_best, np.arange(K)]
+        stay = V[0] + g[i]  # out to in
+        back[i, 0] = np.argmin(out_from)
+        back[i, 1:] = np.where(stay <= in_from, 0, in_best + 1)
+        V = np.concatenate([[out_from[back[i, 0]]],
+                            np.minimum(stay, in_from) + cell[i]])
+    V[1:] += g[n]
+    labels = np.zeros(n, dtype=int)
+    labels[-1] = int(np.argmin(V))
+    for i in range(n - 1, 0, -1):
+        labels[i - 1] = back[i, labels[i]]
+    if np.any(labels == K):
+        raise ValueError(f"the top label {top} is used: raise top")
+    return labels > 0, float(V[labels[-1]])
+
+
+def interval_minima(model, grid, eta):
+    """The terms of chain_dp_optimum minimised over the field on every
+    interval of cells [a, b] of a 1d grid (zero outside it), at eta > 0, by
+    damped Newton batched over the intervals: Armijo backtracking by
+    halving, the tridiagonal Newton systems solved by the Thomas algorithm,
+    and each interval stopped when half its squared Newton decrement is at
+    most 1e-28 |E| or a step no longer lowers E.  Returns a, b and J (the
+    minimum plus c0 |[a, b]|), one entry per interval."""
+    if not eta > 0:
+        raise ValueError("the Newton Hessian needs eta > 0")
+    n, h = grid.n, grid.h
+    gc, p, q, e2 = model.grad_coeff, model.p, model.q, eta * eta
+    a, b = np.triu_indices(n)
+    act = (np.arange(n) >= a[:, None]) & (np.arange(n) <= b[:, None])
+    link = act[:, :-1] & act[:, 1:]
+    beta = model.bdry_coeff(grid.origin[0] + np.arange(n + 1)[:, None] * h)
+    ends = ((beta[a], a), (beta[b + 1], b))  # the two boundary faces
+    f = model.f_at(grid.centers()) * act
+
+    def energy(U, sel):  # of the intervals sel, U holding their rows
+        dd = np.diff(U, axis=1) / h
+        E = gc * np.sum(link[sel] * (dd * dd + e2) ** (p / 2.0), axis=1) * h
+        E -= np.sum(f[sel] * U, axis=1) * h
+        for bc, cell in ends:
+            E += bc[sel] * (U[np.arange(len(sel)), cell[sel]] ** 2 + e2) ** (q / 2.0)
+        return E
+
+    def newton_step(U):
+        rows = np.arange(len(a))
+        dd = np.diff(U, axis=1) / h
+        s = dd * dd + e2
+        t = link * gc * p * s ** (p / 2.0 - 1.0) * dd
+        c = link * gc * p * s ** (p / 2.0 - 2.0) * ((p - 1.0) * dd * dd + e2) / h
+        g, D = -f * h, np.zeros_like(U)
+        g[:, :-1] -= t
+        g[:, 1:] += t
+        D[:, :-1] += c
+        D[:, 1:] += c
+        for bc, cell in ends:
+            u = U[rows, cell]
+            s = u * u + e2
+            g[rows, cell] += bc * q * s ** (q / 2.0 - 1.0) * u
+            D[rows, cell] += bc * q * s ** (q / 2.0 - 2.0) * ((q - 1.0) * u * u + e2)
+        D[~act] = 1.0  # cells outside the interval stay at zero
+        r = -g
+        for i in range(1, n):  # Thomas: eliminate the sub-diagonal -c
+            w = -c[:, i - 1] / D[:, i - 1]
+            D[:, i] += w * c[:, i - 1]
+            r[:, i] -= w * r[:, i - 1]
+        du = np.empty_like(U)
+        du[:, -1] = r[:, -1] / D[:, -1]
+        for i in range(n - 2, -1, -1):
+            du[:, i] = (r[:, i] + c[:, i] * du[:, i + 1]) / D[:, i]
+        return du, np.sum(g * du, axis=1)
+
+    U = np.zeros(act.shape)
+    E = energy(U, np.arange(len(a)))
+    live = np.ones(len(a), bool)
+    while live.any():
+        du, slope = newton_step(U)
+        live &= -0.5 * slope > 1e-28 * np.abs(E)
+        s, E_try, todo = live.astype(float), E.copy(), np.flatnonzero(live)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(todo):  # halve until E drops enough or u stops moving
+                U_try = U[todo] + s[todo, None] * du[todo]
+                E_try[todo] = energy(U_try, todo)
+                done = (E_try[todo] <= E[todo] + 0.25 * s[todo] * slope[todo]) \
+                    | np.all(U_try == U[todo], axis=1)
+                todo = todo[~done]
+                s[todo] /= 2
+        live &= E_try < E
+        U[live] += s[live, None] * du[live]
+        E = np.where(live, E_try, E)
+    return a, b, E + model.c0 * (b - a + 1) * h

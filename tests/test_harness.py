@@ -467,6 +467,18 @@ def test_ball_minimality_needs_two_sizes(tmp_path):
         ball_minimality_suite(ns=(8,))
 
 
+def test_ball_minimality_richardson_row_follows_the_refinement_ratio():
+    # the margin's first-order error is c h, so from h to h / r the
+    # extrapolation is (r m(h / r) - m(h)) / (r - 1); at r = 2 it takes the
+    # float operations of 2 m(h / 2) - m(h)
+    for ns, r in (((64, 256), 4.0), ((32, 64), 2.0)):
+        rows = ball_minimality_suite(ns=ns)["rows"]
+        first, last = float(rows[1][3]), float(rows[2][3])
+        assert rows[3][0] == "richardson"
+        assert float(rows[3][3]) == (r * last - first) / (r - 1.0)
+    assert float(rows[3][3]) == 2.0 * last - first
+
+
 @pytest.mark.parametrize("b", [1.0, 2.5])
 def test_poincare_suite_uses_the_eigenvalue_of_each_support(b):
     # a plateau of height v on m = k*h cells has two jumps of v and no

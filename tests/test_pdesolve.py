@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from robinshape import pdesolve
 from robinshape.model import IntegrandModel
@@ -395,6 +397,93 @@ def test_grid_eigenvalue_matches_dense_face_form_on_the_zoo():
             assert lam == pytest.approx(ref, rel=1e-9, abs=0)
         checked += 1
     assert checked == 11
+
+
+@st.composite
+def mirrored_masks(draw):
+    """A connected 1d or 2d mask: a random half mirrored across one axis or
+    both, the extent along a mirror axis even or odd."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(4, 24 if d == 1 else 10))
+    axes = draw(st.sampled_from([(0,)] if d == 1 else [(0,), (1,), (0, 1)]))
+    odd = draw(st.tuples(*[st.booleans()] * d))
+    half = draw(hnp.arrays(bool, tuple(
+        draw(st.integers(1, (n + odd[ax]) // 2 if ax in axes else n))
+        for ax in range(d))))
+    extent = [2 * k - odd[ax] if ax in axes else k
+              for ax, k in enumerate(half.shape)]
+    offset = [draw(st.integers(0, n - e)) for e in extent]
+    cells = oracles.mirrored_cells(half, axes, odd, n, offset)
+    assume(cells.any() and oracles.components_bfs(cells) == 1)
+    return ShapeMask(Grid(d, n, 1.0 / n), cells)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(mirrored_masks(), st.sampled_from([1.0, 7.0]))
+def test_grid_eigenvalue_on_mirror_symmetric_masks(mask, b):
+    # the iteration runs on the mirror-invariant fields: the eigenvalue must
+    # be the whole form's, and the profile an eigenvector of the whole form
+    lam, profile = grid_robin_eigenvalue(mask, b)
+    assert lam == pytest.approx(oracles.robin_eigenvalue_dense(mask, b),
+                                rel=1e-9, abs=0)
+    A = oracles.robin_face_matrix_dense(mask, b)
+    y = profile[mask.cells]
+    Ay = A @ y
+    assert np.linalg.norm(Ay - lam * mask.grid.cell_volume * y) \
+        <= 1e-4 * np.linalg.norm(Ay)
+
+
+def _factorized_sizes(monkeypatch):
+    import scipy.sparse.linalg as spla
+    sizes, splu = [], spla.splu
+
+    def spy(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_the_suite_masks_fold_to_a_quarter(monkeypatch, n):
+    # the disc and the square of ball_minimality_suite are symmetric about
+    # both axes, and so must be their face forms, corrected weights
+    # included: a weight that lost its exact mirror symmetry would keep the
+    # whole mask in the factorization
+    sizes = _factorized_sizes(monkeypatch)
+    square, k = _suite_square(n)
+    grid = square.grid
+    R = k * grid.h / math.sqrt(math.pi)
+    for mask in (ShapeMask.disc(grid, (0.75, 0.75), R), square):
+        grid_robin_eigenvalue(mask, 1.0)
+        assert sizes[-1] <= mask.count() / 3.5
+    # centred off the box's midlines, on a face line in y and off the cell
+    # lattice in x, a disc keeps only the reflection in y, about its own
+    # midline
+    off = ShapeMask.disc(grid, (0.6, 0.5625), R)
+    grid_robin_eigenvalue(off, 1.0)
+    assert off.count() / 2.1 <= sizes[-1] <= off.count() / 1.9
+
+
+def test_a_mask_mirror_symmetric_but_not_its_face_form(monkeypatch):
+    # the U of five cells is symmetric about its middle column, and so are
+    # its corrected weights; but its two foot cells sum their diagonal
+    # entries in another order and differ by one rounding, so the face form
+    # is not exactly symmetric and nothing folds
+    sizes = _factorized_sizes(monkeypatch)
+    cells = np.zeros((5, 5), bool)
+    cells[0, 1:4] = cells[1, [1, 3]] = True
+    mask = ShapeMask(Grid(2, 5, 0.2), cells)
+    asm = mask_assembly(mask)
+    A = pdesolve._face_matrix(asm, 1.0, asm.weights())
+    mirror = [2, 1, 0, 4, 3]  # the cells in grid order, reflected
+    assert np.array_equal(cells, cells[:, ::-1])
+    assert (A[mirror][:, mirror] != A).nnz > 0
+    lam, _ = grid_robin_eigenvalue(mask, 1.0)
+    assert sizes == [5]
+    assert lam == pytest.approx(oracles.robin_eigenvalue_dense(mask, 1.0),
+                                rel=1e-9, abs=0)
 
 
 def test_grid_eigenvalue_refines_toward_reference():

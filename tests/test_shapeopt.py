@@ -17,9 +17,9 @@ from robinshape.shapeopt import (AnnealSchedule, ShapeOptError, component_count,
 import oracles
 
 
-def bump_model(c0=0.2, amp=3.0, lo=0.4, hi=0.6):
+def bump_model(c0=0.2, amp=3.0, lo=0.4, hi=0.6, p=2, q=2):
     return IntegrandModel(
-        p=2, q=2, L=1.0, c0=c0,
+        p=p, q=q, L=1.0, c0=c0,
         f=lambda pts: np.where((pts[..., 0] > lo) & (pts[..., 0] < hi), amp, 0.0),
         beta1=1.0, normalization="energy")
 
@@ -118,6 +118,37 @@ def test_small_run_matches_interval_enumeration():
     cells = np.nonzero(mask.cells)[0]
     a0, b0 = best[1]
     assert len(set(range(a0, b0 + 1)) ^ set(cells.tolist())) <= 3
+
+
+def test_chain_dp_finds_the_criterion_9_optimum():
+    # the criterion-9 model: the pass over every mask returns the interval
+    # optimum, and one exact solve there gives its J (sup u is 0.319)
+    grid = Grid(1, 128, 1.0 / 128)
+    model = bump_model()
+    cells, _ = oracles.chain_dp_optimum(model, grid, 0.5, 500, eta=0.0)
+    assert np.array_equal(np.flatnonzero(cells), np.arange(51, 77))
+    mask = ShapeMask(grid, cells)
+    J = energy_of(model, mask, solve_inner(model, mask))
+    assert J == pytest.approx(-0.054998970032, abs=1e-12)
+    with pytest.raises(ValueError, match="top label"):
+        oracles.chain_dp_optimum(model, grid, 0.25, 250, eta=0.0)
+
+
+def test_chain_dp_matches_the_interval_enumeration_at_exponent_three():
+    # p = q = 3, where every solve is Newton's (sup u is 0.456); the batched
+    # Newton over all 2080 intervals is the independent cross-check
+    grid = Grid(1, 64, 1.0 / 64)
+    model = bump_model(p=3, q=3)
+    cells, _ = oracles.chain_dp_optimum(model, grid, 0.6, 500, eta=1e-6)
+    assert np.array_equal(np.flatnonzero(cells), np.arange(26, 38))
+    a, b, J = oracles.interval_minima(model, grid, 1e-6)
+    best = int(np.argmin(J))
+    assert J[best] < 0 and (a[best], b[best]) == (26, 37)
+    mask = ShapeMask(grid, cells)
+    assert energy_of(model, mask, solve_inner(model, mask)) == \
+        pytest.approx(J[best], rel=1e-10)
+    with pytest.raises(ValueError, match="top label"):
+        oracles.chain_dp_optimum(model, grid, 0.4, 200, eta=1e-6)
 
 
 def test_small_constant_source_fills_domain():
