@@ -5,10 +5,10 @@ Every solver works on the mask's own m cells, read from the mask's
 neighbour arrays with one zero sentinel for absent neighbours, and the
 boundary faces as arrays.  The method follows the model's exponents.  For
 p = q = 2 the face-based energy is a symmetric positive definite quadratic
-solved matrix-free by conjugate gradients over the m unknowns, the operator
-a gather stencil over the neighbour arrays.  Any other exponents minimize
-the eta-regularized energy by damped Newton: one sparse factorization of
-the Hessian per iteration, Armijo backtracking, and a stop when half the
+solved matrix-free by conjugate gradients, the operator a gather stencil
+over the neighbour arrays.  Any other exponents minimize the
+eta-regularized energy by damped Newton: one sparse factorization of the
+Hessian per iteration, Armijo backtracking, and a stop when half the
 squared Newton decrement is at most tol |E|, which bounds the energy gap to
 the minimiser, or once a step no longer changes E.  The Hessian and the
 grid eigensolver's matrix are one face form (`_face_matrix`), factorized by
@@ -17,20 +17,26 @@ factorization also turns supernode relaxation off (relax=1) and narrows the
 panels to four columns (panel_size=4), which cuts its time by 20-50% and the
 memory it adds by 30-40%; Newton keeps SuperLU's default relaxation and
 panels, because there the same settings move pinned answers in their last
-digits for a few milliseconds per solve.  The eigensolver factorizes only
-the fields invariant under the mask's mirror symmetries: per axis, the
-reflection about the midpoint of the mask's extent, kept when it maps the
-mask onto itself and the face matrix A onto itself entry for entry.  With E
-the 0/1 matrix from cells to their classes it iterates on E^T A E with mass
-h^d E^T E, so the disc and the square of `verify ball-minimality` factorize
-a quarter of their cells.  The eigenvalue is exact: A's off-diagonal
-entries are nonpositive, so the ground state of each component is positive
-and simple (Perron-Frobenius), and the sum of a ground state's mirror
-images is an invariant one.  Zero initial guess always, and every vector
-reduction is a numpy add.reduce (np.sum, or ndarray.sum in the CG loop;
-BLAS calls would thread and sum in another order), so results are
-reproducible bit for bit.  The CG iteration updates its vectors in place
-and reuses the residual's r.r in the next step.
+digits for a few milliseconds per solve.
+
+CG and the eigensolver both run on the classes of the mask's cells under
+its mirror symmetries (`_mirror_classes`): per axis, the reflection about
+the midpoint of the mask's extent, kept when it maps the mask and the
+problem's per-cell data onto themselves exactly.  For CG that data is the
+operator's diagonal and the right-hand side, so the unique minimiser is
+mirror-invariant and CG started at zero stays on the invariant fields: one
+unknown per class, dot products weighted by the class sizes, the same
+iterates and stop rule, and a centred disc solves on a quarter of its
+cells.  For the eigensolver it is the diagonal of the face matrix A (every
+off-diagonal entry is -h^(d-2)); with E the 0/1 matrix from cells to their
+classes it iterates on E^T A E with mass h^d E^T E.  The eigenvalue is
+exact: A's off-diagonal entries are nonpositive, so the ground state of
+each component is positive and simple (Perron-Frobenius), and the sum of a
+ground state's mirror images is an invariant one.  Zero initial guess
+always, and every vector reduction is a numpy add.reduce (np.sum, or
+ndarray.sum in the CG loop; BLAS calls would thread and sum in another
+order), so results are reproducible bit for bit.  The CG iteration updates
+its vectors in place and reuses the residual's r.r in the next step.
 
 The face energy (`_face_energy`, `energy_of`) is the package's one discrete
 functional: Lg ((u_hi - u_lo)^2/h^2 + eta^2)^(p/2) h^d per interior face,
@@ -73,6 +79,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 def _eta(model: IntegrandModel) -> float:
@@ -93,13 +101,16 @@ def _robin_weights(model: IntegrandModel, asm: MaskAssembly):
 def solve_inner(model: IntegrandModel, mask: ShapeMask,
                 config: SolverConfig | None = None, return_info: bool = False):
     """Minimize the fixed-support energy on the mask's grid; returns the field
-    extended by zero with jump faces exactly on the mask boundary."""
+    extended by zero with jump faces exactly on the mask boundary.  The info
+    of return_info holds "unknowns", the number of values the solver
+    iterated on: fewer than the mask's cells when CG runs on mirror classes."""
     grid = mask.grid
     if config is None:
         config = SolverConfig()
     if mask.count() == 0:
         field = SbvField.zero(grid)
-        return (field, {"iterations": 0, "residual": 0.0, "mode": "empty"}) \
+        return (field, {"iterations": 0, "residual": 0.0, "mode": "empty",
+                        "unknowns": 0}) \
             if return_info else field
 
     eta = _eta(model)
@@ -120,36 +131,53 @@ def solve_inner(model: IntegrandModel, mask: ShapeMask,
 
 
 def _solve_cg(model, asm, fc, bcw, config, cap):
+    """CG on the mask's mirror classes (see the module docstring): each
+    class's smallest cell's stencil, its neighbours read as their classes,
+    and dot products weighted by the class sizes, so the residual norm is
+    the full one.  With no symmetry, the plain stencil on all m cells."""
     grid = asm.grid
     k2 = 2.0 * (model.grad_coeff * grid.h ** (grid.d - 2))
     diag = k2 * asm.degree + 2.0 * asm.cell_sum(bcw)
-    nbrs = asm.nbrs
-    ext = np.zeros(asm.m + 1)  # a vector with the zero sentinel appended
+    rhs = fc * grid.cell_volume
+    cls, reps = _mirror_classes(asm, diag, rhs)
+    k = len(reps)
+    if k < asm.m:
+        # a C-ordered table: gathering along a Fortran-ordered one is 4x slower
+        nbrs = np.ascontiguousarray(np.append(cls, k)[asm.nbrs[:, reps]])
+        diag, rhs, w = diag[reps], rhs[reps], np.bincount(cls).astype(float)
+
+        def dot(a, b):
+            return float((w * a * b).sum())
+    else:
+        nbrs = asm.nbrs
+
+        def dot(a, b):
+            return float((a * b).sum())
+    ext = np.zeros(k + 1)  # a vector with the zero sentinel appended
 
     def apply_A(p):
         ext[:-1] = p
         return diag * p - k2 * ext[nbrs].sum(axis=0)
 
-    rhs = fc * grid.cell_volume
-    bnorm = float(np.sqrt((rhs * rhs).sum()))
-    u = np.zeros(asm.m)
+    bnorm = float(np.sqrt(dot(rhs, rhs)))
+    u = np.zeros(k)
+    info = {"iterations": 0, "residual": 0.0, "mode": "linear-cg", "unknowns": k}
     if bnorm == 0.0:
-        return u, {"iterations": 0, "residual": 0.0, "mode": "linear-cg"}
+        return u[cls], info
 
     r = rhs.copy()
     p = r.copy()
-    rr = float((r * r).sum())
+    rr = dot(r, r)
     res = bnorm
     for it in range(1, cap + 1):
         Ap = apply_A(p)
-        alpha = rr / float((p * Ap).sum())
+        alpha = rr / dot(p, Ap)
         u += alpha * p
         r -= alpha * Ap
-        rr_new = float((r * r).sum())
+        rr_new = dot(r, r)
         res = float(np.sqrt(rr_new))
         if res <= config.tol * bnorm:
-            return u, {"iterations": it, "residual": res / bnorm,
-                       "mode": "linear-cg"}
+            return u[cls], dict(info, iterations=it, residual=res / bnorm)
         p *= rr_new / rr
         p += r
         rr = rr_new
@@ -251,7 +279,7 @@ def _solve_newton(model, asm, fc, bcw, eta, config, cap):
         u, E = u_try, E_try
         trace.append(E)
     return u, {"iterations": it, "residual": res, "mode": "newton",
-               "energy_trace": trace}
+               "unknowns": asm.m, "energy_trace": trace}
 
 
 def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField) -> float:
@@ -267,19 +295,23 @@ def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField) -> float:
     return energy(asm.gather(field.values)) + model.c0 * mask.volume()
 
 
-def _mirror_classes(asm: MaskAssembly, A) -> np.ndarray:
-    """Class of each mask cell (0..k-1) under the mirror symmetries of the
-    mask and of its face matrix A: per axis, the reflection about the
-    midpoint of the mask's extent, kept when it maps the mask onto itself
-    and A onto itself entry for entry, with no tolerance."""
+def _mirror_classes(asm: MaskAssembly, *cell_arrays):
+    """Class of each mask cell (0..k-1) under the mask's mirror symmetries
+    that fix every given per-cell array, and the smallest cell of each
+    class: per axis, the reflection about the midpoint of the mask's
+    extent, kept when it maps the mask onto itself and each array onto
+    itself, with no tolerance.  Classes are numbered in the order of their
+    smallest cells, with no sort."""
     ids = np.full(asm.grid.shape(), -1)  # the mask's numbering, -1 outside
     ids.reshape(-1)[asm.flat] = rep = np.arange(asm.m)
     for ax, pos in enumerate(np.nonzero(ids >= 0)):
         shift = pos.min() + pos.max() + 1 - asm.grid.n
         perm = np.roll(np.flip(ids, ax), shift, ax)[ids >= 0]  # -1 off the mask
-        if np.all(perm >= 0) and (A[perm][:, perm] != A).nnz == 0:
-            rep = np.minimum(rep, rep[perm])
-    return np.unique(rep, return_inverse=True)[1]
+        if np.all(perm >= 0) and all(np.array_equal(a[perm], a)
+                                     for a in cell_arrays):
+            rep = np.minimum(rep, rep[perm])  # the reflections commute
+    first = rep == np.arange(asm.m)
+    return (np.cumsum(first) - 1)[rep], np.flatnonzero(first)
 
 
 def grid_robin_eigenvalue(mask: ShapeMask, b: float, max_iter: int = 400):
@@ -304,7 +336,9 @@ def grid_robin_eigenvalue(mask: ShapeMask, b: float, max_iter: int = 400):
     if asm.m == 0:
         raise ValueError("empty mask has no eigenvalue")
     A = _face_matrix(asm, grid.h ** (grid.d - 2), b * asm.weights())
-    cls = _mirror_classes(asm, A)
+    # every off-diagonal entry of A is -h^(d-2), so a reflection of the mask
+    # maps A onto itself exactly when it maps A's diagonal onto itself
+    cls, _ = _mirror_classes(asm, A.diagonal())
     E = sp.csc_matrix((np.ones(asm.m), (np.arange(asm.m), cls)))
     B = (E.T @ A @ E).tocsc()  # the face form on the invariant fields
     mass, count = grid.cell_volume, np.bincount(cls)  # the mass is E^T E h^d

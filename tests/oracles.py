@@ -492,8 +492,9 @@ def components_bfs(cells):
 
 def robin_solve_direct(cells, h, f, gc, W):
     """Direct sparse solve of the face-based quadratic energy on a mask:
-    gc * sum over interior faces of (du/h)^2 h^d - f sum u h^d
-    + sum over cells of W u^2, assembled cell pair by cell pair."""
+    gc * sum over interior faces of (du/h)^2 h^d - sum f u h^d
+    + sum over cells of W u^2, assembled cell pair by cell pair; f is a
+    constant or a grid array of cell values."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     d = cells.ndim
@@ -510,7 +511,7 @@ def robin_solve_direct(cells, h, f, gc, W):
                 A[kk, kk] += kap
                 A[k, kk] -= kap
                 A[kk, k] -= kap
-    x = spla.spsolve(A.tocsc(), np.full(len(idx), f * h**d))
+    x = spla.spsolve(A.tocsc(), np.broadcast_to(f, cells.shape)[cells] * h**d)
     out = np.zeros(cells.shape)
     for c, k in idx.items():
         out[c] = x[k]

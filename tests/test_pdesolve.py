@@ -74,22 +74,78 @@ def test_field_jumps_exactly_on_mask_boundary():
     assert np.all(fld.values[~mask.cells] == 0.0)
 
 
+def _cg_against_direct(mask, f=2.0, beta=1.5):
+    """The CG field against a direct sparse solve of the same face energy;
+    returns the number of unknowns CG iterated on."""
+    # energy normalization: gradient coefficient 1/2, Robin coefficient beta/2
+    model = slab_model(f=f, beta=beta)
+    grid, cells = mask.grid, mask.cells
+    W = np.zeros(grid.shape())
+    for (axis, *pos), w in oracles.boundary_faces_reference(mask):
+        lo = tuple(v - (k == axis) for k, v in enumerate(pos))
+        centre = (np.array(pos) + 0.5 * (np.arange(grid.d) != axis)) * grid.h
+        W[lo if min(lo) >= 0 and cells[lo] else tuple(pos)] += \
+            float(model.bdry_coeff(centre)) * w
+    ref = oracles.robin_solve_direct(cells, grid.h, model.f_at(grid.centers()),
+                                     0.5, W)
+    fld, info = solve_inner(model, mask, SolverConfig(tol=1e-12),
+                            return_info=True)
+    err = np.max(np.abs(fld.values - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-9
+    return info["unknowns"]
+
+
+def _off_centre_bump(x):
+    return np.exp(-np.sum((x - 0.3) ** 2, axis=-1))
+
+
 def test_compressed_cg_matches_direct_sparse_solve():
-    # energy normalization: gradient coefficient 1/2, Robin coefficient 1.5/2
-    model = slab_model(f=2.0, beta=1.5)
     for grid, cells in oracles.mask_zoo()[::3]:
         mask = ShapeMask(grid, cells)
-        if mask.count() == 0:
-            continue
-        W = np.zeros(grid.shape())
-        for (axis, *pos), w in oracles.boundary_faces_reference(mask):
-            lo = tuple(v - (k == axis) for k, v in enumerate(pos))
-            W[lo if min(lo) >= 0 and cells[lo] else tuple(pos)] += 0.75 * w
-        ref = oracles.robin_solve_direct(cells, grid.h, 2.0, 0.5, W)
-        fld = solve_inner(model, mask,
-                          SolverConfig(tol=1e-12))
-        err = np.max(np.abs(fld.values - ref)) / np.max(np.abs(ref))
-        assert err <= 1e-9
+        if mask.count() > 0:
+            _cg_against_direct(mask)
+    for n in (32, 33):
+        grid = Grid(2, n, 1.0 / n)
+        disc = ShapeMask.disc(grid, (0.5, 0.5), 0.35)
+        square = ShapeMask(grid, np.zeros((n, n), bool))
+        square.cells[4:n - 4, 4:n - 4] = True
+        # centred in the box, so symmetric about its midlines: CG runs on
+        # the cells up to and on each midline, a quarter (a half in 1d)
+        half = slice(0, (n + 1) // 2)
+        for mask in (disc, square, ShapeMask.full(grid),
+                     ShapeMask.full(Grid(1, n, 1.0 / n))):
+            assert _cg_against_direct(mask) == \
+                np.count_nonzero(mask.cells[(half,) * mask.grid.d])
+        # an x-dependent beta leaves only the reflection in y
+        assert _cg_against_direct(disc, beta=lambda x: 0.5 + x[..., 0]) == \
+            np.count_nonzero(disc.cells[:, half])
+        # an off-centre source, or a beta varying along both axes, folds
+        # nothing
+        assert _cg_against_direct(disc, f=_off_centre_bump) == disc.count()
+        assert _cg_against_direct(
+            disc, beta=lambda x: 0.5 + x[..., 0] + 2.0 * x[..., 1] ** 2) \
+            == disc.count()
+        line = ShapeMask.interval(Grid(1, n, 1.0 / n), 0.2, 0.8)
+        for f, beta in ((_off_centre_bump, 1.5),
+                        (2.0, lambda x: 0.5 + x[..., 0])):
+            assert _cg_against_direct(line, f=f, beta=beta) == line.count()
+
+
+@pytest.mark.parametrize("n, cells, unknowns, iterations", [
+    (64, 2056, 514, 102), (128, 8224, 2056, 200),
+    (256, 32928, 8232, 384), (512, 131788, 32947, 790)])
+def test_a_symmetric_problem_has_an_exactly_symmetric_field(n, cells, unknowns,
+                                                            iterations):
+    # the disc, the source and the Robin coefficient are symmetric about
+    # both midlines, and so is the field, bit for bit.  CG runs on the
+    # mirror classes, a quarter of the cells, in as many iterations as on
+    # all of them; n = 256 is the disc of the solve-io benchmark
+    mask = ShapeMask.disc(Grid(2, n, 1.0 / n), (0.5, 0.5), 0.4)
+    fld, info = solve_inner(slab_model(), mask, return_info=True)
+    assert np.array_equal(fld.values, fld.values[:, ::-1])
+    assert np.array_equal(fld.values, fld.values[::-1])
+    assert (mask.count(), info["unknowns"], info["iterations"]) == \
+        (cells, unknowns, iterations)
 
 
 def test_quadratic_energy_identity():
@@ -329,6 +385,11 @@ def test_negative_robin_coefficient_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
+    # a cap below one iteration is refused before any solve, at every p
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=max_iter)
+    assert SolverConfig(max_iter=1).max_iter == 1
     # the method and eta follow the exponents: neither is a setting
     with pytest.raises(TypeError):
         SolverConfig(mode="linear-cg")

@@ -492,7 +492,7 @@ def test_the_grid_carries_the_boundary_rule(tmp_path):
                           (0.5, 0.5), 0.4)
     model = slab_model()
     assert shape_energy(model, mask, solve_inner(model, mask)) \
-        == -0.04352695542578365
+        == -0.04352695542578364
     # every rule gives one measure in 1d, so one grid
     assert Grid(1, 8, 1 / 8, weights="corrected") == Grid(1, 8, 1 / 8)
     with pytest.raises(ValueError):

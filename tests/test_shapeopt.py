@@ -196,7 +196,9 @@ def _reprs(rows):
 def test_small_2d_trajectory_is_pinned():
     # every column of every sweep, the repr of J, ess inf and sup included,
     # as recorded from the tuple-based annealer and boundary walk (the J
-    # column re-recorded when J became the solver's face energy)
+    # column re-recorded when J became the solver's face energy, the floats
+    # again, by at most 1.7e-14 relative, when CG began solving mirror-
+    # symmetric masks on their mirror classes)
     model = IntegrandModel(p=2, q=2, c0=0.2, f=4.0, beta1=1.0,
                            normalization="energy")
     grid = Grid(2, 24, 1.0 / 24)
@@ -205,10 +207,10 @@ def test_small_2d_trajectory_is_pinned():
     _, _, trace = optimize_shape(model, ShapeMask.disc(grid, (0.5, 0.5), 0.3),
                                  sched)
     recorded = [
-        (0, -0.3075245064281705, 0.2847222222222222, 1.8820725288970235,
-         0.5980571570122625, 0.6843471480667621, 0, 1),
-        (1, -0.37540666495933495, 0.3211805555555555, 2.528656357729019,
-         0.0, 0.6843471480667621, 21, 4),
+        (0, -0.30752450642817053, 0.2847222222222222, 1.8820725288970235,
+         0.5980571570122624, 0.684347148066762, 0, 1),
+        (1, -0.375406664959335, 0.3211805555555555, 2.528656357729019,
+         0.0, 0.684347148066762, 21, 4),
         (2, -0.3747331225379642, 0.34375, 3.280871630052534,
          0.041666666666666734, 0.7194118331608571, 19, 8),
         (3, -0.3883252444290731, 0.3611111111111111, 4.4477300361347325,
@@ -341,41 +343,41 @@ def test_frozen_2d_trajectory_is_pinned(tmp_path):
     model, grid, init, sched = _frozen_2d_run()
     mask, fld, trace = optimize_shape(model, init, sched)
     recorded = [
-        (0, -0.2983831780109025, 0.28, 1.8659113421525861, 0.5952957315478252,
-         0.6759499750425486, 0, 1),
-        (1, -0.38613515050466723, 0.32000000000000006, 2.0212031071399594,
-         0.5952957315478252, 0.6759499750425486, 16, 1),
-        (2, -0.43539782873974897, 0.3425000000000001, 2.1163904536772313,
-         0.5952957315478252, 0.6759499750425486, 9, 1),
+        (0, -0.2983831780109022, 0.28, 1.8659113421525861, 0.5952957315478253,
+         0.6759499750425488, 0, 1),
+        (1, -0.38613515050466696, 0.32000000000000006, 2.0212031071399594,
+         0.5952957315478253, 0.6759499750425488, 16, 1),
+        (2, -0.43539782873974864, 0.3425000000000001, 2.1163904536772313,
+         0.5952957315478253, 0.6759499750425488, 9, 1),
         (3, -0.40277006302399815, 0.3550000000000001, 2.274552086723368,
-         0.5718804457774243, 0.7241840106160273, 5, 1),
+         0.5718804457774243, 0.7241840106160197, 5, 1),
         (4, -0.41408412853842486, 0.3600000000000001, 2.3999999999999995,
-         0.5718804457774243, 0.7241840106160273, 2, 1),
+         0.5718804457774243, 0.7241840106160197, 2, 1),
         (5, -0.41408412853842486, 0.3600000000000001, 2.3999999999999995,
-         0.5718804457774243, 0.7241840106160273, 0, 1),
-        (6, -0.39224572569678, 0.3600000000000001, 2.3999999999999995,
-         0.558384311938616, 0.7025412767581498, 0, 1),
+         0.5718804457774243, 0.7241840106160197, 0, 1),
+        (6, -0.3922457256967801, 0.3600000000000001, 2.3999999999999995,
+         0.5583843119386163, 0.70254127675815, 0, 1),
     ]
-    recorded += [(s, -0.39224572569678, 0.3600000000000001,
-                  2.3999999999999995, 0.558384311938616, 0.7025412767581498,
+    recorded += [(s, -0.3922457256967801, 0.3600000000000001,
+                  2.3999999999999995, 0.5583843119386163, 0.70254127675815,
                   0, 1) for s in range(7, 21)]
     assert _reprs(trace.rows) == _reprs(recorded)
     assert _field_digest(tmp_path, fld, mask) == (
-        "b18c51f631d852af1908ee1a7c9ce8a033c0bbe062bf84f1447890109db6989e")
+        "4e76bc176caaa07c1e6cc29615be8de3576f070c29b0f74934880c2f9b548cab")
 
 
 def test_hot_2d_trajectory_is_pinned(tmp_path):
     model, grid, init, sched = _hot_2d_run()
     mask, fld, trace = optimize_shape(model, init, sched)
     recorded = [
-        (0, -0.3387028572423698, 0.3055555555555555, 1.9530983168055591,
-         0.6159870971220973, 0.6990474102709741, 0, 1),
-        (1, -0.5208223160806003, 0.4375, 4.38753977200306, 0.0,
-         0.6990474102709741, 19, 7),
-        (2, -0.5948193632884069, 0.5, 5.868530448165458, 0.0,
-         0.6990474102709741, 23, 10),
-        (3, -0.6224111577991702, 0.5347222222222222, 6.907138681573768, 0.0,
-         0.6990474102709741, 27, 13),
+        (0, -0.33870285724236976, 0.3055555555555555, 1.9530983168055591,
+         0.6159870971220971, 0.6990474102709737, 0, 1),
+        (1, -0.5208223160806001, 0.4375, 4.38753977200306, 0.0,
+         0.6990474102709737, 19, 7),
+        (2, -0.5948193632884068, 0.5, 5.868530448165458, 0.0,
+         0.6990474102709737, 23, 10),
+        (3, -0.6224111577991701, 0.5347222222222222, 6.907138681573768, 0.0,
+         0.6990474102709737, 27, 13),
         (4, -0.5466032317323287, 0.5, 5.407138681573773, 0.08333333333333333,
          0.7945610461336785, 23, 9),
         (5, -0.5598530862523275, 0.5625, 7.166666666666658, 0.0,
@@ -404,10 +406,10 @@ def test_1d_trajectory_with_frozen_tail_is_pinned(tmp_path):
     model, grid, init, sched = _frozen_1d_run()
     mask, fld, trace = optimize_shape(model, init, sched)
     recorded = [
-        (0, 0.027221679687500014, 0.625, 2.0, 0.2812500000000002,
-         0.3515625000000002, 0, 1),
-        (1, 0.034746265411376966, 0.65625, 4.0, 0.0, 0.3515625000000002, 3, 2),
-        (2, 0.03609809875488283, 0.65625, 8.0, 0.0, 0.3515625000000002, 6, 4),
+        (0, 0.0272216796875, 0.625, 2.0, 0.28124999999999545,
+         0.35156249999999584, 0, 1),
+        (1, 0.03474626541137691, 0.65625, 4.0, 0.0, 0.35156249999999584, 3, 2),
+        (2, 0.03609809875488273, 0.65625, 8.0, 0.0, 0.35156249999999584, 6, 4),
         (3, 0.007228107693829144, 0.5, 2.0, 0.2741297468354422,
          0.3338731210443025, 5, 1),
         (4, 0.014818046314940618, 0.53125, 4.0, 0.0, 0.3338731210443025, 3, 2),
