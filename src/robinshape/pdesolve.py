@@ -10,33 +10,33 @@ over the neighbour arrays.  Any other exponents minimize the
 eta-regularized energy by damped Newton: one sparse factorization of the
 Hessian per iteration, Armijo backtracking, and a stop when half the
 squared Newton decrement is at most tol |E|, which bounds the energy gap to
-the minimiser, or once a step no longer changes E.  The Hessian and the
-grid eigensolver's matrix are one face form (`_face_matrix`), factorized by
-SuperLU with the MMD_AT_PLUS_A ordering.  The eigensolver's one large
-factorization also turns supernode relaxation off (relax=1) and narrows the
-panels to four columns (panel_size=4), which cuts its time by 20-50% and the
-memory it adds by 30-40%; Newton keeps SuperLU's default relaxation and
-panels, because there the same settings move pinned answers in their last
-digits for a few milliseconds per solve.
+the minimiser, or once a step no longer changes E.  SuperLU factorizes the
+Hessian (`_face_matrix`) and the grid eigensolver's matrix with the
+MMD_AT_PLUS_A ordering, the eigensolver's also with supernode relaxation
+off (relax=1) and four-column panels (panel_size=4), which cuts its time by
+20-50% and the memory it adds by 30-40%; Newton keeps SuperLU's defaults,
+which there move pinned answers in their last digits for a few
+milliseconds per solve.
 
-CG and the eigensolver both run on the classes of the mask's cells under
-its mirror symmetries (`_mirror_classes`): per axis, the reflection about
-the midpoint of the mask's extent, kept when it maps the mask and the
-problem's per-cell data onto themselves exactly.  For CG that data is the
-operator's diagonal and the right-hand side, so the unique minimiser is
-mirror-invariant and CG started at zero stays on the invariant fields: one
-unknown per class, dot products weighted by the class sizes, the same
-iterates and stop rule, and a centred disc solves on a quarter of its
-cells.  For the eigensolver it is the diagonal of the face matrix A (every
-off-diagonal entry is -h^(d-2)); with E the 0/1 matrix from cells to their
-classes it iterates on E^T A E with mass h^d E^T E.  The eigenvalue is
-exact: A's off-diagonal entries are nonpositive, so the ground state of
-each component is positive and simple (Perron-Frobenius), and the sum of a
-ground state's mirror images is an invariant one.  Zero initial guess
-always, and every vector reduction is a numpy add.reduce (np.sum, or
-ndarray.sum in the CG loop; BLAS calls would thread and sum in another
-order), so results are reproducible bit for bit.  The CG iteration updates
-its vectors in place and reuses the residual's r.r in the next step.
+CG and the eigensolver run the p = 2 face form (off-diagonal -k2, diagonal
+k2 degree + boundary terms) on one fold (`_fold`).  Per axis, the
+reflection about the midpoint of the mask's extent is kept when it maps the
+mask, that diagonal and the problem's other per-cell data onto themselves
+exactly; `cell_sum` adds a cell's boundary terms in an order its mirror
+image shares.  Each class of cells under the kept reflections is one
+unknown with the stencil of its smallest cell, its neighbours read as their
+classes, so a centred disc solves on a quarter of its cells.  For CG the
+other data is the right-hand side, so the unique minimiser is
+mirror-invariant and CG started at zero stays on the invariant fields: dot
+products weighted by the class sizes, the same iterates and stop rule.  The
+eigenvalue is exact: the form's off-diagonal entries are nonpositive, so
+the ground state of each component is positive and simple
+(Perron-Frobenius), and the sum of a ground state's mirror images is an
+invariant one.  Zero initial guess always, and every vector reduction is a
+numpy add.reduce (np.sum, or ndarray.sum in the CG loop; BLAS calls would
+thread and sum in another order), so results are reproducible bit for bit.
+The CG iteration updates its vectors in place and reuses the residual's r.r
+in the next step.
 
 The face energy (`_face_energy`, `energy_of`) is the package's one discrete
 functional: Lg ((u_hi - u_lo)^2/h^2 + eta^2)^(p/2) h^d per interior face,
@@ -131,28 +131,16 @@ def solve_inner(model: IntegrandModel, mask: ShapeMask,
 
 
 def _solve_cg(model, asm, fc, bcw, config, cap):
-    """CG on the mask's mirror classes (see the module docstring): each
-    class's smallest cell's stencil, its neighbours read as their classes,
-    and dot products weighted by the class sizes, so the residual norm is
-    the full one.  With no symmetry, the plain stencil on all m cells."""
+    """CG on the mask's mirror classes (`_fold`), with dot products weighted
+    by the class sizes, so the residual norm is the full one."""
     grid = asm.grid
     k2 = 2.0 * (model.grad_coeff * grid.h ** (grid.d - 2))
-    diag = k2 * asm.degree + 2.0 * asm.cell_sum(bcw)
     rhs = fc * grid.cell_volume
-    cls, reps = _mirror_classes(asm, diag, rhs)
-    k = len(reps)
-    if k < asm.m:
-        # a C-ordered table: gathering along a Fortran-ordered one is 4x slower
-        nbrs = np.ascontiguousarray(np.append(cls, k)[asm.nbrs[:, reps]])
-        diag, rhs, w = diag[reps], rhs[reps], np.bincount(cls).astype(float)
+    cls, reps, nbrs, diag, w = _fold(asm, k2, 2.0 * asm.cell_sum(bcw), rhs)
+    k, rhs = len(reps), rhs[reps]
 
-        def dot(a, b):
-            return float((w * a * b).sum())
-    else:
-        nbrs = asm.nbrs
-
-        def dot(a, b):
-            return float((a * b).sum())
+    def dot(a, b):  # weighted only when something folds, else plain CG
+        return float(((w * a if k < asm.m else a) * b).sum())
     ext = np.zeros(k + 1)  # a vector with the zero sentinel appended
 
     def apply_A(p):
@@ -226,17 +214,16 @@ def _face_energy(model, asm, fc, bcw, eta):
 
 def _face_matrix(asm, link_w, bdry_w):
     """Sparse m x m matrix (CSC) of the face form: link_w (one value per
-    interior face, axis by axis as in asm.links, or one for all) times
+    interior face, axis by axis as in asm.links) times
     (e_lo - e_hi)(e_lo - e_hi)^T, plus bdry_w on the diagonal of each
     boundary face's mask cell."""
     import scipy.sparse as sp
 
     lo = np.concatenate([lo for lo, _ in asm.links])
     hi = np.concatenate([hi for _, hi in asm.links])
-    w = np.broadcast_to(link_w, lo.shape)[:, None]
     rows = np.concatenate([np.stack([lo, hi, lo, hi], axis=1).ravel(), asm.inner])
     cols = np.concatenate([np.stack([lo, hi, hi, lo], axis=1).ravel(), asm.inner])
-    vals = np.concatenate([(w * [1.0, 1.0, -1.0, -1.0]).ravel(), bdry_w])
+    vals = np.concatenate([(link_w[:, None] * [1.0, 1.0, -1.0, -1.0]).ravel(), bdry_w])
     return sp.csc_matrix((vals, (rows, cols)), shape=(asm.m, asm.m))
 
 
@@ -295,62 +282,69 @@ def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField) -> float:
     return energy(asm.gather(field.values)) + model.c0 * mask.volume()
 
 
-def _mirror_classes(asm: MaskAssembly, *cell_arrays):
-    """Class of each mask cell (0..k-1) under the mask's mirror symmetries
-    that fix every given per-cell array, and the smallest cell of each
-    class: per axis, the reflection about the midpoint of the mask's
-    extent, kept when it maps the mask onto itself and each array onto
-    itself, with no tolerance.  Classes are numbered in the order of their
-    smallest cells, with no sort."""
+def _fold(asm: MaskAssembly, k2: float, bdiag, *cell_arrays):
+    """The mask's mirror classes for the p = 2 face form of off-diagonal
+    -k2 and diagonal k2 degree + bdiag, keeping a reflection when it maps
+    that diagonal and each given per-cell array onto themselves (see the
+    module docstring).  Returns each cell's class (0..k-1, in the order of
+    their smallest cells), each class's smallest cell, the class neighbour
+    table (k where absent), the diagonal at those cells and the sizes."""
+    diag = k2 * asm.degree + bdiag
     ids = np.full(asm.grid.shape(), -1)  # the mask's numbering, -1 outside
     ids.reshape(-1)[asm.flat] = rep = np.arange(asm.m)
     for ax, pos in enumerate(np.nonzero(ids >= 0)):
         shift = pos.min() + pos.max() + 1 - asm.grid.n
         perm = np.roll(np.flip(ids, ax), shift, ax)[ids >= 0]  # -1 off the mask
         if np.all(perm >= 0) and all(np.array_equal(a[perm], a)
-                                     for a in cell_arrays):
+                                     for a in (diag, *cell_arrays)):
             rep = np.minimum(rep, rep[perm])  # the reflections commute
     first = rep == np.arange(asm.m)
-    return (np.cumsum(first) - 1)[rep], np.flatnonzero(first)
+    cls, reps = (np.cumsum(first) - 1)[rep], np.flatnonzero(first)
+    # a C-ordered table: gathering along a Fortran-ordered one is 4x slower
+    nbrs = np.ascontiguousarray(np.append(cls, len(reps))[asm.nbrs[:, reps]])
+    return cls, reps, nbrs, diag[reps], np.bincount(cls).astype(float)
 
 
 def grid_robin_eigenvalue(mask: ShapeMask, b: float, max_iter: int = 400):
     """Smallest eigenvalue of the Robin form on the mask via inverse power
     iteration on the raw Rayleigh quotient assembly (gradient coefficient 1,
     boundary coefficient b, the grid's boundary weights), and its profile
-    on the grid, of unit L2 norm.  The iteration runs on the fields
-    invariant under the mirror symmetries of the mask and of its face
-    matrix A (`_mirror_classes`), so a disc or a square factorizes a
-    quarter of its cells.  The eigenvalue stays exact: A's off-diagonal
-    entries are nonpositive, so some ground state is invariant under every
-    symmetry of A (Perron-Frobenius).  Raises ValueError unless b is finite
-    and positive, and SolverError when the eigenvalue has not settled to
-    relative change 1e-10 within max_iter iterations."""
+    on the grid, of unit L2 norm.  It runs on the mask's mirror classes
+    (`_fold`): with A the face form, E the 0/1 matrix from cells to their
+    classes and W = E^T E, it factorizes the k x k matrix S = W^-1 E^T A E,
+    whose rows are the class stencils, and iterates on S y = lambda h^d y
+    with the W-weighted Rayleigh quotient.  A disc or a square factorizes a
+    quarter of its cells, and the eigenvalue stays exact (see the module
+    docstring).  Raises ValueError unless b is finite and positive and
+    max_iter is at least 2 (the first iterate has no change to compare),
+    and SolverError when the eigenvalue has not settled to relative change
+    1e-10 within max_iter iterations."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     if not (0 < b < np.inf):
         raise ValueError(f"b must be finite and positive, got {b}")
+    if max_iter < 2:
+        raise ValueError(f"max_iter must be at least 2, got {max_iter}")
     grid = mask.grid
     asm = mask_assembly(mask)
     if asm.m == 0:
         raise ValueError("empty mask has no eigenvalue")
-    A = _face_matrix(asm, grid.h ** (grid.d - 2), b * asm.weights())
-    # every off-diagonal entry of A is -h^(d-2), so a reflection of the mask
-    # maps A onto itself exactly when it maps A's diagonal onto itself
-    cls, _ = _mirror_classes(asm, A.diagonal())
-    E = sp.csc_matrix((np.ones(asm.m), (np.arange(asm.m), cls)))
-    B = (E.T @ A @ E).tocsc()  # the face form on the invariant fields
-    mass, count = grid.cell_volume, np.bincount(cls)  # the mass is E^T E h^d
-    # supernode relaxation off and four-column panels: the 5-point face form
-    # factorizes 20-50% faster than at SuperLU's defaults, at less peak memory
-    lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=4)
-    x = np.ones(len(count))
+    off = grid.h ** (grid.d - 2)
+    cls, _, nbrs, diag, count = _fold(asm, off, asm.cell_sum(b * asm.weights()))
+    k = len(count)
+    side, row = np.nonzero(nbrs < k)  # -off per table entry, duplicates summed
+    S = sp.csc_matrix((np.append(diag, np.full(len(row), -off)),
+                       (np.append(np.arange(k), row),
+                        np.append(np.arange(k), nbrs[side, row]))), shape=(k, k))
+    mass = grid.cell_volume
+    lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=4)
+    x = np.ones(k)
     lam, change = None, np.inf
     for _ in range(max_iter):
-        y = lu.solve(mass * (count * x))
+        y = lu.solve(mass * x)
         y /= np.sqrt(mass * float(np.sum(count * y * y)))
-        lam_new = (float(np.sum(y * (B @ y)))
+        lam_new = (float(np.sum(count * y * (S @ y)))
                    / (mass * float(np.sum(count * y * y))))
         if lam is not None:
             change = abs(lam_new - lam) / abs(lam_new)

@@ -408,8 +408,13 @@ class MaskAssembly:
         return out
 
     def cell_sum(self, per_face: np.ndarray) -> np.ndarray:
-        """Sum of a boundary-face quantity over the faces of each cell."""
-        return np.bincount(self.inner, weights=per_face, minlength=self.m)
+        """Sum of a boundary-face quantity over the faces of each cell: the
+        two sides of each axis first, then the axes in order, so a cell and
+        its mirror image add the same terms in the same order."""
+        d = self.grid.d
+        slot = 2 * (d * self.inner + self.face_axis) + ~self.upper_in
+        side = np.bincount(slot, per_face, 2 * d * self.m).reshape(self.m, d, 2)
+        return (side[..., 0] + side[..., 1]).sum(axis=1)
 
 
 def _corrected_weights(asm: MaskAssembly) -> np.ndarray:

@@ -527,24 +527,54 @@ def test_the_suite_masks_fold_to_a_quarter(monkeypatch, n):
     assert off.count() / 2.1 <= sizes[-1] <= off.count() / 1.9
 
 
-def test_a_mask_mirror_symmetric_but_not_its_face_form(monkeypatch):
-    # the U of five cells is symmetric about its middle column, and so are
-    # its corrected weights; but its two foot cells sum their diagonal
-    # entries in another order and differ by one rounding, so the face form
-    # is not exactly symmetric and nothing folds
-    sizes = _factorized_sizes(monkeypatch)
+def _random_mirrored_masks(count, seed=2024):
+    """The U of five cells, then count - 1 seeded random connected 2d masks,
+    n = 4 to 13, each a random half mirrored across axis 1 and not lying on
+    its mirror line alone."""
     cells = np.zeros((5, 5), bool)
     cells[0, 1:4] = cells[1, [1, 3]] = True
-    mask = ShapeMask(Grid(2, 5, 0.2), cells)
-    asm = mask_assembly(mask)
-    A = pdesolve._face_matrix(asm, 1.0, asm.weights())
-    mirror = [2, 1, 0, 4, 3]  # the cells in grid order, reflected
-    assert np.array_equal(cells, cells[:, ::-1])
-    assert (A[mirror][:, mirror] != A).nnz > 0
-    lam, _ = grid_robin_eigenvalue(mask, 1.0)
-    assert sizes == [5]
-    assert lam == pytest.approx(oracles.robin_eigenvalue_dense(mask, 1.0),
-                                rel=1e-9, abs=0)
+    masks = [ShapeMask(Grid(2, 5, 0.2), cells)]
+    rng = np.random.default_rng(seed)
+    while len(masks) < count:
+        n = int(rng.integers(4, 14))
+        odd = bool(rng.integers(2))
+        half = rng.random((int(rng.integers(1, n + 1)),
+                           int(rng.integers(1, (n + odd) // 2 + 1)))) < 0.7
+        width = 2 * half.shape[1] - odd
+        offset = (int(rng.integers(0, n - half.shape[0] + 1)),
+                  int(rng.integers(0, n - width + 1)))
+        cells = oracles.mirrored_cells(half, (1,), (False, odd), n, offset)
+        if (cells.any() and oracles.components_bfs(cells) == 1
+                and _mirror_class_count(cells) < np.count_nonzero(cells)):
+            masks.append(ShapeMask(Grid(2, n, 1.0 / n), cells))
+    return masks
+
+
+def _mirror_class_count(cells):
+    """Cells up to and on the midlines of the axes about which the mask's
+    bounding box is symmetric: one per class of its mirror symmetries."""
+    i, j = np.nonzero(cells)
+    box = cells[i.min():i.max() + 1, j.min():j.max() + 1]
+    half = tuple(slice(0, (k + 1) // 2) if np.array_equal(box, np.flip(box, ax))
+                 else slice(None) for ax, k in enumerate(box.shape))
+    return np.count_nonzero(box[half])
+
+
+def test_mirrored_masks_fold_in_both_solvers(monkeypatch):
+    # a cell and its mirror image sum their boundary terms in the same
+    # order, so on every mask mirrored across axis 1 both CG and the grid
+    # eigensolver run on exactly the mask's mirror classes and keep their
+    # answers; the U of five cells folds to 3 unknowns
+    sizes = _factorized_sizes(monkeypatch)
+    masks = _random_mirrored_masks(150)
+    assert _mirror_class_count(masks[0].cells) == 3
+    for mask in masks:
+        classes = _mirror_class_count(mask.cells)
+        assert _cg_against_direct(mask) == classes
+        lam, _ = grid_robin_eigenvalue(mask, 1.0)
+        assert sizes[-1] == classes
+        assert lam == pytest.approx(oracles.robin_eigenvalue_dense(mask, 1.0),
+                                    rel=1e-9, abs=0)
 
 
 def test_grid_eigenvalue_refines_toward_reference():
@@ -570,6 +600,10 @@ def test_grid_eigenvalue_needs_a_finite_positive_coefficient():
 def test_grid_eigenvalue_iteration_cap_raises():
     grid = Grid(2, 32, 1.0 / 32)
     mask = ShapeMask.disc(grid, (0.5, 0.5), 0.35)
+    # the first iterate has no change to compare: a cap below 2 is refused
+    for max_iter in (0, 1, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            grid_robin_eigenvalue(mask, 1.0, max_iter=max_iter)
     with pytest.raises(SolverError) as err:
         grid_robin_eigenvalue(mask, 1.0, max_iter=2)
     assert err.value.iterations == 2

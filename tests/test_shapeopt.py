@@ -257,10 +257,10 @@ def test_2d_trajectory_with_varying_robin_coefficient_is_pinned():
          0.01708306641222389, 0.4919017911983162, 13, 9),
         (5, -0.2274631434286213, 0.38250000000000006, 4.199999999999993,
          0.0, 0.4919017911983162, 17, 10),
-        (6, -0.228290130236737, 0.38000000000000006, 3.999999999999994,
-         0.017941242432868588, 0.4919017911978493, 17, 9),
-        (7, -0.22967007371153736, 0.37000000000000005, 3.1999999999999966,
-         0.0, 0.4919017911978493, 12, 5),
+        (6, -0.22829013023673683, 0.38000000000000006, 3.999999999999994,
+         0.01794124243286857, 0.4919017911978514, 17, 9),
+        (7, -0.2296700737115372, 0.37000000000000005, 3.1999999999999966,
+         0.0, 0.4919017911978514, 12, 5),
         (8, -0.2306423088549096, 0.36500000000000005, 2.799999999999998,
          0.015494867325199677, 0.4919017911979275, 6, 3),
     ]
