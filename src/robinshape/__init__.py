@@ -5,9 +5,8 @@ from .model import (AssumptionCheck, AssumptionReport, IntegrandModel,
                     iter_constants, sample_field)
 from .radial import (RadialConvergenceError, RadialEigenvalueQuery,
                      RadialSolution, ball_energy, ball_radius, ball_volume,
-                     optimal_radius_scan, robin_eigenvalue_ball,
-                     robin_eigenvalues_ball, robin_poisson_ball,
-                     shoot_eigenvalues)
+                     robin_eigenvalue_ball, robin_eigenvalues_ball,
+                     robin_poisson_ball, shoot_eigenvalues)
 from .sbvgrid import (Grid, SbvField, ShapeMask, boundary_faces, bv_norm,
                       eval_free_discontinuity, eval_shape_functional,
                       perimeter, poincare_check, read_field_text,

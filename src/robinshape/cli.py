@@ -308,16 +308,18 @@ def _init_mask(grid, init):
 
 
 def cmd_eig(params):
+    if params["bdry_exp"] != params["grad_exp"]:
+        raise UsageError("bdry_exp must equal grad_exp: only then is the "
+                         "quotient homogeneous")
     rows = [("R", "b", "d", "grad_exp", "bdry_exp", "denom_exp", "mesh_n",
              "lambda", "method", "residual")]
     queries = [RadialEigenvalueQuery(
         d=params["d"], R=R, b=b, grad_exp=params["grad_exp"],
-        bdry_exp=params["bdry_exp"], denom_exp=params["denom_exp"],
-        mesh_n=params["mesh_n"])
+        denom_exp=params["denom_exp"], mesh_n=params["mesh_n"])
         for R in _float_list(params["R"], "R", lo=1e-12)
         for b in _float_list(params["b"], "b", lo=1e-12)]
     for q, sol in zip(queries, robin_eigenvalues_ball(queries)):
-        rows.append((q.R, q.b, q.d, q.grad_exp, q.bdry_exp, q.denom_exp,
+        rows.append((q.R, q.b, q.d, q.grad_exp, q.grad_exp, q.denom_exp,
                      q.mesh_n, sol.lam, sol.meta["method"],
                      float(sol.meta["residual"])))
     path = write_csv(os.path.join(params["out"], "eig.csv"), "eig", rows)

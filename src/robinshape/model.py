@@ -213,8 +213,7 @@ def check_admissible(model: IntegrandModel, domain_volume: float, d: int,
     ball_R = radial.ball_radius(d, domain_volume)
     try:
         sol = eig(radial.RadialEigenvalueQuery(d=d, R=ball_R, b=b1_min / model.L,
-                                               grad_exp=q, bdry_exp=q,
-                                               denom_exp=q))
+                                               grad_exp=q, denom_exp=q))
         lam = float(sol.lam)
         bound = model.grad_coeff / (2.0 * q) * lam
         f22_ok = f_sup <= bound

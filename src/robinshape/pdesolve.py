@@ -57,6 +57,8 @@ from .model import IntegrandModel
 from .sbvgrid import (MaskAssembly, SbvField, ShapeMask, _check_fits,
                       mask_assembly, support_jumps)
 
+EIG_MAX_ITER = 400  # inverse iterations before grid_robin_eigenvalue gives up
+
 
 class SolverError(RuntimeError):
     def __init__(self, msg, residual=None, iterations=None):
@@ -305,7 +307,7 @@ def _fold(asm: MaskAssembly, k2: float, bdiag, *cell_arrays):
     return cls, reps, nbrs, diag[reps], np.bincount(cls).astype(float)
 
 
-def grid_robin_eigenvalue(mask: ShapeMask, b: float, max_iter: int = 400):
+def grid_robin_eigenvalue(mask: ShapeMask, b: float):
     """Smallest eigenvalue of the Robin form on the mask via inverse power
     iteration on the raw Rayleigh quotient assembly (gradient coefficient 1,
     boundary coefficient b, the grid's boundary weights), and its profile
@@ -315,42 +317,47 @@ def grid_robin_eigenvalue(mask: ShapeMask, b: float, max_iter: int = 400):
     whose rows are the class stencils, and iterates on S y = lambda h^d y
     with the W-weighted Rayleigh quotient.  A disc or a square factorizes a
     quarter of its cells, and the eigenvalue stays exact (see the module
-    docstring).  Raises ValueError unless b is finite and positive and
-    max_iter is at least 2 (the first iterate has no change to compare),
-    and SolverError when the eigenvalue has not settled to relative change
-    1e-10 within max_iter iterations."""
+    docstring).  The quotient takes S y as face differences from the class
+    table, bdiag_c y_c + h^(d-2) sum_j (y_c - y_j), not as S @ y, which
+    cancels digits as n grows.  Raises ValueError unless b is finite and
+    positive, and SolverError when the eigenvalue has not settled to
+    relative change 1e-10 within EIG_MAX_ITER iterations."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     if not (0 < b < np.inf):
         raise ValueError(f"b must be finite and positive, got {b}")
-    if max_iter < 2:
-        raise ValueError(f"max_iter must be at least 2, got {max_iter}")
     grid = mask.grid
     asm = mask_assembly(mask)
     if asm.m == 0:
         raise ValueError("empty mask has no eigenvalue")
     off = grid.h ** (grid.d - 2)
-    cls, _, nbrs, diag, count = _fold(asm, off, asm.cell_sum(b * asm.weights()))
+    bdiag = asm.cell_sum(b * asm.weights())
+    cls, reps, nbrs, diag, count = _fold(asm, off, bdiag)
     k = len(count)
     side, row = np.nonzero(nbrs < k)  # -off per table entry, duplicates summed
     S = sp.csc_matrix((np.append(diag, np.full(len(row), -off)),
                        (np.append(np.arange(k), row),
                         np.append(np.arange(k), nbrs[side, row]))), shape=(k, k))
-    mass = grid.cell_volume
     lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=4)
+    bdiag = bdiag[reps]
+    # per axis, the neighbour classes below and above; an absent one is c
+    own = np.where(nbrs < k, nbrs, np.arange(k)).reshape(grid.d, 2, k)
+    mass = grid.cell_volume
     x = np.ones(k)
     lam, change = None, np.inf
-    for _ in range(max_iter):
+    for _ in range(EIG_MAX_ITER):
         y = lu.solve(mass * x)
-        y /= np.sqrt(mass * float(np.sum(count * y * y)))
-        lam_new = (float(np.sum(count * y * (S @ y)))
-                   / (mass * float(np.sum(count * y * y))))
+        dy = sum((y - y[lo]) + (y - y[hi]) for lo, hi in own)  # as cell_sum
+        Sy = bdiag * y + off * dy
+        yy = float(np.sum(count * y * y))
+        lam_new = float(np.sum(count * y * Sy)) / (mass * yy)
+        y /= np.sqrt(mass * yy)
         if lam is not None:
             change = abs(lam_new - lam) / abs(lam_new)
             if change <= 1e-10:
                 return lam_new, asm.scatter(y[cls])
         lam, x = lam_new, y
-    raise SolverError(f"inverse iteration did not converge in {max_iter} "
+    raise SolverError(f"inverse iteration did not converge in {EIG_MAX_ITER} "
                       f"iterations (relative change {change:.3e})",
-                      residual=change, iterations=max_iter)
+                      residual=change, iterations=EIG_MAX_ITER)

@@ -41,28 +41,24 @@ def ball_radius(d: int, volume: float) -> float:
 class RadialEigenvalueQuery:
     """First-Robin-eigenvalue query for the ball of radius R.
 
-    grad_exp/bdry_exp/denom_exp are the exponents on the gradient term, the
-    boundary term and the L^alpha norm in the denominator; the quotient is
-    [int |u'|^g + b oint |u|^g] / (int |u|^a)^(g/a).  Homogeneity requires
-    grad_exp == bdry_exp.
+    grad_exp is the exponent on the gradient and the boundary term alike,
+    which keeps the quotient homogeneous, and denom_exp the one on the
+    L^alpha norm in the denominator; the quotient is
+    [int |u'|^g + b oint |u|^g] / (int |u|^a)^(g/a).
     """
 
     d: int
     R: float
     b: float
     grad_exp: float = 2.0
-    bdry_exp: float = 2.0
     denom_exp: float = 2.0
     mesh_n: int = 1024
 
     def __post_init__(self):
         _check_ball(self.d, self.R, self.b, self.mesh_n)
-        for e in (self.grad_exp, self.bdry_exp, self.denom_exp):
+        for e in (self.grad_exp, self.denom_exp):
             if not e > 1.0:
                 raise ValueError(f"exponents must exceed 1, got {e}")
-        if self.grad_exp != self.bdry_exp:
-            raise ValueError("boundary exponent must equal gradient exponent "
-                             "(quotient homogeneity)")
 
 
 def _check_ball(d, R, b, mesh_n):
@@ -508,7 +504,7 @@ def robin_eigenvalues_ball(queries) -> list[RadialSolution]:
     out = [None] * len(queries)
     shots, descents, failed = {}, {}, []
     for i, q in enumerate(queries):
-        if q.grad_exp == q.bdry_exp == q.denom_exp == 2.0:
+        if q.grad_exp == q.denom_exp == 2.0:
             shots.setdefault((q.d, q.mesh_n), []).append(i)
         else:
             descents.setdefault((q.grad_exp, q.denom_exp, q.mesh_n), []).append(i)
@@ -565,7 +561,9 @@ def _integral_poisson(d: int, R: float, f_const: float, beta: float) -> float:
 
 def ball_energy(model: IntegrandModel, d: int, R: float) -> float:
     """Minimal shape energy of the ball B_R for the quadratic energy form,
-    including the volume term c0*|B_R|."""
+    including the volume term c0*|B_R|.  It is R^d (c0 |B_1| - k f^2 R
+    (R/(d+2) + L/beta)) with k > 0: nonnegative until the bracket turns
+    negative and falling after, so over [0, R_max] an end is least."""
     if model.normalization != "energy" or model.p != 2.0 or model.q != 2.0:
         raise ValueError("ball_energy requires the p = q = 2 energy form")
     if callable(model.f) or callable(model.beta1):
@@ -579,15 +577,3 @@ def ball_energy(model: IntegrandModel, d: int, R: float) -> float:
     # minimum the quadratic part collapses to -1/2 (f, u)
     int_u = _integral_poisson(d, R, f / L, beta / L)
     return -0.5 * f * int_u + model.c0 * ball_volume(d, R)
-
-
-def optimal_radius_scan(model: IntegrandModel, d: int,
-                        R_max: float) -> tuple[float, float]:
-    """(R, J) of the least ball_energy over R in [0, R_max], R = 0 on a tie.
-    J(R) = R^d (c0 |B_1| - k f^2 R (R/(d+2) + L/beta)), k > 0, is >= 0 until
-    the bracket turns negative and falls after: the least J is J(R_max) if
-    that is negative, else J(0) = 0."""
-    if not R_max > 0:
-        raise ValueError("R_max must be positive")
-    J = ball_energy(model, d, float(R_max))
-    return (float(R_max), J) if J < 0.0 else (0.0, 0.0)

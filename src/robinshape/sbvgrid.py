@@ -74,14 +74,6 @@ class Grid:
         object.__setattr__(self, "weights", "uncorrected" if self.d == 1 else rule)
 
     @property
-    def extent(self) -> float:
-        return self.n * self.h
-
-    @property
-    def volume(self) -> float:
-        return self.extent**self.d
-
-    @property
     def cell_volume(self) -> float:
         return self.h**self.d
 
@@ -222,9 +214,6 @@ class SbvField:
             raise ValueError(
                 f"{len(axes)} support-boundary faces not flagged as jumps, "
                 f"first {(int(axes[0]), *pos[0].tolist())}")
-
-    def support_volume(self) -> float:
-        return float(np.count_nonzero(self.values)) * self.grid.cell_volume
 
 
 def _check_finite(field: SbvField):
@@ -579,7 +568,7 @@ def poincare_check(field: SbvField, b: float, p: float, alpha: float,
     def lam(count):
         R = radial.ball_radius(g.d, float(count[0]) * g.cell_volume)
         return eig(radial.RadialEigenvalueQuery(d=g.d, R=R, b=b, grad_exp=p,
-                                               bdry_exp=p, denom_exp=alpha)).lam
+                                               denom_exp=alpha)).lam
 
     return float(_poincare_ratios(g, field.values[None],
                                   [j[None] for j in field.jumps], b, p, alpha, lam)[0])

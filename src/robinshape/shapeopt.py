@@ -32,9 +32,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .model import IntegrandModel
-from .pdesolve import SolverConfig, SolverError, _eta, energy_of, solve_inner
-from .sbvgrid import (SbvField, ShapeMask, _check_fits, bv_norm, perimeter,
-                      shape_energy)
+from .pdesolve import SolverConfig, SolverError, _eta
+from .sbvgrid import (SbvField, ShapeMask, _check_fits, bv_norm,
+                      eval_shape_functional, perimeter, shape_energy)
 
 TRACE_COLUMNS = ("sweep", "J", "volume", "perimeter", "ess_inf", "sup",
                  "accepted_flips", "components")
@@ -142,10 +142,6 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
     mask = init.copy()
     cf = mask.cells.reshape(-1)
 
-    def resolve():
-        fld = solve_inner(model, mask, solver)
-        return fld, energy_of(model, mask, fld)
-
     def delta_toggle(c, u):
         """Frozen-energy change of flipping cell c and the new u[c].  An
         addition puts c at the mean of its mask neighbours; a removal is the
@@ -175,7 +171,7 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
         return (-dE, 0.0) if inside else (dE, v)
 
     try:
-        field, J_exact = resolve()
+        J_exact, field = eval_shape_functional(model, mask, solver)
     except SolverError as exc:
         raise ShapeOptError(f"initial inner solve failed: {exc}", trace) from exc
     u = field.values.flatten()
@@ -225,7 +221,7 @@ def optimize_shape(model: IntegrandModel, init: ShapeMask,
         if sweep % sched.resolve_every == 0 or sweep == sched.sweeps:
             if flips:
                 try:
-                    field, J_exact = resolve()
+                    J_exact, field = eval_shape_functional(model, mask, solver)
                 except SolverError as exc:
                     raise ShapeOptError(
                         f"inner solve failed at sweep {sweep}: {exc}",

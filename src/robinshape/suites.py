@@ -199,7 +199,7 @@ def scaling_suite(rel_tol: float = 1e-6) -> dict:
                                  np.concatenate([b2, np.ones(20)]), 1024)
             for d in (1, 2)}
     sols = robin_eigenvalues_ball([RadialEigenvalueQuery(
-        d=d, R=R, b=b, grad_exp=3.0, bdry_exp=3.0, denom_exp=3.0, mesh_n=192)
+        d=d, R=R, b=b, grad_exp=3.0, denom_exp=3.0, mesh_n=192)
         for d in (1, 2) for R, b in balls[3.0]])
     lams = [lam for d in (1, 2) for lam in  # in the order of cases
             shot[d][:6].tolist() + [s.lam for s in sols[6 * d - 6:6 * d]]]

@@ -627,7 +627,7 @@ def poincare_battery_reference(trials, n, seed, b, lams):
         k = int(np.count_nonzero(field.values))
         norm = float(np.sum(np.abs(field.values) ** 2.0)) * grid.cell_volume
         ratio = lhs / (float(lams[k - 1]) * norm ** 1.0)
-        rows.append((trial, fam, repr(field.support_volume()), repr(ratio)))
+        rows.append((trial, fam, repr(k * grid.cell_volume), repr(ratio)))
         if ratio < worst[0]:
             worst = (ratio, field)
     return rows, worst[1]

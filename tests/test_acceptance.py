@@ -277,7 +277,7 @@ def test_criterion_10_qualitative_diagnostics(anneal_run):
         d = diagnostics(anneal_run["model"], anneal_run["mask"],
                         anneal_run["field"])
         assert d["ess_inf_support"] > 0.0
-        ell = anneal_run["grid"].extent
+        ell = anneal_run["grid"].n * anneal_run["grid"].h
         slab_bound = 3.0 * (ell**2 / 8.0 + ell / 2.0)
         assert 0 < d["sup"] < slab_bound
         assert d["perimeter"] <= d["bv_norm"] / d["ess_inf_support"] + 1e-12

@@ -63,6 +63,17 @@ def test_eig_disc(tmp_path):
     assert float(rows[0][7]) == pytest.approx(1.577, abs=2e-3)
 
 
+def test_eig_unequal_exponents_are_usage_errors(tmp_path, capsys):
+    # the quotient is homogeneous only when the gradient and boundary
+    # exponents agree: any other pair is refused before a query is built
+    out = str(tmp_path)
+    for grad, bdry in (("3", "2"), ("2", "3"), ("2.5", "2.500001")):
+        assert main(["eig", "--grad-exp", grad, "--bdry-exp", bdry,
+                     "--out", out]) == 1
+        assert "bdry_exp must equal grad_exp" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "eig.csv")
+
+
 def test_radial_profile_and_scan(tmp_path):
     out = str(tmp_path)
     assert main(["radial", "--d", "2", "--R", "1.0", "--f", "1.0",
@@ -100,8 +111,8 @@ def test_radial_scan_evaluates_each_radius_once(tmp_path, monkeypatch, capsys):
     radii = np.linspace(0.0, 3.0, 97)
     assert rows == [[repr(float(R)), repr(energy(model, 2, float(R)))]
                     for R in radii]
-    R_star, J_star = radial.optimal_radius_scan(model, 2, 3.0)
-    assert f"R* = {R_star!r}, J* = {J_star!r}" in capsys.readouterr().out
+    R_star, J_star = min(rows, key=lambda row: float(row[1]))  # first minimum
+    assert f"R* = {R_star}, J* = {J_star}" in capsys.readouterr().out
 
 
 def test_solve_writes_parseable_field(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ from scipy.special import jn_zeros
 
 import robinshape
 from robinshape import radial
+from robinshape.cli import main
 from robinshape.model import IntegrandModel
 from robinshape.radial import (RadialConvergenceError, RadialEigenvalueQuery,
                                ball_energy, ball_radius, ball_volume,
-                               optimal_radius_scan, robin_eigenvalue_ball,
-                               robin_eigenvalues_ball, robin_poisson_ball,
-                               shoot_eigenvalues, _rayleigh_min)
+                               robin_eigenvalue_ball, robin_eigenvalues_ball,
+                               robin_poisson_ball, shoot_eigenvalues,
+                               _rayleigh_min)
 
 import oracles
 
@@ -45,8 +47,7 @@ def test_batched_queries_match_oracles_and_single_queries():
     queries = [RadialEigenvalueQuery(d=d, R=R, b=b, mesh_n=n)
                for d, R, b, n in cases]
     queries.insert(3, RadialEigenvalueQuery(d=2, R=1.0, b=1.0, grad_exp=3.0,
-                                            bdry_exp=3.0, denom_exp=3.0,
-                                            mesh_n=128))
+                                            denom_exp=3.0, mesh_n=128))
     assert robinshape.robin_eigenvalues_ball is robin_eigenvalues_ball
     sols = robin_eigenvalues_ball(queries)
     assert [s.meta["method"] for s in sols] == ["shooting"] * 3 + \
@@ -207,7 +208,7 @@ def test_scaling_identity(d, q):
     mesh = 1024 if q == 2.0 else 192
     ts = (0.5, 2.0, 3.0)
     sols = robin_eigenvalues_ball([RadialEigenvalueQuery(
-        d=d, R=R, b=b, grad_exp=q, bdry_exp=q, denom_exp=q, mesh_n=mesh)
+        d=d, R=R, b=b, grad_exp=q, denom_exp=q, mesh_n=mesh)
         for t in ts for R, b in ((t, 1.0), (1.0, t ** (q - 1.0)))])
     for t, st, sb in zip(ts, sols[::2], sols[1::2]):
         assert st.lam == pytest.approx(t ** (-q) * sb.lam, rel=1e-6)
@@ -221,11 +222,10 @@ def test_scaling_identity_mixed_exponents(d, p, alpha):
     delta = d - p - d * p / alpha
     for t in (0.5, 2.0):
         lt = robin_eigenvalue_ball(RadialEigenvalueQuery(
-            d=d, R=t, b=1.0, grad_exp=p, bdry_exp=p, denom_exp=alpha,
-            mesh_n=160)).lam
+            d=d, R=t, b=1.0, grad_exp=p, denom_exp=alpha, mesh_n=160)).lam
         lb = robin_eigenvalue_ball(RadialEigenvalueQuery(
-            d=d, R=1.0, b=t ** (p - 1.0), grad_exp=p, bdry_exp=p,
-            denom_exp=alpha, mesh_n=160)).lam
+            d=d, R=1.0, b=t ** (p - 1.0), grad_exp=p, denom_exp=alpha,
+            mesh_n=160)).lam
         assert lt == pytest.approx(t**delta * lb, rel=1e-6)
 
 
@@ -243,8 +243,7 @@ def test_first_eigenfunction_has_no_sign_change():
         u = sol.profile[:, 1]
         assert np.all(u > 0) or np.all(u < 0)
     sol = robin_eigenvalue_ball(RadialEigenvalueQuery(
-        d=2, R=1.0, b=1.0, grad_exp=3.0, bdry_exp=3.0, denom_exp=3.0,
-        mesh_n=128))
+        d=2, R=1.0, b=1.0, grad_exp=3.0, denom_exp=3.0, mesh_n=128))
     u = sol.profile[:, 1]
     assert np.all(u >= 0) or np.all(u <= 0)
 
@@ -299,8 +298,8 @@ def test_stalled_descent_winner_raises():
 
 
 def _descent_query(d, R, b, p, alpha, mesh):
-    return RadialEigenvalueQuery(d=d, R=R, b=b, grad_exp=p, bdry_exp=p,
-                                 denom_exp=alpha, mesh_n=mesh)
+    return RadialEigenvalueQuery(d=d, R=R, b=b, grad_exp=p, denom_exp=alpha,
+                                 mesh_n=mesh)
 
 
 def test_descent_results_do_not_depend_on_the_batch():
@@ -423,13 +422,13 @@ def test_query_validation():
     with pytest.raises(ValueError):
         RadialEigenvalueQuery(d=1, R=1.0, b=math.inf)
     with pytest.raises(ValueError):
-        RadialEigenvalueQuery(d=1, R=1.0, b=math.inf, grad_exp=3.0, bdry_exp=3.0)
+        RadialEigenvalueQuery(d=1, R=1.0, b=math.inf, grad_exp=3.0)
     with pytest.raises(ValueError):
         RadialEigenvalueQuery(d=1, R=1.0, b=1.0, mesh_n=32)
     with pytest.raises(ValueError):
-        RadialEigenvalueQuery(d=1, R=1.0, b=1.0, grad_exp=1.0, bdry_exp=1.0)
+        RadialEigenvalueQuery(d=1, R=1.0, b=1.0, grad_exp=1.0)
     with pytest.raises(ValueError):
-        RadialEigenvalueQuery(d=1, R=1.0, b=1.0, grad_exp=2.0, bdry_exp=3.0)
+        RadialEigenvalueQuery(d=1, R=1.0, b=1.0, denom_exp=1.0)
 
 
 @pytest.mark.parametrize("R,b,mesh_n", [
@@ -504,35 +503,38 @@ def test_ball_energy_zero_source():
         ball_energy(IntegrandModel(p=2, q=2), 2, 1.0)  # plain normalization
 
 
-def test_optimal_radius_scan_empty_when_source_off():
-    m = IntegrandModel(p=2, q=2, L=1.0, c0=0.5, f=0.0, beta1=1.0,
-                       normalization="energy")
-    R, J = optimal_radius_scan(m, 1, 1.0)
-    assert R == 0.0 and J == 0.0
+def _scan_minimum(tmp_path, capsys, c0, f):
+    """The R* and J* that `radial --scan-rmax 1` prints at d = 1, beta = 1."""
+    assert main(["radial", "--d", "1", "--f", repr(f), "--beta", "1.0",
+                 "--c0", repr(c0), "--scan-rmax", "1.0",
+                 "--out", str(tmp_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    R, J = re.search(r"R\* = (\S+), J\* = (\S+)$", line).groups()
+    return float(R), float(J)
 
 
-def test_optimal_radius_scan_matches_closed_form():
+def test_optimal_radius_scan_empty_when_source_off(tmp_path, capsys):
+    assert _scan_minimum(tmp_path, capsys, c0=0.5, f=0.0) == (0.0, 0.0)
+
+
+def test_optimal_radius_scan_matches_closed_form(tmp_path, capsys):
     # J(ell) = c0*ell - f^2(ell^3/24 + ell^2/4) on ell = 2R; with a small
     # volume multiplier the scan must run to the boundary, with c0 = 1 and
     # f = 1 the gain never beats the cost and the empty set wins
-    m_small = IntegrandModel(p=2, q=2, L=1.0, c0=0.05, f=1.0, beta1=1.0,
-                             normalization="energy")
-    R, J = optimal_radius_scan(m_small, 1, 1.0)
+    R, J = _scan_minimum(tmp_path, capsys, c0=0.05, f=1.0)
     ells = np.linspace(0.0, 2.0, 400001)
     ref = ells[np.argmin(oracles.slab_energy(ells, c0=0.05))]
     assert 2 * R == pytest.approx(ref, abs=1e-3)
     assert R == pytest.approx(1.0)  # boundary optimum
-    m_unit = IntegrandModel(p=2, q=2, L=1.0, c0=1.0, f=1.0, beta1=1.0,
-                            normalization="energy")
-    R, J = optimal_radius_scan(m_unit, 1, 1.0)
-    assert R == 0.0 and J == 0.0
+    assert J == pytest.approx(oracles.slab_energy(2.0, c0=0.05), rel=1e-12)
+    assert _scan_minimum(tmp_path, capsys, c0=1.0, f=1.0) == (0.0, 0.0)
 
 
-def test_optimal_radius_scan_is_the_first_minimum_of_a_scan():
+def test_ball_energy_scan_minimum_is_an_end():
     # ball_energy on [0, R_max] is nonnegative, then falls: the first minimum
     # of any scan that holds both ends is an end, bit for bit
     rng = np.random.Generator(np.random.Philox(key=2026))
-    ends = {0.0: 0, "R_max": 0}
+    ends = {0: 0, 511: 0}
     for _ in range(2000):
         d = int(rng.integers(1, 7))
         f = float(rng.uniform(-3.0, 3.0)) if rng.random() < 0.9 else 0.0
@@ -544,8 +546,8 @@ def test_optimal_radius_scan_is_the_first_minimum_of_a_scan():
         radii = np.linspace(0.0, R_max, 512).tolist()
         vals = [ball_energy(m, d, R) for R in radii]
         k = vals.index(min(vals))
-        assert optimal_radius_scan(m, d, R_max) == (radii[k], vals[k])
-        ends[0.0 if k == 0 else "R_max"] += 1
+        assert k in ends
+        ends[k] += 1
     assert min(ends.values()) > 500  # both ends win often
 
 

@@ -654,7 +654,6 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(1, 8, -0.1)
     g = Grid(2, 8, 0.25)
-    assert g.volume == pytest.approx(4.0)
     assert g.cell_volume == pytest.approx(0.0625)
     assert g.face_weight == pytest.approx(0.25)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from robinshape.model import IntegrandModel
-from robinshape import shapeopt
+from robinshape import pdesolve, shapeopt
 from robinshape.pdesolve import SolverConfig, energy_of, solve_inner
 from robinshape.sbvgrid import (Grid, ShapeMask, boundary_faces,
                                 eval_shape_functional, write_field_text)
@@ -454,7 +454,7 @@ def _count_solves(monkeypatch):
     def counting(*args, **kwargs):
         calls.append(1)
         return solve_inner(*args, **kwargs)
-    monkeypatch.setattr(shapeopt, "solve_inner", counting)
+    monkeypatch.setattr(pdesolve, "solve_inner", counting)
     return calls
 
 
