@@ -8,7 +8,10 @@ linear in (u, u'), every walk multiplies per-column 2x2 step propagators,
 built for many 64-step blocks at once: the bracket scan in lam and the
 Illinois (modified regula falsi) refinement reduce each block pairwise, the
 profile pass takes each block's prefix products, and the block results carry
-the state forward in order.  General exponents minimize
+the state forward in order.  In d = 1 the coefficient (d-1)/r is 0, so a
+column's step matrices are all one matrix, and the bracket scan and the
+refinement build it once and each distinct node of its block trees once.
+General exponents minimize
 the mesh Rayleigh quotient by projected, tridiagonally preconditioned
 descent with Armijo backtracking on the quotient alone, every query and
 restart of a batch in lockstep.
@@ -121,7 +124,7 @@ def _rk4_increment(u, v, nlam, c0, cm, c1, h, h2, h6, du, dv, x, y, z):
     np.multiply(h6, dv, out=dv)
 
 
-def _matmul(m2, m1, out, t):
+def _matmul(m2, m1, out=None, t=None):
     # out = m2 @ m1 for matrices on the two leading axes; t takes a product
     return np.add(np.multiply(m2[:, :1], m1[None, 0], out=out),
                   np.multiply(m2[:, 1:], m1[None, 1], out=t), out=out)
@@ -150,12 +153,36 @@ def _propagate(lam, d, R, n, path=False):
     column's result depends neither on its batch nor on the pass length.
     The passes write their temporaries into one workspace per call, of
     which nothing returned is a view.
+
+    In d = 1 without path, c(r) = 0/r is exactly 0, so every step matrix of
+    a column is the same M, built once.  A level of a block's pairwise tree
+    then holds copies of a full node F and a last node L: an even count
+    makes L @ F and F @ F, an odd one carries L up as it is.  Each distinct
+    node is built once from the same operands as in the tree, so the
+    products, and the carries block by block, round as the walk above does,
+    bit for bit.
     """
     lam, h = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                  np.asarray(R, dtype=float) / n)
     h2, h6 = h / 2.0, h / 6.0
     u, v = _series_start(lam, d, h)
     nlam, dm1 = -lam, d - 1.0
+    # the starts (1, 0) and (0, 1) side by side on a leading axis
+    starts = np.eye(2).reshape((2, 2, 1) + (1,) * lam.ndim)
+    if d == 1 and not path:
+        m, s = np.empty((5, 2) + lam.shape), starts[:, :, 0]
+        _rk4_increment(s[0], s[1], nlam, 0.0, 0.0, 0.0, h, h2, h6, *m)
+        m = np.add(s, m[:2])
+        full, rest = divmod(n - 1, _BLOCK)
+        for count, times in ((_BLOCK, full), (rest, min(rest, 1))):
+            F = L = m
+            while count > 1:
+                if count % 2 == 0:  # the last pair is L @ F
+                    L = _matmul(L, F)
+                F, count = _matmul(F, F), (count + 1) // 2
+            for _ in range(times):
+                u, v = L[:, 0] * u + L[:, 1] * v
+        return u, v
     per_pass = max(1, _PASS_VALUES // (_BLOCK * lam.size)) * _BLOCK
     # the step matrices, and two regions for the node sums, the RK4 stages
     # and the products, each of four (steps + 1)-node arrays
@@ -166,8 +193,6 @@ def _propagate(lam, d, R, n, path=False):
         shape += lam.shape
         return region[:math.prod(shape)].reshape(shape)
 
-    # the starts (1, 0) and (0, 1) side by side on a leading axis
-    starts = np.eye(2).reshape((2, 2, 1) + (1,) * lam.ndim)
     if path:
         uv = np.empty((2, n + 1) + lam.shape)
         uv[0, 0], uv[1, 0], uv[0, 1], uv[1, 1] = 1.0, 0.0, u, v

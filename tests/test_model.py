@@ -5,6 +5,7 @@ import pytest
 
 from robinshape.model import (IntegrandModel, check_admissible, eval_g,
                               exponent_threshold, iter_constants)
+from robinshape.radial import RadialConvergenceError
 import oracles
 from oracles import eval_j
 
@@ -165,11 +166,30 @@ def test_check_admissible_sign_changing_source():
 
 def test_check_admissible_oracle_failure_is_not_checkable():
     def broken(query):
-        raise RuntimeError("oracle broke")
+        raise RadialConvergenceError("oracle broke")
     m = IntegrandModel(p=2, q=2, f=0.1, beta1=1.0)
     rep = check_admissible(m, 1.0, 1, eig=broken)
     assert rep["j3"].status == "not-checkable"
     assert "oracle" in rep["j3"].detail
+
+
+def test_check_admissible_programming_error_propagates():
+    # only the oracle's own failures downgrade j3; a TypeError, as from a
+    # query built with a wrong keyword, surfaces
+    def broken(query):
+        raise TypeError("unexpected keyword argument")
+    m = IntegrandModel(p=2, q=2, f=0.1, beta1=1.0)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        check_admissible(m, 1.0, 1, eig=broken)
+
+
+def test_check_admissible_nonpositive_beta1_reports():
+    # a minimum of beta1 that is not positive fails g3, and the eigenvalue
+    # comparison, which has no Robin ball to query, is not-checkable
+    m = IntegrandModel(p=2, q=2, f=0.1, beta1=0.0)
+    rep = check_admissible(m, 1.0, 2)
+    assert rep["g3"].status == "fail"
+    assert rep["j3"].status == "not-checkable"
 
 
 def test_check_admissible_every_id_once():

@@ -172,6 +172,39 @@ def test_passes_equal_the_per_block_walk(d):
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def test_d1_powers_equal_the_per_block_walk():
+    # in d = 1 one step matrix per column and the distinct nodes of its
+    # block trees stand for the whole walk, bit for bit: every remainder of
+    # a 64-step block (n = 65 ... 129), and the 128-column and (32, 6)
+    # scan-chunk shapes at the meshes of verify poincare and eig
+    rng = np.random.Generator(np.random.Philox(key=34))
+    cases = [(n, (w,)) for n in range(65, 130) for w in (1, 7)]
+    cases += [(768, (128,)), (1024, (128,)), (1024, (32, 6))]
+    for n, shape in cases:
+        R = rng.uniform(0.3, 2.5, shape[-1])
+        lam = rng.uniform(0.0, 60.0, shape) / R**2
+        got = radial._propagate(lam, 1, R, n)
+        want = oracles.propagate_per_block(lam, 1, R, n)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (n, shape)
+
+
+def test_d1_eigenvalues_equal_those_of_the_per_block_walk(monkeypatch, tmp_path):
+    # the Poincare battery's oracle cache (radii k*h/2, k = 1..128, at mesh
+    # 768) and an eig --d 1 batch of 6 values at mesh 1024 give the same
+    # lambda, by repr, and the same eig.csv with the per-block walk patched in
+    def run(out):
+        lams = shoot_eigenvalues(1, np.arange(1, 129) / 256.0, np.ones(128), 768)
+        assert main(["eig", "--d", "1", "--R", "0.5,2.0", "--b", "0.1,1.0,10.0",
+                     "--mesh-n", "1024", "--out", str(out)]) == 0
+        return [repr(x) for x in lams.tolist()], (out / "eig.csv").read_bytes()
+
+    fast = run(tmp_path / "fast")
+    monkeypatch.setattr(radial, "_propagate", oracles.propagate_per_block)
+    walk = run(tmp_path / "walk")
+    assert fast == walk
+    assert fast[1].count(b",shooting,") == 6
+
+
 def test_returned_arrays_outlive_the_next_call():
     # a propagator call writes its temporaries into a workspace: what it
     # returned, with path on or off, and the roots shot from it stay as they
