@@ -213,19 +213,22 @@ def check_admissible(model: IntegrandModel, domain_volume: float, d: int,
     f2_margin = float(np.min(a_s)) + model.c0 - f2_need
     f2_ok = (f_min >= 0.0) and (f2_margin >= -1e-12)
     ball_R = radial.ball_radius(d, domain_volume)
-    try:  # a query with b <= 0 raises ValueError, like a failing oracle
-        query = radial.RadialEigenvalueQuery(d=d, R=ball_R, b=b1_min / model.L,
-                                             grad_exp=q, denom_exp=q)
-        lam = float(eig(query).lam)
-        bound = model.grad_coeff / (2.0 * q) * lam
-        f22_ok = f_sup <= bound
-        status = "pass" if (f2_ok and f22_ok) else "fail"
-        detail = (f"||f||_inf = {f_sup:.6g} vs bound (L/2q)*lambda = {bound:.6g} "
-                  f"(lambda = {lam:.6g} on ball R = {ball_R:.6g}); "
-                  f"zero-order margin a+c0-|f|max(s-s^q) = {f2_margin:.4g}")
-    except (radial.RadialConvergenceError, ValueError) as exc:
-        status = "not-checkable"
-        detail = f"eigenvalue oracle failed: {exc}"
+    status = "not-checkable"
+    detail = (f"min beta1 over samples = {b1_min:.6g} is not positive: "
+              "no Robin ball eigenvalue to compare with")
+    if b1_min > 0.0:
+        try:
+            query = radial.RadialEigenvalueQuery(d=d, R=ball_R, b=b1_min / model.L,
+                                                 grad_exp=q, denom_exp=q)
+            lam = float(eig(query).lam)
+            bound = model.grad_coeff / (2.0 * q) * lam
+            f22_ok = f_sup <= bound
+            status = "pass" if (f2_ok and f22_ok) else "fail"
+            detail = (f"||f||_inf = {f_sup:.6g} vs bound (L/2q)*lambda = {bound:.6g} "
+                      f"(lambda = {lam:.6g} on ball R = {ball_R:.6g}); "
+                      f"zero-order margin a+c0-|f|max(s-s^q) = {f2_margin:.4g}")
+        except (radial.RadialConvergenceError, ValueError) as exc:
+            detail = f"eigenvalue oracle failed: {exc}"
     if d == 1:
         detail += " [d=1 testing mode]"
     rep.checks.append(AssumptionCheck("j3", status, detail))

@@ -587,9 +587,24 @@ def bv_norm(field: SbvField) -> float:
 # plain-text serialization: "d n h origin [rule]" header, one cell per line,
 # then faces
 
-def _lines(columns):
-    """Text lines holding the rows of a list of equal-length columns."""
-    return map(" ".join, zip(*(map(repr, c.tolist()) for c in columns)))
+_BLOCK_ROWS = 8192  # lines assembled at a time, bounding the writer's memory
+
+
+def _write_rows(fh, columns):
+    """Write the rows of equal-length columns as lines of the entries' reprs,
+    each distinct entry (floats by their bits, so -0.0 stays) formatted once."""
+    tables = []
+    for c in columns:
+        keys, inv = np.unique(c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c,
+                              return_inverse=True)
+        tables.append((np.array(list(map(repr, keys.view(c.dtype).tolist())), "S"), inv))
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        # one byte row per line, each entry NUL-padded to its column's width
+        parts = [t[inv[lo:lo + _BLOCK_ROWS], None].view(np.uint8) for t, inv in tables]
+        space = np.full((len(parts[0]), 1), ord(" "), np.uint8)
+        rows = np.hstack([b for part in parts for b in (part, space)])
+        rows[:, -1] = ord("\n")
+        fh.write(rows[rows != 0])
 
 
 def write_field_text(path, field: SbvField, mask: ShapeMask | None = None):
@@ -607,10 +622,10 @@ def write_field_text(path, field: SbvField, mask: ShapeMask | None = None):
     cells = [*np.indices(g.shape()).reshape(g.d, -1), field.values.reshape(-1),
              mask.cells.reshape(-1).astype(int)]
     axes, pos = _flagged(field.jumps)
-    lines = [" ".join(map(str, head)), *_lines(cells), *_lines([axes, *pos.T])]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(" ".join(map(str, head)).encode() + b"\n")
+        _write_rows(fh, cells)
+        _write_rows(fh, [axes, *pos.T])
 
 
 def _table(lines, width: int, what: str) -> np.ndarray:

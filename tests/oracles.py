@@ -7,7 +7,8 @@ step at a time, thresholds from extended-precision formula evaluation,
 inner solves from LAPACK banded factorizations and sparse direct solves,
 staircase boundary faces from a face-by-face walk over Python tuples, and
 gradients, face differences and jump sums of SBV fields from loops over
-single cells and faces with the pointwise bulk density eval_j, cell
+single cells and faces with the pointwise bulk density eval_j, field
+files from one repr per entry and a string join per line, cell
 neighbours and the annealer's candidate band from padded cell arrays and
 jump faces, grid Robin eigenvalues from LAPACK's tridiagonal (squares)
 and dense symmetric (any 1d or 2d mask) eigensolvers, the 1d optimum over
@@ -539,6 +540,31 @@ def face_traces(field, face):
     x = np.array([g.origin[k] + (pos[k] + (0.0 if k == axis else 0.5)) * g.h
                   for k in range(g.d)])
     return a, b, x
+
+
+def _lines(columns):
+    """Text lines holding the rows of a list of equal-length columns."""
+    return map(" ".join, zip(*(map(repr, c.tolist()) for c in columns)))
+
+
+def field_text_reference(path, field, mask=None):
+    """The field file write_field_text writes, built a line at a time: one
+    repr per entry and a str.join per line."""
+    from robinshape.sbvgrid import Grid, ShapeMask, _check_fits, _flagged
+    g = field.grid
+    if mask is None:
+        mask = ShapeMask(g, field.values != 0.0)
+    _check_fits(mask, field)
+    head = [g.d, g.n] + [repr(float(v)) for v in (g.h, *g.origin)]
+    if g.weights != Grid(g.d, g.n, g.h).weights:
+        head.append(g.weights)
+    cells = [*np.indices(g.shape()).reshape(g.d, -1), field.values.reshape(-1),
+             mask.cells.reshape(-1).astype(int)]
+    axes, pos = _flagged(field.jumps)
+    lines = [" ".join(map(str, head)), *_lines(cells), *_lines([axes, *pos.T])]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 def eval_j(model, x, s: float, z) -> float:

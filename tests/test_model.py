@@ -185,11 +185,16 @@ def test_check_admissible_programming_error_propagates():
 
 def test_check_admissible_nonpositive_beta1_reports():
     # a minimum of beta1 that is not positive fails g3, and the eigenvalue
-    # comparison, which has no Robin ball to query, is not-checkable
+    # comparison, which has no Robin ball to query, is not-checkable: no
+    # oracle runs, and the detail names the minimum
+    def oracle(query):
+        raise AssertionError(f"oracle called with {query}")
     m = IntegrandModel(p=2, q=2, f=0.1, beta1=0.0)
-    rep = check_admissible(m, 1.0, 2)
+    rep = check_admissible(m, 1.0, 2, eig=oracle)
     assert rep["g3"].status == "fail"
     assert rep["j3"].status == "not-checkable"
+    assert rep["j3"].detail.startswith("min beta1 over samples = 0 is not positive")
+    assert "oracle" not in rep["j3"].detail
 
 
 def test_check_admissible_every_id_once():

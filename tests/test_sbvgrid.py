@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from robinshape import sbvgrid
 from robinshape.model import IntegrandModel
 from robinshape.pdesolve import SolverConfig, energy_of, solve_inner
 from robinshape.radial import RadialSolution
@@ -591,6 +593,56 @@ def test_field_roundtrip(tmp_path):
         # rewriting what was read gives the same bytes
         write_field_text(str(tmp_path / "again.txt"), fld2, mask2)
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+# floats at the ends of repr's range: the least subnormal, the largest
+# finite, the switches to exponent notation
+TEXT_SPECIALS = (0.0, -0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308,
+                 -1.7976931348623157e308)
+
+
+@st.composite
+def text_fields(draw):
+    """A field and a mask it fits, with few distinct values and -0.0 among
+    them, on grids whose index widths cross a digit; the origin may be
+    shifted, the 2d header may carry "uncorrected", and a field of signed
+    zeros without extra faces has no jump faces at all."""
+    d = draw(st.sampled_from((1, 2)))
+    n = draw(st.sampled_from((9, 10, 11, 100)))
+    origin = draw(st.none() | st.tuples(*[st.floats(-1e3, 1e3)] * d))
+    grid = Grid(d, n, 1.0 / n, origin, draw(st.sampled_from(("auto", "uncorrected"))))
+    palette = [-0.0] + draw(st.lists(st.sampled_from(TEXT_SPECIALS) | st.floats(
+        allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.array(palette)[rng.integers(len(palette), size=grid.shape())]
+    faces = []
+    if draw(st.booleans()):
+        values = np.copysign(0.0, values)
+    else:
+        faces = draw(st.lists(st.integers(0, d - 1).flatmap(lambda ax: st.tuples(
+            st.just(ax), *(st.integers(0, n - (k != ax)) for k in range(d)))),
+            max_size=6))
+    fld = SbvField.from_values(grid, values, faces)
+    return fld, ShapeMask(grid, (values != 0.0) | (rng.random(grid.shape()) < 0.3))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(text_fields(), st.sampled_from([None, 1, 7, 100]))
+def test_field_text_is_the_line_by_line_text(tmp_path_factory, case, block):
+    # the same bytes as one repr per entry joined line by line, whatever the
+    # block of lines assembled at a time (the default 8192 lies between the
+    # 1d and the 2d cell counts at n = 100), and the values read back bit
+    # for bit
+    fld, mask = case
+    out = tmp_path_factory.mktemp("text")
+    with mock.patch.object(sbvgrid, "_BLOCK_ROWS", block or sbvgrid._BLOCK_ROWS):
+        write_field_text(str(out / "field.txt"), fld, mask)
+    oracles.field_text_reference(str(out / "reference.txt"), fld, mask)
+    assert (out / "field.txt").read_bytes() == (out / "reference.txt").read_bytes()
+    fld2, mask2 = read_field_text(str(out / "field.txt"))
+    assert fld2.values.tobytes() == fld.values.tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip(fld2.jumps, fld.jumps))
+    assert np.array_equal(mask2.cells, mask.cells)
 
 
 def test_field_header_without_origin_reads_at_zero(tmp_path):
