@@ -42,20 +42,24 @@ The face energy (`_face_energy`, `energy_of`) is the package's one discrete
 functional: Lg ((u_hi - u_lo)^2/h^2 + eta^2)^(p/2) h^d per interior face,
 -f u h^d per cell, and Bg (u^2 + eta^2)^(q/2) times the boundary weight
 per boundary face, plus c0 |mask|.  eta is no setting but a fact of the
-exponents (`_eta`): 0 at p = q = 2 and 1e-6 otherwise.  The reported J is
-this energy with the grid's boundary weights.
+exponents (`_eta`): 0 at p = q = 2 and 1e-6 otherwise.  A face a field
+flags between two mask cells is a crack: no interior face, but a boundary
+face of weight h^(d-1) on each side, a crack being a straight run.  J is
+this energy with the grid's boundary weights, F(u) the same on u's support.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .model import IntegrandModel
 from .sbvgrid import (MaskAssembly, SbvField, ShapeMask, _check_fits,
-                      mask_assembly, support_jumps)
+                      _face_centers, _face_sides, _flagged, mask_assembly,
+                      support_jumps)
 
 EIG_MAX_ITER = 400  # inverse iterations before grid_robin_eigenvalue gives up
 
@@ -273,13 +277,27 @@ def _solve_newton(model, asm, fc, bcw, eta, config, cap):
 
 def energy_of(model: IntegrandModel, mask: ShapeMask, field: SbvField) -> float:
     """Face-based fixed-support energy of a field at the model's eta and the
-    grid's boundary weights, plus c0*|mask|: the solver's objective up to
-    that constant, and the shape functional J.  f is sampled on the mask's
-    grid; a field that does not fit the mask raises ValueError."""
+    grid's boundary weights, its cracks cut (see the module docstring), plus
+    c0*|mask|: the solver's objective up to that constant, and the shape
+    functional J.  f is sampled on the mask's grid; a field that does not
+    fit the mask raises ValueError."""
     _check_fits(mask, field)
-    asm = mask_assembly(mask)
+    asm = faces = mask_assembly(mask)
     fc = asm.gather(model.f_at(mask.grid.centers()))
-    energy, _, _ = _face_energy(model, asm, fc, _robin_weights(model, asm),
+    cracks = [flags & np.logical_and(*_face_sides(mask.cells, ax))
+              for ax, flags in enumerate(field.jumps)]
+    if any(map(np.any, cracks)):  # none in a solver's field, nor in its file
+        # a crack cuts the upward link of the cell below; links, _flagged: grid order
+        cut = [asm.gather(c[(slice(None),) * ax + (slice(1, None),)])[lo]
+               for ax, (c, (lo, _)) in enumerate(zip(cracks, asm.links))]
+        lo, hi = ([s[c] for s, c in zip(side, cut)] for side in zip(*asm.links))
+        x = _face_centers(asm.grid, *_flagged(cracks))
+        w = np.append(asm.weights(), np.full(2 * len(x), asm.grid.face_weight))
+        faces = SimpleNamespace(  # what the face energy reads of an assembly
+            grid=asm.grid, links=[(a[~c], b[~c]) for (a, b), c in zip(asm.links, cut)],
+            inner=np.concatenate([asm.inner, *lo, *hi]),
+            centers=np.concatenate([asm.centers, x, x]), weights=lambda: w)
+    energy, _, _ = _face_energy(model, faces, fc, _robin_weights(model, faces),
                                 _eta(model))
     return energy(asm.gather(field.values)) + model.c0 * mask.volume()
 

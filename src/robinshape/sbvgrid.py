@@ -25,12 +25,10 @@ One discrete functional scores a shape: the solver's face energy
 (`pdesolve.energy_of`), with face differences (u_hi - u_lo)/h between
 neighbouring mask cells, the grid's boundary weights and the eta the
 exponents fix (0 at p = q = 2, else 1e-6).  `shape_energy`,
-`eval_shape_functional` and the annealer's re-solves all report it.  The
-free-discontinuity functional F, `poincare_check` and `bv_norm` read one
-face pass: the same differences on the unflagged faces and the traces on
-either side of the flagged ones.  So F(u) = J({u != 0}) at the minimiser
-when u has no interior jumps (p = q = 2, uncorrected weights), and
-`bv_norm` is the anisotropic total variation of the zero-extended field.
+`eval_shape_functional` and the annealer's re-solves report it, and the
+free-discontinuity functional F(u) is it on u's support, a flagged face
+between two support cells being a crack (see `pdesolve`).  `poincare_check`
+and `bv_norm`, the anisotropic total variation, read one face pass, `_faces`.
 """
 
 from __future__ import annotations
@@ -62,11 +60,11 @@ class Grid:
             raise ValueError(f"need at least 4 cells per axis, got {self.n}")
         if not (0 < self.h < np.inf):
             raise ValueError(f"spacing must be positive and finite, got {self.h}")
-        if self.origin is None:
-            object.__setattr__(self, "origin", (0.0,) * self.d)
-        elif len(self.origin) != self.d or not np.all(np.isfinite(self.origin)):
+        origin = (0.0,) * self.d if self.origin is None else self.origin
+        if len(origin) != self.d or not np.all(np.isfinite(origin)):
             raise ValueError(f"origin needs one finite value per axis, "
                              f"got {self.origin}")
+        object.__setattr__(self, "origin", tuple(map(float, origin)))  # equal by value
         if self.weights not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary weights {self.weights!r}; "
                              f"choose from {', '.join(BOUNDARY_MODES)}")
@@ -203,11 +201,7 @@ class SbvField:
         return cls.from_values(grid, np.zeros(grid.shape()))
 
     def validate(self):
-        if self.values.shape != self.grid.shape():
-            raise ValueError("value array shape does not match grid")
-        if [np.shape(j) for j in self.jumps] != _face_shapes(self.grid):
-            raise ValueError("jump arrays do not match the grid's faces")
-        _check_finite(self)
+        _check_arrays(self)
         support = support_jumps(self.grid, self.values)
         axes, pos = _flagged([s & ~j for s, j in zip(support, self.jumps)])
         if len(axes):
@@ -216,7 +210,12 @@ class SbvField:
                 f"first {(int(axes[0]), *pos[0].tolist())}")
 
 
-def _check_finite(field: SbvField):
+def _check_arrays(field: SbvField):
+    """Raise ValueError unless the arrays fit the grid and are finite."""
+    if field.values.shape != field.grid.shape():
+        raise ValueError("value array shape does not match grid")
+    if [np.shape(j) for j in field.jumps] != _face_shapes(field.grid):
+        raise ValueError("jump arrays do not match the grid's faces")
     if not np.all(np.isfinite(field.values)):
         raise ValueError("field has non-finite values")
 
@@ -235,31 +234,12 @@ def _faces(grid: Grid, values: np.ndarray, jumps) -> list:
     return out
 
 
-def _face_lists(field: SbvField) -> tuple:
-    """_faces of one field compressed to its unflagged differences and flagged
-    traces, each over all axes in sorted face order."""
-    return tuple(map(np.concatenate, zip(*(
-        (diff[~flags], lo[flags], hi[flags])
-        for diff, lo, hi, flags in _faces(field.grid, field.values, field.jumps)))))
-
-
 def eval_free_discontinuity(model: IntegrandModel, field: SbvField) -> float:
-    """Free-discontinuity functional F(u): Lg |du/h|^p on every unflagged
-    face and -f u + c0 on every support cell, times h^d, plus
-    g(x, u+) + g(x, u-) times h^(d-1) on every flagged face, with face traces
-    taken from the adjacent cells.  For a field without interior jumps this
-    is the solver's energy (`pdesolve.energy_of`) at eta = 0 with uncorrected
-    boundary weights."""
+    """Free-discontinuity functional F(u): `energy_of` of a valid field on its
+    support, a flagged face between two support cells being a crack."""
+    from .pdesolve import energy_of
     field.validate()
-    g = field.grid
-    dd, a, b = _face_lists(field)
-    total = model.grad_coeff * float(np.sum(np.abs(dd) ** model.p)) * g.cell_volume
-    support = field.values != 0.0
-    fvals = model.f_at(g.centers())[support]
-    total += float(np.sum(model.c0 - fvals * field.values[support])) * g.cell_volume
-    x = _face_centers(g, *_flagged(field.jumps))
-    g_term = model.bdry_coeff(x) * (np.abs(a) ** model.q + np.abs(b) ** model.q)
-    return total + float(np.sum(g_term * g.face_weight))
+    return energy_of(model, ShapeMask(field.grid, field.values != 0.0), field)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +297,7 @@ def _check_fits(mask: ShapeMask, field: SbvField):
     finite and vanishes off the shape: raise ValueError if not."""
     if field.grid != mask.grid:
         raise ValueError(f"field grid {field.grid} but mask grid {mask.grid}")
-    _check_finite(field)
+    _check_arrays(field)
     if np.any(field.values[~mask.cells]):
         raise ValueError("field is nonzero on a cell outside the mask")
 
@@ -577,8 +557,10 @@ def poincare_check(field: SbvField, b: float, p: float, alpha: float,
 def bv_norm(field: SbvField) -> float:
     """Discrete BV norm: |u_hi - u_lo| h^(d-1) over every face, flagged and
     box faces included (in 2d the anisotropic total variation)."""
-    _check_finite(field)
-    dd, a, b = _face_lists(field)
+    _check_arrays(field)
+    dd, a, b = map(np.concatenate, zip(*(
+        (diff[~flags], lo[flags], hi[flags])
+        for diff, lo, hi, flags in _faces(field.grid, field.values, field.jumps))))
     return (float(np.sum(np.abs(dd))) * field.grid.h
             + float(np.sum(np.abs(a - b)))) * field.grid.face_weight
 

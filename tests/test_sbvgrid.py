@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from robinshape import sbvgrid
 from robinshape.model import IntegrandModel
-from robinshape.pdesolve import SolverConfig, energy_of, solve_inner
+from robinshape.pdesolve import SolverConfig, SolverError, energy_of, solve_inner
 from robinshape.radial import RadialSolution
 from robinshape.shapeopt import diagnostics
 from robinshape.sbvgrid import (Grid, MaskAssembly, SbvField, ShapeMask,
@@ -111,6 +111,40 @@ def test_free_discontinuity_smooth_field_converges_to_integral():
     assert min(orders) >= 0.9
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([(2.0, 2.0), (3.0, 2.0)]), st.integers(8, 40), st.data())
+def test_a_crack_scores_as_two_pieces(pq, n, data):
+    # a crack inside the support cuts it in two: no gradient term across it,
+    # and each side pays its trace at the face centre, as the two pieces'
+    # own boundary faces do
+    p, q = pq
+    model = IntegrandModel(p=p, q=q, L=0.7, c0=0.3, f=lambda x: 1.0 + x[..., 0],
+                           beta1=lambda x: 0.5 + x[..., 0] ** 2,
+                           normalization="energy")
+    grid = Grid(1, n, 1.0 / n)
+    a = data.draw(st.integers(0, n - 2))
+    b = data.draw(st.integers(a + 2, n))
+    k = data.draw(st.integers(a + 1, b - 1))
+    vals = np.zeros(n)
+    vals[a:b] = data.draw(hnp.arrays(float, b - a, elements=st.floats(0.05, 5.0)))
+    whole = eval_free_discontinuity(model, SbvField.from_values(grid, vals, [(0, k)]))
+    below = np.arange(n) < k
+    pieces = [eval_free_discontinuity(model, SbvField.from_values(grid, vals * part))
+              for part in (below, ~below)]
+    assert whole == pytest.approx(sum(pieces), rel=1e-13)
+
+
+def test_a_crack_reads_the_robin_coefficient_at_its_centre():
+    # the coefficient is negative at x = 0.5 only: the crack there is refused
+    # like a boundary face, and the field without it is scored
+    model = IntegrandModel(p=2, q=2, f=1.0, normalization="energy",
+                           beta1=lambda x: np.where(x[..., 0] == 0.5, -1.0, 1.0))
+    grid, ones = Grid(1, 16, 1.0 / 16), np.ones(16)
+    eval_free_discontinuity(model, SbvField.from_values(grid, ones))
+    with pytest.raises(SolverError, match="negative Robin"):
+        eval_free_discontinuity(model, SbvField.from_values(grid, ones, [(0, 8)]))
+
+
 def test_free_discontinuity_insertion_order_invariant():
     rng = np.random.default_rng(2)
     n = 32
@@ -143,7 +177,13 @@ def test_array_sums_match_face_loop_reference():
     unit = lambda query: RadialSolution(1.0, np.zeros((0, 2)), {})
     norm = float(np.sum(np.abs(vals) ** p)) * grid.cell_volume
     lhs = poincare_check(fld, b, p, p, eig=unit) * norm
-    assert eval_free_discontinuity(model, fld) == pytest.approx(F_ref, rel=1e-13)
+    # F is the solver's energy on the support, the interior jumps scored as
+    # cracks; the face-loop reference charges h^(d-1) on every flagged face,
+    # the uncorrected rule
+    F = eval_free_discontinuity(model, fld)
+    assert F == energy_of(model, ShapeMask(grid, vals != 0.0), fld)
+    flat = replace(fld, grid=replace(grid, weights="uncorrected"))
+    assert eval_free_discontinuity(model, flat) == pytest.approx(F_ref, rel=1e-13)
     assert bv_norm(fld) == pytest.approx(bv_ref, rel=1e-13)
     assert lhs == pytest.approx(lhs_ref, rel=1e-13)
 
@@ -360,18 +400,29 @@ def test_reduction_minimizer_fixed_point():
     assert abs(gap) < 1e-10
 
 
-def test_free_discontinuity_equals_J_at_the_minimiser():
-    # without interior jumps F is the solver's energy at eta = 0 with
-    # uncorrected boundary weights, so the reduction gap closes
+@pytest.mark.parametrize("weights", ["uncorrected", "corrected"])
+def test_free_discontinuity_equals_J_at_the_minimiser(weights):
+    # without interior jumps F is the solver's energy on the support under
+    # the grid's rule, so the reduction gap closes
     model = IntegrandModel(p=2, q=2, L=0.8, c0=0.3,
                            f=lambda x: 1.0 + x[..., 0],
                            beta1=lambda x: 0.5 + x[..., 0] ** 2,
                            normalization="energy")
     config = SolverConfig(tol=1e-12)
     for grid, cells in oracles.mask_zoo()[::4]:
-        mask = ShapeMask(replace(grid, weights="uncorrected"), cells)
+        mask = ShapeMask(replace(grid, weights=weights), cells)
         fld = solve_inner(model, mask, config)
+        assert eval_free_discontinuity(model, fld) \
+            == energy_of(model, ShapeMask(mask.grid, fld.values != 0.0), fld)
         assert abs(reduction_check(model, fld, config)) <= 1e-10
+
+
+def test_free_discontinuity_equals_J_on_the_disc_minimiser():
+    # the 2d disc of radius 0.4 in a box of side 1.5, corrected weights
+    mask = ShapeMask.disc(Grid(2, 64, 1.5 / 64), (0.75, 0.75), 0.4)
+    config = SolverConfig(tol=1e-12)
+    fld = solve_inner(slab_model(), mask, config)
+    assert abs(reduction_check(slab_model(), fld, config)) <= 1e-10
 
 
 def test_reduction_random_fields_nonnegative():
@@ -696,6 +747,34 @@ def test_malformed_field_files_rejected(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             read_field_text(str(path))
+
+
+@pytest.mark.parametrize("origin", [[0, 1], np.array([0.0, 1.0]), (0.0, 1.0)],
+                         ids=["list", "array", "tuple"])
+def test_any_origin_sequence_gives_one_grid(origin, tmp_path):
+    grid = Grid(2, 16, 1 / 16, origin=origin)
+    assert grid == Grid(2, 16, 1 / 16, origin=(0.0, 1.0))
+    assert grid.origin == (0.0, 1.0)
+    mask = ShapeMask.disc(grid, (0.5, 1.5), 0.3)
+    fld = solve_inner(slab_model(), mask)
+    path = tmp_path / "field.txt"
+    write_field_text(str(path), fld, mask)
+    back, _ = read_field_text(str(path))
+    assert energy_of(slab_model(), mask, back) == energy_of(slab_model(), mask, fld)
+
+
+def test_jump_arrays_must_match_the_grid(tmp_path):
+    # an 8 x 8 field carrying its axis-0 flags only
+    grid = Grid(2, 8, 1 / 8)
+    fld = SbvField.from_values(grid, np.ones((8, 8)))
+    short = SbvField(grid, fld.values, fld.jumps[:1])
+    assert bv_norm(fld) == 4.0
+    with pytest.raises(ValueError, match="jump arrays"):
+        bv_norm(short)
+    path = tmp_path / "field.txt"
+    with pytest.raises(ValueError, match="jump arrays"):
+        write_field_text(str(path), short)
+    assert not path.exists()
 
 
 def test_grid_validation():
