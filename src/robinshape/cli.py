@@ -2,10 +2,11 @@
 
 Subcommands: eig, radial, solve, optimize, verify, figure1.  Parameters come
 from per-command flags, optionally seeded from a plain-text config file of
-key=value lines ("#" starts a comment); explicit flags win over the file.
-Unknown keys are rejected and every numeric key is range-checked at parse
-time.  Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 property-suite failure.
+key=value lines ("#" starts a comment, "-" and "_" alike in a key); explicit
+flags win over the file.  Unknown keys, numeric keys out of range, q > p, an
+f_bump band with lo >= hi and a disc radius that is not positive and finite
+are usage errors, found before any solve.  Exit codes: 0 success, 1 usage
+error, 2 numerical failure, 3 property-suite failure.
 
 Every CSV starts with the schema comment line "# robin-shape v1 <command>"
 followed by a header row; floats are written with repr so identical runs
@@ -192,9 +193,10 @@ def resolve_params(command, argv):
         i += 2
     merged = {}
     if "config" in cli:
-        for k, v in parse_config_file(cli["config"]).items():
+        for raw, v in parse_config_file(cli["config"]).items():
+            k = raw.replace("-", "_")
             if k not in schema:
-                raise UsageError(f"unknown config key {k!r} for {command}")
+                raise UsageError(f"unknown config key {raw!r} for {command}")
             merged[k] = v
     merged.update(cli)
     params = {}
@@ -249,6 +251,8 @@ def _build_f(params):
     if len(parts) != 3:
         raise UsageError("f_bump wants lo,hi,amp")
     lo, hi, amp = parts
+    if not lo < hi:
+        raise UsageError(f"f_bump: band lo={lo} must lie below hi={hi}")
 
     def f(pts):
         x = pts[..., 0]
@@ -256,35 +260,35 @@ def _build_f(params):
     return f
 
 
-def _build_grid(params):
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), with the ValueError of a bad input a usage error."""
     try:
-        return Grid(params["d"], params["n"], params["extent"] / params["n"],
-                    weights=params["weights"])
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
+def _build_grid(params):
+    return _checked(Grid, params["d"], params["n"],
+                    params["extent"] / params["n"], weights=params["weights"])
+
+
 def _build_model(params):
-    return IntegrandModel(p=params["p"], q=params["q"], L=params["L"],
-                          c0=params["c0"], f=_build_f(params),
-                          beta1=params["beta"], normalization="energy")
+    return _checked(IntegrandModel, p=params["p"], q=params["q"], L=params["L"],
+                    c0=params["c0"], f=_build_f(params), beta1=params["beta"],
+                    normalization="energy")
 
 
 def _build_mask(grid, params):
+    # a shape of the wrong dimension or a bad size is the mask's ValueError
     shape = params["shape"]
     if shape == "full":
         return ShapeMask.full(grid)
     if shape == "interval":
-        if grid.d != 1:
-            raise UsageError("interval shapes need d=1")
-        try:
-            return ShapeMask.interval(grid, params["a"], params["b"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return _checked(ShapeMask.interval, grid, params["a"], params["b"])
     if shape == "disc":
-        if grid.d != 2:
-            raise UsageError("disc shapes need d=2")
-        return ShapeMask.disc(grid, (params["cx"], params["cy"]), params["radius"])
+        return _checked(ShapeMask.disc, grid, (params["cx"], params["cy"]),
+                        params["radius"])
     raise UsageError(f"unknown shape {shape!r}")
 
 
@@ -480,7 +484,7 @@ def main(argv=None) -> int:
                     rng = f" [{key.lo}..{key.hi}]"
                 print(f"  --{name.replace('_', '-'):<18} default={key.default!r}{rng} {key.help}")
             return 0
-        # accept --foo-bar and --foo_bar alike
+        # accept --foo-bar and --foo_bar alike, in a config file too
         params = resolve_params(command, rest)
         if params.get("out"):
             os.makedirs(params["out"], exist_ok=True)

@@ -152,9 +152,6 @@ class AssumptionReport:
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def summary(self) -> str:
-        return "\n".join(f"{c.id:3s} {c.status:13s} {c.detail}" for c in self.checks)
-
 
 def _sample_points(domain_volume: float, d: int) -> np.ndarray:
     # sampling lattice of about 4096 points on a box of the given volume

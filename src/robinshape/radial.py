@@ -250,14 +250,15 @@ def _propagate(lam, d, R, n, path=False):
 
 
 _MAX_REFINE = 80  # Illinois steps before a root counts as not converged
+_ROOT_TOL = 1e-14  # relative bracket width at which an Illinois root stops
 
 
-def _illinois(G, a, b, Ga, Gb, tol=1e-14):
+def _illinois(G, a, b, Ga, Gb):
     """Roots of G inside the sign-change brackets 0 <= a < b, all refined
     together by the Illinois rule (regula falsi that halves the G of an end
     kept twice running).  G(x, idx) evaluates the columns idx at x.  A column
-    stops when G(x) == 0 or its bracket shrinks below tol relative; the root
-    is then x or the bracket midpoint."""
+    stops when G(x) == 0 or its bracket shrinks below _ROOT_TOL relative; the
+    root is then x or the bracket midpoint."""
     out = np.empty(a.shape)
     idx = np.arange(a.size)
     moved = np.zeros(a.size, dtype=int)  # end replaced last step: -1 a, +1 b
@@ -273,7 +274,7 @@ def _illinois(G, a, b, Ga, Gb, tol=1e-14):
         b, Gb = np.where(left, b, x), np.where(left, Gb, Gx)
         moved = np.where(left, -1, 1)
         exact = Gx == 0.0
-        done = exact | (b - a <= tol * b)
+        done = exact | (b - a <= _ROOT_TOL * b)
         out[idx[done]] = np.where(exact, x, 0.5 * (a + b))[done]
         if done.all():
             return out
@@ -346,23 +347,26 @@ def _spow(x, e):
     return np.array([v ** e for v in x.flat]).reshape(x.shape)
 
 
-def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
+_DESCENT_TOL = 1e-10  # relative change of Q at which a descent row stops
+
+
+def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000):
     """Minimize the mesh Rayleigh quotient by projected preconditioned descent,
     for arrays d, R and b of queries that share (pg, alpha, mesh_n); one d
     serves every query.
 
-    Directions come from a tridiagonal solve against the frozen linearization
-    of the quotient (plain gradient steps stall far beyond the iteration cap
-    on fine meshes), are l2-normalized, and pass an Armijo backtracking line
-    search on the quotient alone; iterates re-project to unit nodal l^alpha
-    norm.  Three restarts guard against spurious critical points; the
-    smallest quotient wins, ties by restart index.  Each query x restart is a
-    row; rows step in lockstep, leave as they stop and round as they would
-    alone.  A row stops once the relative change of Q falls below tol, or
-    when its direction does not descend (a tridiagonal model that does not
-    factor gives it no direction), its line search fails or it reaches
-    max_iter.  Returns (lam, r, u, infos), one entry per query.
-    Any winner whose last relative change is not below tol raises, a
+    Directions come from one tridiagonal LAPACK solve per row against the
+    frozen linearization of the quotient (plain gradient steps stall far
+    beyond the iteration cap on fine meshes), are l2-normalized, and pass an
+    Armijo backtracking line search on the quotient alone; iterates
+    re-project to unit nodal l^alpha norm.  Three restarts guard against
+    spurious critical points; the smallest quotient wins, ties by restart
+    index.  Each query x restart is a row; rows step in lockstep, leave as
+    they stop and round as they would alone.  A row stops once the relative
+    change of Q falls below _DESCENT_TOL, or when its direction does not
+    descend (a model that does not factor gives it none), its line search
+    fails or it reaches max_iter.  Returns (lam, r, u, infos), one entry per
+    query.  Any winner whose last change is not below _DESCENT_TOL raises, a
     non-finite one included; the first such query in order does, with its
     index as .query.
     """
@@ -415,23 +419,14 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
         diag[:, 1:] += c
         diag[:, -1] += bR * _spow(_spow(u[:, -1], 2) + eps2, (pg - 2.0) / 2.0)
         diag += np.maximum(Q, 1e-30)[:, None] * mass + 1e-300
-        # all rows in one solve, kept apart by zero off-diagonal entries.  A
-        # row whose model does not factor keeps a nan direction, so it retires
-        # as one that does not descend, and the others are solved again
-        # without it (ptsv leaves the right-hand side unsolved on failure).  A
-        # non-finite row spills over, so such rows are solved again alone
-        off = np.concatenate([-c, np.zeros((len(c), 1))], axis=1)
-        x, live = np.full_like(u, np.nan), np.arange(len(u))
-        while live.size:
-            xs, info = dptsv(diag[live].ravel(), off[live].ravel()[:-1],
-                             -g[live].ravel())[2:]
-            if info == 0:
-                x[live] = xs.reshape(-1, N + 1)
-                break
-            live = np.delete(live, (info - 1) // (N + 1))
-        for j in live[~np.isfinite(x[live]).all(axis=1)]:
+        # one solve per row: a row whose model does not factor keeps a nan
+        # direction, and a non-finite solution gives a nan slope, so either
+        # retires as a row that does not descend
+        x = np.full_like(u, np.nan)
+        for j in range(len(u)):
             xj, info = dptsv(diag[j], -c[j], -g[j])[2:]
-            x[j] = xj if info == 0 else np.nan
+            if info == 0:
+                x[j] = xj
         return x
 
     def project(u):
@@ -487,7 +482,7 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
         step, U_new, Q_new, *parts = retire(failed, it, *acc)
         change = np.abs(Q - Q_new) / np.maximum(np.abs(Q_new), 1e-300)
         U, Q = U_new, Q_new
-        parts = retire(change < tol, it, *parts)
+        parts = retire(change < _DESCENT_TOL, it, *parts)
         G = gradient(U, *parts, *C)
     retire(np.ones(rows.size, dtype=bool), max_iter)
 
@@ -498,7 +493,8 @@ def _rayleigh_min(d, R, b, pg, alpha, mesh_n, max_iter=100_000, tol=1e-10):
     Uf[flip], Qf[flip] = U_abs[flip], Q_abs[flip]
     win = [min(range(3 * i, 3 * i + 3), key=Qf.__getitem__) for i in range(m)]
     for i, j in enumerate(win):
-        if not change_f[j] < tol:  # a non-finite Q has a non-finite change
+        # a non-finite Q has a non-finite change
+        if not change_f[j] < _DESCENT_TOL:
             raise RadialConvergenceError(
                 f"Rayleigh descent did not converge: stopped after "
                 f"{iters_f[j]} iterations (cap {max_iter})",

@@ -28,7 +28,8 @@ exponents fix (0 at p = q = 2, else 1e-6).  `shape_energy`,
 `eval_shape_functional` and the annealer's re-solves report it, and the
 free-discontinuity functional F(u) is it on u's support, a flagged face
 between two support cells being a crack (see `pdesolve`).  `poincare_check`
-and `bv_norm`, the anisotropic total variation, read one face pass, `_faces`.
+scores fields stacked on a leading axis by one face pass, and `bv_norm`, the
+anisotropic total variation, reads the same face sides (`_face_sides`).
 """
 
 from __future__ import annotations
@@ -220,20 +221,6 @@ def _check_arrays(field: SbvField):
         raise ValueError("field has non-finite values")
 
 
-def _faces(grid: Grid, values: np.ndarray, jumps) -> list:
-    """One face pass over fields stacked on leading axes, jumps stacked alike.
-    Per axis, in face layout: the differences (u_hi - u_lo)/h on unflagged
-    faces, the values below and above flagged faces (0 outside the box),
-    each 0 on the other faces, and the jump mask."""
-    lead = values.ndim - grid.d
-    out = []
-    for ax, flags in enumerate(jumps):
-        lo, hi = _face_sides(values, lead + ax)
-        out.append((np.where(flags, 0.0, (hi - lo) / grid.h),
-                    np.where(flags, lo, 0.0), np.where(flags, hi, 0.0), flags))
-    return out
-
-
 def eval_free_discontinuity(model: IntegrandModel, field: SbvField) -> float:
     """Free-discontinuity functional F(u): `energy_of` of a valid field on its
     support, a flagged face between two support cells being a crack."""
@@ -278,6 +265,9 @@ class ShapeMask:
         """Cells of a 2d grid whose centers lie in the closed disc."""
         if grid.d != 2:
             raise ValueError("disc masks require d = 2")
+        if not (0.0 < radius < np.inf):
+            raise ValueError(f"disc radius must be positive and finite, "
+                             f"got {radius}")
         pts = grid.centers()
         r2 = np.sum((pts - np.asarray(center)) ** 2, axis=-1)
         return cls(grid, r2 <= radius**2)
@@ -519,7 +509,9 @@ def _poincare_ratios(grid: Grid, values: np.ndarray, jumps, b: float,
                      p: float, alpha: float, lam) -> np.ndarray:
     """poincare_check for fields stacked on a leading axis, one face pass for
     all of them; lam maps the support cell counts of the fields to the
-    eigenvalues of their balls."""
+    eigenvalues of their balls.  Per axis the pass takes the differences
+    (u_hi - u_lo)/h on unflagged faces and the values below and above flagged
+    faces (0 outside the box), each 0 on the other faces."""
     cells = tuple(range(1, values.ndim))
     count = np.count_nonzero(values, axis=cells)
     if not count.all():
@@ -527,7 +519,10 @@ def _poincare_ratios(grid: Grid, values: np.ndarray, jumps, b: float,
     if not np.isfinite(values).all():
         raise ValueError("field has non-finite values")
     grad = jump = 0.0
-    for diff, lo, hi, _ in _faces(grid, values, jumps):
+    for ax, flags in enumerate(jumps):
+        lo, hi = _face_sides(values, 1 + ax)
+        diff = np.where(flags, 0.0, (hi - lo) / grid.h)
+        lo, hi = np.where(flags, lo, 0.0), np.where(flags, hi, 0.0)
         grad = grad + np.sum(np.abs(diff) ** p, axis=cells)
         jump = jump + np.sum(np.abs(lo) ** p + np.abs(hi) ** p, axis=cells)
     lhs = grad * grid.cell_volume + b * jump * grid.face_weight
@@ -558,11 +553,13 @@ def bv_norm(field: SbvField) -> float:
     """Discrete BV norm: |u_hi - u_lo| h^(d-1) over every face, flagged and
     box faces included (in 2d the anisotropic total variation)."""
     _check_arrays(field)
-    dd, a, b = map(np.concatenate, zip(*(
-        (diff[~flags], lo[flags], hi[flags])
-        for diff, lo, hi, flags in _faces(field.grid, field.values, field.jumps))))
-    return (float(np.sum(np.abs(dd))) * field.grid.h
-            + float(np.sum(np.abs(a - b)))) * field.grid.face_weight
+    g = field.grid
+    sides = [(f, *_face_sides(field.values, ax))
+             for ax, f in enumerate(field.jumps)]
+    dd = np.concatenate([(hi[~f] - lo[~f]) / g.h for f, lo, hi in sides])
+    jump = np.concatenate([lo[f] - hi[f] for f, lo, hi in sides])
+    return (float(np.sum(np.abs(dd))) * g.h
+            + float(np.sum(np.abs(jump)))) * g.face_weight
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 
 from robinshape.cli import main
 from robinshape.model import IntegrandModel
-from robinshape.sbvgrid import (Grid, poincare_check, read_field_text,
-                                shape_energy, write_field_text)
+from robinshape.sbvgrid import (Grid, ShapeMask, poincare_check,
+                                read_field_text, shape_energy,
+                                write_field_text)
 from robinshape.radial import (RadialEigenvalueQuery, RadialSolution,
                                robin_eigenvalue_ball, shoot_eigenvalues)
 from robinshape import suites
@@ -143,6 +144,22 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 1
 
 
+def test_config_keys_take_the_help_spelling(tmp_path, capsys):
+    # a config key may be spelt as --help prints it, with "-" for "_"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max-iter = 2\n")
+    by_flag = main(["solve", "--d", "1", "--n", "128", "--max-iter", "2",
+                    "--out", str(tmp_path)])
+    flag_err = capsys.readouterr().err
+    assert by_flag == 2 and "numerical failure" in flag_err
+    assert main(["solve", "--d", "1", "--n", "128", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == flag_err
+    cfg.write_text("warp-factor = 9\n")
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert "'warp-factor'" in capsys.readouterr().err
+
+
 def test_range_checks_are_usage_errors(tmp_path):
     assert main(["solve", "--d", "1", "--n", "2"]) == 1
     assert main(["solve", "--tol", "5.0"]) == 1
@@ -186,6 +203,13 @@ def test_range_checks_are_usage_errors(tmp_path):
     assert main(["optimize", "--config", str(cfg), "--out", out]) == 1
     assert main(["optimize", "--d", "2", "--init", "disc:0.5:nan:0.3",
                  "--out", out]) == 1
+    # q must lie in (1, p]: above p it is a usage error, not a numerical
+    # failure, as a flag and in a config file alike
+    for cmd in ("solve", "optimize"):
+        assert main([cmd, "--p", "2", "--q", "3", "--out", out]) == 1
+        cfg = tmp_path / f"{cmd}_q.cfg"
+        cfg.write_text("p = 2\nq = 3\n")
+        assert main([cmd, "--config", str(cfg), "--out", out]) == 1
 
 
 def test_malformed_weights_and_init_are_usage_errors(tmp_path):
@@ -206,6 +230,31 @@ def test_reversed_interval_is_usage_error(tmp_path):
                  "--b", "0.2", "--out", out]) == 1
     assert main(["optimize", "--d", "1", "--init", "interval:0.8:0.2",
                  "--out", out]) == 1
+
+
+def test_reversed_bump_band_is_usage_error(tmp_path, capsys):
+    # a band with lo >= hi holds no point: refused rather than run without
+    # a bump
+    out = str(tmp_path)
+    for bump in ("0.6,0.4,3", "0.5,0.5,3"):
+        assert main(["solve", "--f-bump", bump, "--out", out]) == 1
+        assert main(["optimize", "--f-bump", bump, "--sweeps", "1",
+                     "--out", out]) == 1
+    assert capsys.readouterr().err.count("error: f_bump") == 4
+    assert not (tmp_path / "field.txt").exists()
+
+
+def test_nonpositive_disc_radius_is_usage_error(tmp_path, capsys):
+    grid = Grid(2, 16, 1 / 16)
+    for radius in (-0.3, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius"):
+            ShapeMask.disc(grid, (0.5, 0.5), radius)
+    out = str(tmp_path)
+    for init in ("disc:0.5:0.5:-0.3", "disc:0.5:0.5:0"):
+        assert main(["optimize", "--d", "2", "--init", init,
+                     "--out", out]) == 1
+    assert capsys.readouterr().err.count("error: disc radius") == 2
+    assert not (tmp_path / "best_field.txt").exists()
 
 
 def test_unknown_command_and_flag():

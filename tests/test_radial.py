@@ -421,24 +421,37 @@ def test_descent_preconditioner_failure_raises(monkeypatch):
     assert batched.value.query == 0
 
 
-def test_descent_preconditioner_failure_retires_only_its_row(monkeypatch):
-    # the first stacked solve reports the model of row 2 (query 0, restart 2)
-    # as not factoring: that restart stops after one iteration, every other
-    # row solves as before, and both queries answer as they do unpatched
+@pytest.mark.parametrize("fault", ["info", "nan", "inf"])
+def test_descent_preconditioner_failure_retires_only_its_row(monkeypatch, fault):
+    # row 2 (query 0, restart 2) has its first solve fail, by a factorization
+    # that reports failure or by a solution that is not finite: that restart
+    # stops after one iteration, every other row solves as before, and both
+    # queries answer as they do unpatched
     import scipy.linalg.lapack as lapack
     R, b = [1.0, 1.5], [2.0, 1.0]
     lam, _, u, infos = _rayleigh_min(2, R, b, 3.0, 3.0, 128)
     assert infos[0]["restart"] != 2
     ptsv, calls = lapack.dptsv, []
 
-    def fail_once(*a):
+    def fail_row_2(*a):
         calls.append(len(a[0]))
         out = ptsv(*a)
-        return out[:3] + (2 * 129 + 1,) if len(calls) == 1 else out
+        if len(calls) != 3:  # the first iteration solves rows 0..5 in order
+            return out
+        if fault == "info":
+            return out[:3] + (1,)
+        x = out[2].copy()
+        if fault == "nan":
+            x[:] = np.nan
+        else:
+            x[64] = np.inf  # one entry: the others stay finite
+        return out[:2] + (x, 0)
 
-    monkeypatch.setattr(lapack, "dptsv", fail_once)
+    monkeypatch.setattr(lapack, "dptsv", fail_row_2)
     lam2, _, u2, infos2 = _rayleigh_min(2, R, b, 3.0, 3.0, 128)
-    assert calls[:2] == [6 * 129, 5 * 129]  # solved again without row 2
+    # one 129-node call per live row and iteration, never rows stacked
+    assert set(calls) == {129}
+    assert len(calls) == sum(sum(info["restart_iterations"]) for info in infos2)
     assert lam2.tolist() == lam.tolist() and np.array_equal(u2, u)
     assert infos2[0]["restart_iterations"][2] == 1
     assert infos2[0]["restart_iterations"][:2] == infos[0]["restart_iterations"][:2]
